@@ -108,7 +108,7 @@ def cmd_validate(args) -> int:
         print(f"PARSE ERROR: {e}", file=sys.stderr)
         return EXIT_PARSE
     try:
-        build_scheme(rm, fast=args.fast, workers=args.threads)
+        build_scheme(rm)
     except SchemeValidationError as e:
         print(f"INVALID: {e}")
         return EXIT_INVALID
@@ -153,7 +153,7 @@ def cmd_detect(args) -> int:
         print(f"PARSE ERROR: {e}", file=sys.stderr)
         return EXIT_PARSE
     try:
-        s = build_scheme(rm, fast=args.fast, workers=args.threads)
+        s = build_scheme(rm)
     except SchemeValidationError as e:
         print(f"INVALID: {e}")
         return EXIT_INVALID
@@ -240,9 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="check the scheme axioms of a relation-matrix file")
     p.add_argument("path")
-    p.add_argument("--fast", action="store_true",
-                   help="one representative pair per class (unsound on invalid input)")
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(fn=cmd_validate)
 
     p = sub.add_parser("detect", help="run every detection route on a scheme file")
@@ -250,8 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", metavar="PATH", help="write the full report as JSON")
     p.add_argument("--tol", type=float, default=None,
                    help="base tolerance (default 1e-8; SCHEMEX_TOL env var also honoured)")
-    p.add_argument("--fast", action="store_true")
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(fn=cmd_detect)
 
     p = sub.add_parser("gen", help="generate a named family as a scheme file")

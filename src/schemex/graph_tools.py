@@ -66,7 +66,7 @@ class Graph:
 
 @dataclass(eq=False)
 class DistanceData:
-    """All-pairs BFS data.
+    """All-pairs distance data.
 
     excess[x] counts the vertices at maximal distance from x (its
     eccentricity), so it is >= 1 on every connected graph; for
@@ -99,26 +99,45 @@ def _component_count(g: Graph) -> int:
     return comps
 
 
+def _seidel_distances(a: np.ndarray) -> np.ndarray | None:
+    """All-pairs distances from a boolean adjacency matrix; None if disconnected.
+
+    Seidel's recursion (J. Comput. Syst. Sci. 51 (1995) 400-403), unrolled:
+    square the graph until it is complete, then walk back down, recovering
+    each level's distances T from the level above with one product X = T A:
+    D = 2T where X >= T * deg, else 2T - 1.  That is O(log D) float64 GEMMs.
+    Every product entry is an integer <= (n - 1) * deg < 2**53, so float64
+    holds it exactly.  A level whose square adds no edge before the graph is
+    complete means the graph is disconnected.
+    """
+    n = a.shape[0]
+    off_diagonal = ~np.eye(n, dtype=bool)
+    levels = [a]
+    while True:
+        f = levels[-1].astype(np.float64)
+        square = (levels[-1] | (f @ f > 0)) & off_diagonal
+        if square.sum() == n * (n - 1):
+            break
+        if np.array_equal(square, levels[-1]):
+            return None
+        levels.append(square)
+    dist = 2 * off_diagonal.astype(np.float64) - levels[-1]
+    for level in reversed(levels[:-1]):
+        f = level.astype(np.float64)
+        dist = 2 * dist - ((dist @ f) < dist * f.sum(axis=0))
+    return dist.astype(np.int32)
+
+
 def distance_data(g: Graph) -> DistanceData:
-    """BFS from every vertex; raises Disconnected with the component count."""
+    """All-pairs distances; raises Disconnected with the component count."""
     n = g.n
-    dist = np.full((n, n), -1, dtype=np.int32)
-    for s in range(n):
-        dist[s, s] = 0
-        dq = deque([s])
-        while dq:
-            u = dq.popleft()
-            du = dist[s, u]
-            for v in g.adj[u]:
-                if dist[s, v] < 0:
-                    dist[s, v] = du + 1
-                    dq.append(v)
-    if dist.min() < 0:
+    dist = _seidel_distances(g.adjacency_matrix().astype(bool))
+    if dist is None:
         raise Disconnected(_component_count(g))
     diameter = int(dist.max())
-    gamma = np.zeros((n, diameter + 1), dtype=np.int64)
-    for s in range(n):
-        gamma[s] = np.bincount(dist[s], minlength=diameter + 1)
+    rows = np.arange(n)[:, None] * (diameter + 1)
+    gamma = np.bincount((dist + rows).ravel(), minlength=n * (diameter + 1))
+    gamma = gamma.reshape(n, diameter + 1).astype(np.int64)
     ecc = dist.max(axis=1).astype(np.int64)
     excess = gamma[np.arange(n), ecc]
     return DistanceData(dist=dist, diameter=diameter, gamma_counts=gamma,

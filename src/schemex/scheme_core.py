@@ -1,13 +1,13 @@
 """Symmetric association schemes: axiom validation and exact intersection numbers.
 
 A scheme on n points with d classes is stored as an n x n matrix of relation
-indices.  All counting is done in integer arithmetic; nothing in this module
-touches floating point.
+indices.  Every count is exact: the intersection tensor is counted in
+integers, and the validation products run as float32 GEMMs whose entries are
+integers small enough for float32 to hold exactly (see :func:`build_scheme`).
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -145,7 +145,7 @@ def _tensor_from_representatives(rel: np.ndarray, d: int) -> np.ndarray:
 
     For (x, y) in class k, p[k, i, j] is the number of z with rel(x, z) = i
     and rel(z, y) = j.  Constancy over the class is *assumed* here; it is
-    checked separately unless the caller opted out.
+    checked separately by :func:`build_scheme`.
     """
     n = rel.shape[0]
     m = d + 1
@@ -159,20 +159,30 @@ def _tensor_from_representatives(rel: np.ndarray, d: int) -> np.ndarray:
     return p
 
 
-def _check_products_constant(rel, d, adj, i, j):
-    """Verify that A_i A_j is constant on every relation class."""
-    M = adj[i].astype(np.int32) @ adj[j].astype(np.int32)
-    m = d + 1
+# float32 represents every integer of magnitude <= 2**24 exactly
+_FLOAT32_EXACT = 2 ** 24
+
+
+def _check_products_constant(rel, p, a_i, a_j, i, j):
+    """Verify that A_i A_j is constant on every relation class.
+
+    The product is a float32 GEMM.  Its entries are counts <= n < 2**24, so
+    every partial sum is an integer float32 holds exactly.  A_i A_j is constant
+    on class k exactly when it equals p[k, i, j], counted at k's representative
+    pair, on all of class k; the min/max scan that names a witness runs only
+    when that comparison fails.
+    """
+    M = a_i @ a_j
+    if np.array_equal(M, p[:, i, j].astype(np.float32)[rel]):
+        return
+    m = p.shape[0]
     flat_rel = rel.ravel().astype(np.intp)
-    flat_m = M.ravel()
+    flat_m = M.ravel().astype(np.int32)
     mins = np.full(m, np.iinfo(np.int32).max, dtype=np.int32)
     maxs = np.full(m, -1, dtype=np.int32)
     np.minimum.at(mins, flat_rel, flat_m)
     np.maximum.at(maxs, flat_rel, flat_m)
-    bad = np.flatnonzero(mins != maxs)
-    if bad.size == 0:
-        return
-    k = int(bad[0])
+    k = int(np.flatnonzero(mins != maxs)[0])
     n = rel.shape[0]
     in_k = flat_rel == k
     lo = int(np.flatnonzero(in_k & (flat_m == mins[k]))[0])
@@ -184,17 +194,17 @@ def _check_products_constant(rel, d, adj, i, j):
     )
 
 
-def build_scheme(rm: RelationMatrix, *, fast: bool = False, workers: int = 1) -> AssociationScheme:
+def build_scheme(rm: RelationMatrix) -> AssociationScheme:
     """Validate the scheme axioms and compute the intersection tensor.
 
-    Exhaustive validation checks, for every pair of classes, that the count of
-    common neighbours is constant on each class (an O(n^3)-style product
-    check).  With ``fast=True`` only one representative pair per class is
-    counted, which is cheap but *unsound* on invalid input: a non-scheme can
-    slip through.  ``workers`` > 1 spreads the product checks over a thread
-    pool (the integer matmuls release the GIL).
+    Validation is exhaustive: for every pair of classes 1 <= i <= j <= d the
+    product A_i A_j is checked to be constant on each class.  The products
+    are float32 GEMMs, exact for n < 2**24; at most two class indicators are
+    held at a time, so memory stays O(n^2) whatever d is.
     """
     rel, n, d = rm.rel, rm.n, rm.d
+    if n >= _FLOAT32_EXACT:
+        raise ValueError(f"n = {n} points: float32 validation is exact only for n < 2**24")
 
     diag = rel.diagonal()
     off = np.flatnonzero(diag != 0)
@@ -211,18 +221,11 @@ def build_scheme(rm: RelationMatrix, *, fast: bool = False, workers: int = 1) ->
 
     p = _tensor_from_representatives(rel, d)
 
-    if not fast:
-        adj = [np.asarray(rel == i, dtype=np.uint8) for i in range(d + 1)]
-        pairs = [(i, j) for i in range(1, d + 1) for j in range(i, d + 1)]
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                futs = [pool.submit(_check_products_constant, rel, d, adj, i, j)
-                        for i, j in pairs]
-                for f in futs:
-                    f.result()
-        else:
-            for i, j in pairs:
-                _check_products_constant(rel, d, adj, i, j)
+    for i in range(1, d + 1):
+        a_i = (rel == i).astype(np.float32)
+        for j in range(i, d + 1):
+            a_j = a_i if j == i else (rel == j).astype(np.float32)
+            _check_products_constant(rel, p, a_i, a_j, i, j)
 
     return AssociationScheme(n=n, d=d, rel=rel, tensor=IntersectionTensor(d=d, p=p))
 

@@ -94,6 +94,16 @@ class TestGolden:
         # the classes are the cubic-residue cosets; difference 5 sits with 1
         assert s.rel[0, 5] == 1 and s.rel[0, 2] == 2 and s.rel[0, 4] == 3
 
+    def test_hamming_6_3(self):
+        s = generate(FamilySpec("hamming", (6, 3)))
+        assert (s.n, s.d) == (729, 6)
+        assert tuple(s.valencies) == (1, 12, 60, 160, 240, 192, 64)
+
+    def test_johnson_12_4(self):
+        s = generate(FamilySpec("johnson", (12, 4)))
+        assert (s.n, s.d) == (495, 4)
+        assert tuple(s.valencies) == (1, 32, 168, 224, 70)
+
     def test_petersen_first_relation_is_disjointness(self):
         s = generate(FamilySpec("petersen"))
         assert tuple(s.valencies) == (1, 3, 6)

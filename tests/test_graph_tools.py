@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import networkx as nx
 import numpy as np
 import pytest
 
@@ -84,6 +85,62 @@ class TestDistances:
         assert exc.value.components == 3
 
 
+def _from_networkx(h):
+    h = nx.convert_node_labels_to_integers(h)
+    return Graph.from_edges(h.number_of_nodes(), h.edges())
+
+
+def _assert_networkx_distances(h):
+    g = _from_networkx(h)
+    lengths = dict(nx.all_pairs_shortest_path_length(nx.convert_node_labels_to_integers(h)))
+    ref = np.array([[lengths[x][y] for y in range(g.n)] for x in range(g.n)])
+    dd = distance_data(g)
+    assert np.array_equal(dd.dist, ref)
+    assert dd.diameter == ref.max()
+    assert np.array_equal(dd.eccentricity, ref.max(axis=1))
+    for x in range(g.n):
+        assert np.array_equal(dd.gamma_counts[x], np.bincount(ref[x], minlength=dd.diameter + 1))
+
+
+class TestDistancesAgainstNetworkx:
+    @pytest.mark.parametrize("h", [
+        nx.cycle_graph(301),
+        nx.cycle_graph(8),
+        nx.path_graph(2),
+        nx.path_graph(57),
+        nx.petersen_graph(),
+        nx.hypercube_graph(6),
+        nx.complete_graph(1),
+        nx.complete_graph(2),
+        nx.complete_graph(9),
+    ], ids=["cycle301", "cycle8", "path2", "path57", "petersen", "6-cube",
+            "K1", "K2", "K9"])
+    def test_named_graphs(self, h):
+        _assert_networkx_distances(h)
+
+    def test_edgeless_pair_is_disconnected(self):
+        with pytest.raises(Disconnected) as exc:
+            distance_data(Graph.from_edges(2, []))
+        assert exc.value.components == 2
+
+    def test_seeded_random_graphs(self):
+        rng = np.random.default_rng(20261017)
+        disconnected = 0
+        for _ in range(60):
+            n = int(rng.integers(2, 40))
+            h = nx.gnp_random_graph(n, float(rng.uniform(0.02, 0.5)),
+                                    seed=int(rng.integers(2 ** 31)))
+            comps = nx.number_connected_components(h)
+            if comps == 1:
+                _assert_networkx_distances(h)
+                continue
+            disconnected += 1
+            with pytest.raises(Disconnected) as exc:
+                distance_data(_from_networkx(h))
+            assert exc.value.components == comps
+        assert 10 <= disconnected <= 50
+
+
 class TestSpectrum:
     def test_complete_graph(self):
         g = Graph.from_edges(4, [(u, v) for u in range(4) for v in range(u + 1, 4)])
@@ -163,6 +220,11 @@ class TestSchemeFromDrg:
     def test_cube_roundtrip(self):
         s = scheme_from_drg(_cube_graph())
         fam = generate(FamilySpec("hamming", (3, 2)))
+        assert np.array_equal(s.tensor.p, fam.tensor.p)
+
+    def test_8_cube_roundtrip(self):
+        s = scheme_from_drg(_from_networkx(nx.hypercube_graph(8)))
+        fam = generate(FamilySpec("hamming", (8, 2)))
         assert np.array_equal(s.tensor.p, fam.tensor.p)
 
     def test_non_drg_raises(self):

@@ -89,26 +89,101 @@ class TestBuildScheme:
         rel = _path_rel(3)
         assert rel[x1, y1] == err.k and rel[x2, y2] == err.k
 
-    def test_path3_fast_mode_still_fails_via_tensor(self):
-        # representative counting alone already yields an asymmetric tensor here
-        with pytest.raises(ValueError):
-            build_scheme(RelationMatrix(n=3, d=2, rel=_path_rel(3)), fast=True)
 
-    def test_fast_agrees_with_full_on_valid_input(self):
-        rm = RelationMatrix(n=8, d=4, rel=_cycle_rel(8))
-        full = build_scheme(rm)
-        quick = build_scheme(rm, fast=True)
-        assert np.array_equal(full.tensor.p, quick.tensor.p)
+def _reference_validation(rel, d):
+    """The integer per-pair check: (tensor, None) on a scheme, else (None, witness).
 
-    def test_threaded_validation_matches(self):
-        rm = RelationMatrix(n=12, d=6, rel=_cycle_rel(12))
-        assert np.array_equal(
-            build_scheme(rm).tensor.p, build_scheme(rm, workers=4).tensor.p
-        )
+    Every product A_i A_j is formed in int32 and scanned for its min and max on
+    each class, pairs in the order build_scheme checks them.  The witness is
+    (i, j, k, witness_lo, witness_hi) of the first pair and class that fail.
+    """
+    n, m = rel.shape[0], d + 1
+    adj = [(rel == i).astype(np.int32) for i in range(m)]
+    flat_rel = rel.ravel().astype(np.intp)
+    p = np.zeros((m, m, m), dtype=np.int64)
+    for i in range(m):
+        for j in range(i, m):
+            flat_m = (adj[i] @ adj[j]).ravel()
+            mins = np.full(m, np.iinfo(np.int32).max, dtype=np.int32)
+            maxs = np.full(m, -1, dtype=np.int32)
+            np.minimum.at(mins, flat_rel, flat_m)
+            np.maximum.at(maxs, flat_rel, flat_m)
+            bad = np.flatnonzero(mins != maxs)
+            if bad.size:
+                k = int(bad[0])
+                in_k = flat_rel == k
+                lo = int(np.flatnonzero(in_k & (flat_m == mins[k]))[0])
+                hi = int(np.flatnonzero(in_k & (flat_m == maxs[k]))[0])
+                return None, (i, j, k, (*divmod(lo, n), int(mins[k])),
+                              (*divmod(hi, n), int(maxs[k])))
+            p[:, i, j] = p[:, j, i] = mins
+    return p, None
 
-    def test_threaded_validation_still_raises(self):
-        with pytest.raises(NotConstant):
-            build_scheme(RelationMatrix(n=3, d=2, rel=_path_rel(3)), workers=2)
+
+def _random_relation_matrix(rng, n, d):
+    """Symmetric, zero diagonal, every class 0..d present."""
+    while True:
+        rel = np.zeros((n, n), dtype=np.int64)
+        iu = np.triu_indices(n, 1)
+        rel[iu] = rng.integers(1, d + 1, size=iu[0].size)
+        rel = rel + rel.T
+        if np.unique(rel).size == d + 1:
+            return rel
+
+
+def _perturbed_scheme(rng, s):
+    """A scheme with one point pair moved to another non-identity class.
+
+    Such near-schemes fail at later class pairs (i, j) too, where fully random
+    matrices almost always fail at the first one, (1, 1).
+    """
+    while True:
+        rel = np.array(s.rel, dtype=np.int64)
+        x, y = rng.choice(s.n, size=2, replace=False)
+        rel[x, y] = rel[y, x] = 1 + (rel[x, y] - 1 + rng.integers(1, s.d)) % s.d
+        if np.unique(rel).size == s.d + 1:
+            return rel
+
+
+SMALL_SOURCES = [("cycle", (n,)) for n in range(7, 13)] + [
+    ("hamming", (2, 3)), ("hamming", (3, 2)), ("johnson", (5, 2)), ("petersen", ()),
+    ("disjoint_cliques", (4, 3)),
+]
+
+
+def test_validation_witnesses_match_integer_reference():
+    rng = np.random.default_rng(20261017)
+    sources = [generate(FamilySpec(f, params)) for f, params in SMALL_SOURCES]
+    failing_pairs = set()
+    for trial in range(400):
+        if trial % 2:
+            n = int(rng.integers(3, 13))
+            d = int(rng.integers(1, min(4, n * (n - 1) // 2) + 1))
+            rel = _random_relation_matrix(rng, n, d)
+        else:
+            src = sources[int(rng.integers(len(sources)))]
+            n, d = src.n, src.d
+            rel = _perturbed_scheme(rng, src)
+        tensor, witness = _reference_validation(rel, d)
+        rm = RelationMatrix(n=n, d=d, rel=rel)
+        if witness is None:
+            assert np.array_equal(build_scheme(rm).tensor.p, tensor)
+            continue
+        failing_pairs.add(witness[:2])
+        with pytest.raises(NotConstant) as info:
+            build_scheme(rm)
+        err = info.value
+        assert (err.i, err.j, err.k, err.witness_lo, err.witness_hi) == witness
+    assert len(failing_pairs) >= 3
+
+
+def test_corpus_tensors_match_integer_reference(scheme_corpus):
+    for name, s, _expected in scheme_corpus:
+        rel = np.asarray(s.rel)
+        tensor, witness = _reference_validation(rel, s.d)
+        assert witness is None, name
+        rebuilt = build_scheme(RelationMatrix(n=s.n, d=s.d, rel=rel))
+        assert np.array_equal(rebuilt.tensor.p, tensor), name
 
 
 SMALL = [
