@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -77,15 +78,21 @@ def _read_edge_file(path) -> Graph:
 
 
 def _tol_from(args) -> float:
+    """The base tolerance: --tol, else SCHEMEX_TOL, else BASE_TOL; finite and > 0."""
     if args.tol is not None:
-        return args.tol
-    env = os.environ.get("SCHEMEX_TOL")
-    if env:
+        tol, source = args.tol, "--tol"
+    else:
+        env = os.environ.get("SCHEMEX_TOL")
+        if not env:
+            return BASE_TOL
         try:
-            return float(env)
+            tol = float(env)
         except ValueError:
             raise ValueError(f"SCHEMEX_TOL = {env!r} is not a number") from None
-    return BASE_TOL
+        source = "SCHEMEX_TOL"
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"{source} = {tol!r} is not a finite number > 0")
+    return tol
 
 
 def _round12(obj):

@@ -4,9 +4,9 @@ Four routes are provably equivalent and are run side by side:
 
 * ``tridiagonal``: greedy reordering of the first intersection matrix into an
   irreducible tridiagonal band (pure integer arithmetic, no preconditions);
-* ``nstar``: which relations first appear in which power of A_1 (exact integer
-  walk counts; needs the top eigenvalue separated, i.e. the relation-1 graph
-  connected);
+* ``nstar``: which relations first appear in which power of A_1 (breadth-first
+  search on the support of the first intersection matrix; needs the top
+  eigenvalue separated, i.e. the relation-1 graph connected);
 * ``excess``: kappa_i = -Q_i(l) for a unique column l of the second
   eigenmatrix (needs all theta distinct);
 * ``predistance``: p_d(theta_h) = P_l(h) for a unique column l (same
@@ -30,8 +30,9 @@ from .spectral import (
     EIG_GROUP_RTOL,
     KreinTensor,
     SpectralData,
+    intersection_matrix,
     krein_parameters,
-    primitive_idempotents,
+    primitive_idempotents,  # noqa: F401  unused here; perfbench/spans.py traces this name
     spectral_data,
 )
 
@@ -42,7 +43,7 @@ PRECONDITION_FAILED = "precondition-failed"
 #: relative tolerance for matching kappa against -Q and p_d against P columns
 ROUTE_MATCH_RTOL = 1e-6
 
-#: generic residual scale (Krein chain threshold, expansion checks)
+#: generic residual scale (Krein chain threshold)
 BASE_TOL = 1e-8
 
 
@@ -186,22 +187,28 @@ def tridiagonal_route(t: IntersectionTensor) -> RouteVerdict:
 def nstar_sets(s: AssociationScheme, sd: SpectralData) -> NStarChain:
     """First-appearance sets of the relations in A_1^0, A_1^1, ..., A_1^d.
 
-    Coefficients are exact integer walk counts, read off the regular
-    representation: the coefficient vector of A_1^h is B_1^h applied to the
-    unit vector of A_0 (plain Python integers, no overflow).  If some relation
-    never appears, the relation-1 graph is disconnected, i.e. theta_0 is not
+    The coefficient vector of A_1^h is B_1^h applied to the unit vector of
+    A_0, and every entry of B_1 = (p^k_{1j}) is a nonnegative integer, so no
+    cancellation can occur: relation k has a nonzero coefficient in A_1^h
+    exactly when the support graph of B_1 (edge j -> k when p^k_{1j} > 0) has
+    a walk of length h from 0 to k.  Its first appearance is therefore its
+    breadth-first distance from 0, found in O(d^2).  If some relation is
+    never reached, the relation-1 graph is disconnected, i.e. theta_0 is not
     separated from the rest of the spectrum: PerronNotSeparated.
     """
     d = s.d
-    B1 = [[int(v) for v in row] for row in s.tensor.p[:, 1, :]]
-    coeff = [1] + [0] * d  # A_1^0 = A_0
+    support = s.tensor.p[:, 1, :] > 0  # support[k, j]: p^k_{1j} > 0
     first = [None] * (d + 1)
     first[0] = 0
-    for h in range(1, d + 1):
-        coeff = [sum(B1[k][j] * coeff[j] for j in range(d + 1)) for k in range(d + 1)]
-        for j, v in enumerate(coeff):
-            if v != 0 and first[j] is None:
-                first[j] = h
+    frontier = [0]
+    while frontier:
+        reached = []
+        for j in frontier:
+            for k in np.flatnonzero(support[:, j]).tolist():
+                if first[k] is None:
+                    first[k] = first[j] + 1
+                    reached.append(k)
+        frontier = reached
     if any(f is None for f in first):
         unreached = [j for j, f in enumerate(first) if f is None]
         near = [
@@ -317,22 +324,28 @@ def mstar_decomposition_residual(s: AssociationScheme, sd: SpectralData, i: int)
     The product interpolates through all eigenvalues except theta_0 and
     theta_i, so it must collapse onto kappa_i E_0 + E_i whenever the theta are
     mutually distinct -- P-polynomial or not.
+
+    Everything lives in the Bose-Mesner algebra, so the product is carried as
+    its coefficient vector c in the basis A_0..A_d: multiplication by A_1 is
+    c -> B_1 c with B_1 = (p^k_{1j}), and kappa_i E_0 + E_i has coefficients
+    kappa_i / n + Q_i(l) / n.  The A_l have disjoint supports and every class
+    of a validated scheme is nonempty, so the max-abs entry of the n x n
+    residual equals the max-abs entry of the coefficient residual.
     """
     if _theta_collision(sd) is not None:
         raise SpectrumNotSimple("the decomposition needs mutually distinct theta")
     if not 1 <= i <= s.d:
         raise ValueError(f"i must be in 1..{s.d}")
     th = sd.theta
-    A1 = s.adjacency(1).astype(float)
-    eye = np.eye(s.n)
-    M = eye
+    B1 = intersection_matrix(s, 1)
+    c = np.zeros(s.d + 1)
+    c[0] = 1.0  # A_0 = I
     for j in range(1, s.d + 1):
         if j == i:
             continue
-        M = (A1 - th[j] * eye) @ M / (th[i] - th[j])
+        c = (B1 @ c - th[j] * c) / (th[i] - th[j])
     kap = kappa(_scheme_spectrum(sd), i)
-    E_i = sd.Q[s.rel, i] / s.n
-    return float(np.abs(M - kap / s.n - E_i).max())
+    return float(np.abs(c - kap / s.n - sd.Q[:, i] / s.n).max())
 
 
 def q_polynomial_route(kt: KreinTensor, *, nonzero_tol: float = BASE_TOL) -> RouteVerdict:
@@ -408,8 +421,7 @@ def analyze(s: AssociationScheme, *, match_rtol: float = ROUTE_MATCH_RTOL,
         excess_v = RouteVerdict("excess", PRECONDITION_FAILED, witness=note)
         pred_v = RouteVerdict("predistance", PRECONDITION_FAILED, witness=note)
 
-    idem = primitive_idempotents(s, sd)
-    kt = krein_parameters(sd, idem, residual_tol=max(base_tol, 1e-10))
+    kt = krein_parameters(sd)
     qv = q_polynomial_route(kt, nonzero_tol=base_tol)
 
     principal = [tri, nstar_v, excess_v, pred_v]

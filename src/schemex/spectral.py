@@ -28,10 +28,6 @@ class EigenSplitFailure(RuntimeError):
     """The intersection matrices failed to separate the common eigenspaces."""
 
 
-class ExpansionResidual(RuntimeError):
-    """E_i o E_j did not lie in the span of the idempotents within tolerance."""
-
-
 @dataclass(eq=False)
 class SpectralData:
     """First/second eigenmatrix pair and friends.
@@ -48,7 +44,6 @@ class SpectralData:
     Q: np.ndarray
     theta: np.ndarray
     multiplicities: np.ndarray
-    E: tuple | None = None
 
 
 @dataclass(eq=False)
@@ -199,29 +194,20 @@ def primitive_idempotents(s: AssociationScheme, sd: SpectralData) -> tuple:
     return tuple(sd.Q[s.rel, j] / s.n for j in range(s.d + 1))
 
 
-def krein_parameters(sd: SpectralData, idempotents, *, residual_tol: float = 1e-8) -> KreinTensor:
-    """Expand every E_i o E_j (entrywise product) in the idempotent basis.
+def krein_parameters(sd: SpectralData) -> KreinTensor:
+    """Dual intersection numbers from the first eigenmatrix, in closed form.
 
-    Coefficients are recovered with trace inner products and scaled by n.
-    If the expansion leaves a residual above tolerance the input was not a
-    closed Bose-Mesner basis and ExpansionResidual is raised.
+    q^k_{ij} = (m_i m_j / n) sum_l P_l(i) P_l(j) P_l(k) / k_l^2
+    (Bannai-Ito 1984; Brouwer-Cohen-Neumaier 1989) gives the coefficients of
+    n E_i o E_j in the idempotent basis without forming any n x n matrix.
+    The sum over l runs as one ((d+1)^2 x (d+1)) @ ((d+1) x (d+1)) product.
     """
     d, n = sd.d, sd.n
-    E = [np.asarray(Ek, dtype=float) for Ek in idempotents]
-    if len(E) != d + 1:
-        raise ValueError(f"expected {d + 1} idempotents, got {len(E)}")
-    stack = np.stack(E)
-    denom = np.array([(Ek * Ek).sum() for Ek in E])  # tr(E_k E_k), about m_k
-    q = np.zeros((d + 1, d + 1, d + 1))
-    for i in range(d + 1):
-        for j in range(i, d + 1):
-            H = E[i] * E[j]
-            c = np.array([(H * Ek).sum() for Ek in E]) / denom
-            resid = np.abs(H - np.tensordot(c, stack, axes=1)).max()
-            if resid > residual_tol * max(1.0, float(np.abs(H).max())):
-                raise ExpansionResidual(
-                    f"E_{i} o E_{j} leaves residual {resid:.3e} outside the idempotent span"
-                )
-            q[:, i, j] = n * c
-            q[:, j, i] = n * c
-    return KreinTensor(d=d, q=q)
+    P = sd.P
+    m = sd.multiplicities
+    W = P / sd.valencies  # W[i, l] = P_l(i) / k_l
+    pairs = (W[:, None, :] * W[None, :, :]).reshape((d + 1) ** 2, d + 1)
+    q_ijk = (pairs @ P.T).reshape(d + 1, d + 1, d + 1)
+    del pairs  # the tensor is (d+1)^3; hold at most two of that size
+    q_ijk *= (np.outer(m, m) / n)[:, :, None]
+    return KreinTensor(d=d, q=q_ijk.transpose(2, 0, 1))

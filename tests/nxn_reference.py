@@ -1,0 +1,47 @@
+"""Test-only n x n references for quantities the library computes in (d+1) coordinates.
+
+These are the direct definitions: the Krein parameters as the expansion of
+every entrywise product E_i o E_j of primitive idempotents, and the M*
+product as a chain of dense n x n matrix products.  They cost O(d^3 n^2) and
+O(d n^3), so tests only run them on small or mid-sized schemes.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from schemex.poly import Spectrum, kappa
+from schemex.spectral import primitive_idempotents
+
+
+def krein_expansion(s, sd, *, residual_tol: float = 1e-8) -> np.ndarray:
+    """q[k, i, j] = n * (coefficient of E_k in E_i o E_j), by trace inner products."""
+    d, n = sd.d, sd.n
+    E = primitive_idempotents(s, sd)
+    stack = np.stack(E)
+    denom = np.array([(Ek * Ek).sum() for Ek in E])  # tr(E_k E_k), about m_k
+    q = np.zeros((d + 1, d + 1, d + 1))
+    for i in range(d + 1):
+        for j in range(i, d + 1):
+            H = E[i] * E[j]
+            c = np.array([(H * Ek).sum() for Ek in E]) / denom
+            resid = np.abs(H - np.tensordot(c, stack, axes=1)).max()
+            assert resid <= residual_tol * max(1.0, float(np.abs(H).max())), (i, j, resid)
+            q[:, i, j] = n * c
+            q[:, j, i] = n * c
+    return q
+
+
+def mstar_product(s, sd, i: int) -> float:
+    """Max-abs entry of prod_{j!=i}(A_1 - theta_j I)/(theta_i - theta_j) - kappa_i E_0 - E_i."""
+    th = sd.theta
+    A1 = s.adjacency(1).astype(float)
+    eye = np.eye(s.n)
+    M = eye
+    for j in range(1, s.d + 1):
+        if j == i:
+            continue
+        M = (A1 - th[j] * eye) @ M / (th[i] - th[j])
+    kap = kappa(Spectrum(theta=sd.theta.copy(), m=sd.multiplicities.copy(), n=sd.n), i)
+    E_i = sd.Q[s.rel, i] / s.n
+    return float(np.abs(M - kap / s.n - E_i).max())

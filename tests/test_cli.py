@@ -174,6 +174,27 @@ class TestDetect:
               "--json", str(out)])
         assert json.loads(out.read_text())["tol"]["base"] == 1e-5
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "0", "-1"])
+    def test_tol_flag_must_be_finite_positive(self, scheme_file, tmp_path, capsys, bad):
+        out = tmp_path / "r.json"
+        rc = main(["detect", scheme_file("hamming", (3, 2)), f"--tol={bad}",
+                   "--json", str(out)])
+        assert rc == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.err.startswith("PARSE ERROR: --tol")
+        assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "0", "-1e-8"])
+    def test_tol_env_must_be_finite_positive(self, scheme_file, tmp_path, capsys,
+                                            monkeypatch, bad):
+        monkeypatch.setenv("SCHEMEX_TOL", bad)
+        out = tmp_path / "r.json"
+        rc = main(["detect", scheme_file("hamming", (3, 2)), "--json", str(out)])
+        assert rc == EXIT_PARSE
+        assert capsys.readouterr().err.startswith("PARSE ERROR: SCHEMEX_TOL")
+        assert not out.exists()
+
 
 class TestGraph:
     def test_petersen(self, edge_file, capsys):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from schemex.detect import (
     MultipleL,
     PerronNotSeparated,
     SpectrumNotSimple,
+    _theta_collision,
     YES,
     NO,
     PRECONDITION_FAILED,
@@ -25,7 +27,9 @@ from schemex.detect import (
 from schemex.families import FamilySpec, generate
 from schemex.poly import predistance_polynomials, Spectrum
 from schemex.scheme_core import reorder_relations
-from schemex.spectral import krein_parameters, primitive_idempotents, spectral_data
+from schemex.spectral import KreinTensor, krein_parameters, spectral_data
+
+from nxn_reference import krein_expansion, mstar_product
 
 
 def _scheme(family, params=()):
@@ -35,6 +39,36 @@ def _scheme(family, params=()):
 def _seven_cycle_swapped():
     # distance classes 2 and 3 exchanged; the chain must rediscover 0,1,3,2
     return reorder_relations(_scheme("cycle", (7,)), (0, 1, 3, 2))
+
+
+def _walk_count_first_appearance(s):
+    """Reference for nstar: exact walk counts B_1^h e_0 in Python integers, h <= d."""
+    d = s.d
+    B1 = [[int(v) for v in row] for row in s.tensor.p[:, 1, :]]
+    coeff = [1] + [0] * d  # A_1^0 = A_0
+    first = [None] * (d + 1)
+    first[0] = 0
+    for h in range(1, d + 1):
+        coeff = [sum(B1[k][j] * coeff[j] for j in range(d + 1)) for k in range(d + 1)]
+        for j, v in enumerate(coeff):
+            if v != 0 and first[j] is None:
+                first[j] = h
+    return first
+
+
+def _assert_nstar_matches_walk_counts(s, label):
+    first = _walk_count_first_appearance(s)
+    sd = spectral_data(s)
+    unreached = [j for j, f in enumerate(first) if f is None]
+    if unreached:
+        with pytest.raises(PerronNotSeparated) as exc:
+            nstar_sets(s, sd)
+        assert f"relations {unreached} never appear" in str(exc.value), label
+        return
+    want = tuple(
+        frozenset(j for j, f in enumerate(first) if f == h) for h in range(s.d + 1)
+    )
+    assert nstar_sets(s, sd).sets == want, label
 
 
 # ---------------------------------------------------------------------------
@@ -133,6 +167,18 @@ class TestNStar:
             nstar_sets(s, spectral_data(s))
         assert "[2]" in str(exc.value)  # the cross-clique relation is unreachable
 
+    def test_matches_walk_counts_on_corpus(self, scheme_corpus):
+        for name, s, _ in scheme_corpus:
+            _assert_nstar_matches_walk_counts(s, name)
+
+    def test_matches_walk_counts_on_relabelled_cycles(self):
+        rng = np.random.default_rng(20111020)
+        for n in (7, 10, 15, 24):
+            s = _scheme("cycle", (n,))
+            for _ in range(3):
+                perm = (0,) + tuple(int(v) for v in 1 + rng.permutation(s.d))
+                _assert_nstar_matches_walk_counts(reorder_relations(s, perm), (n, perm))
+
 
 class TestExcess:
     def test_cube(self):
@@ -219,6 +265,15 @@ class TestMStar:
             mstar_decomposition_residual(s, sd, i) for i in (1, 2, 3)
         ) < 1e-10
 
+    def test_matches_nxn_product(self, scheme_corpus):
+        for name, s, _ in scheme_corpus:
+            sd = spectral_data(s)
+            if _theta_collision(sd) is not None:
+                continue
+            for i in range(1, s.d + 1):
+                got = mstar_decomposition_residual(s, sd, i)
+                assert abs(got - mstar_product(s, sd, i)) <= 1e-12, (name, i)
+
     def test_tied_spectrum_raises(self):
         s = _scheme("hypercube_reordered", (0, 3, 2, 1))
         with pytest.raises(SpectrumNotSimple):
@@ -236,7 +291,7 @@ class TestMStar:
 class TestQPolynomial:
     def _krein(self, s):
         sd = spectral_data(s)
-        return krein_parameters(sd, primitive_idempotents(s, sd))
+        return krein_parameters(sd)
 
     def test_cube_self_dual(self):
         v = q_polynomial_route(self._krein(_scheme("hamming", (3, 2))))
@@ -331,3 +386,35 @@ class TestAnalyze:
         assert d["ordering"] == [0, 1, 2]
         assert d["l"] == 2
         assert set(d) == {"verdict", "ordering", "l", "max_residual", "witness"}
+
+
+LADDER = (("hamming", (6, 3)), ("johnson", (12, 4)))
+
+
+@pytest.fixture(scope="module")
+def ladder():
+    return {spec: _scheme(*spec) for spec in LADDER}
+
+
+class TestLadder:
+    """The mid-sized ladder schemes, affordable now that analyze does no n x n work."""
+
+    @pytest.mark.parametrize("spec", LADDER)
+    def test_metric_with_reference_q_poly(self, ladder, spec):
+        s = ladder[spec]
+        a = analyze(s)
+        assert a.report.status == YES
+        assert a.mstar_max < 1e-8
+        ref = KreinTensor(d=s.d, q=krein_expansion(s, a.spectral))
+        assert a.report.q_poly.verdict == q_polynomial_route(ref).verdict
+
+    def test_analyze_allocates_no_nxn_array(self, ladder):
+        s = ladder[("hamming", (6, 3))]
+        one_nxn = s.n * s.n * np.dtype(np.float64).itemsize
+        tracemalloc.start()
+        try:
+            analyze(s)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < one_nxn, f"analyze peaked at {peak} bytes, n x n float64 is {one_nxn}"

@@ -10,6 +10,8 @@ from schemex.spectral import (
     spectral_data,
 )
 
+from nxn_reference import krein_expansion
+
 SQ5 = 5 ** 0.5
 
 
@@ -119,13 +121,13 @@ class TestKrein:
     def test_k3_value(self):
         s = generate(FamilySpec("complete", (3,)))
         sd = spectral_data(s)
-        kt = krein_parameters(sd, primitive_idempotents(s, sd))
+        kt = krein_parameters(sd)
         assert abs(kt.q[1, 1, 1] - 1.0) < 1e-10
 
     def test_q0_diagonal_is_multiplicities(self, scheme_corpus):
         for name, s, _ in scheme_corpus:
             sd = spectral_data(s)
-            kt = krein_parameters(sd, primitive_idempotents(s, sd))
+            kt = krein_parameters(sd)
             for i in range(s.d + 1):
                 for j in range(s.d + 1):
                     want = sd.multiplicities[i] if i == j else 0.0
@@ -134,20 +136,27 @@ class TestKrein:
     def test_binary_hamming_self_dual(self):
         s = generate(FamilySpec("hamming", (3, 2)))
         sd = spectral_data(s)
-        kt = krein_parameters(sd, primitive_idempotents(s, sd))
+        kt = krein_parameters(sd)
         assert np.abs(kt.q - s.tensor.p).max() < 1e-8
 
     def test_nonnegativity_floor(self, scheme_corpus):
         for name, s, _ in scheme_corpus:
             sd = spectral_data(s)
-            kt = krein_parameters(sd, primitive_idempotents(s, sd))
+            kt = krein_parameters(sd)
             assert kt.min_value >= -1e-8 * s.n, name
 
     def test_row_sums(self, scheme_corpus):
         # sum_j q^k_{ij} = m_i, the dual of the valency row-sum identity
         for name, s, _ in scheme_corpus:
             sd = spectral_data(s)
-            kt = krein_parameters(sd, primitive_idempotents(s, sd))
+            kt = krein_parameters(sd)
             m = sd.multiplicities
             got = kt.q.sum(axis=2)
             assert np.abs(got - m[None, :]).max() < 1e-7, name
+
+    def test_closed_form_matches_nxn_expansion(self, scheme_corpus):
+        for name, s, _ in scheme_corpus:
+            sd = spectral_data(s)
+            ref = krein_expansion(s, sd)
+            q = krein_parameters(sd).q
+            assert np.abs(q - ref).max() <= 1e-10 * max(1.0, np.abs(ref).max()), name
