@@ -10,7 +10,6 @@ from .graph_tools import (
     spectral_excess_report,
 )
 from .poly import (
-    Polynomial,
     PredistanceSystem,
     Spectrum,
     graph_property_residual,
@@ -39,7 +38,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AssociationScheme", "DetectionReport", "FamilySpec", "Graph",
-    "IntersectionTensor", "KreinTensor", "Polynomial", "PredistanceSystem",
+    "IntersectionTensor", "KreinTensor", "PredistanceSystem",
     "RelationMatrix", "RouteVerdict", "SpectralData", "Spectrum",
     "analyze", "build_scheme", "corpus", "detect", "distance_data",
     "generate", "graph_property_residual", "graph_spectrum", "inner_product",

@@ -340,9 +340,14 @@ def mstar_decomposition_residual(s: AssociationScheme, sd: SpectralData, i: int)
     B1 = intersection_matrix(s, 1)
     c = np.zeros(s.d + 1)
     c[0] = 1.0  # A_0 = I
-    for j in range(1, s.d + 1):
-        if j == i:
-            continue
+    # Apply the factors at the theta-sorted positions j != i in bit-reversed
+    # (van der Corput) order, which interleaves near and far theta_j.  In index
+    # order the partial product climbs to ~2e20 on cycle(100) before cancelling
+    # to O(1), losing every digit.
+    js = [j for j in range(1, s.d + 1) if j != i]
+    bits = max(1, (len(js) - 1).bit_length())
+    for pos in sorted(range(len(js)), key=lambda q: f"{q:0{bits}b}"[::-1]):
+        j = js[pos]
         c = (B1 @ c - th[j] * c) / (th[i] - th[j])
     kap = kappa(_scheme_spectrum(sd), i)
     return float(np.abs(c - kap / s.n - sd.Q[:, i] / s.n).max())

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,26 +80,8 @@ class DistanceData:
     excess: np.ndarray
 
 
-def _component_count(g: Graph) -> int:
-    seen = [False] * g.n
-    comps = 0
-    for s in range(g.n):
-        if seen[s]:
-            continue
-        comps += 1
-        dq = deque([s])
-        seen[s] = True
-        while dq:
-            u = dq.popleft()
-            for v in g.adj[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    dq.append(v)
-    return comps
-
-
-def _seidel_distances(a: np.ndarray) -> np.ndarray | None:
-    """All-pairs distances from a boolean adjacency matrix; None if disconnected.
+def _seidel_distances(a: np.ndarray) -> np.ndarray:
+    """All-pairs distances from a boolean adjacency matrix; raises Disconnected.
 
     Seidel's recursion (J. Comput. Syst. Sci. 51 (1995) 400-403), unrolled:
     square the graph until it is complete, then walk back down, recovering
@@ -108,7 +89,8 @@ def _seidel_distances(a: np.ndarray) -> np.ndarray | None:
     D = 2T where X >= T * deg, else 2T - 1.  That is O(log D) float64 GEMMs.
     Every product entry is an integer <= (n - 1) * deg < 2**53, so float64
     holds it exactly.  A level whose square adds no edge before the graph is
-    complete means the graph is disconnected.
+    complete is the transitive closure, so the graph is disconnected and each
+    component is one distinct row of (level | I).
     """
     n = a.shape[0]
     off_diagonal = ~np.eye(n, dtype=bool)
@@ -119,7 +101,8 @@ def _seidel_distances(a: np.ndarray) -> np.ndarray | None:
         if square.sum() == n * (n - 1):
             break
         if np.array_equal(square, levels[-1]):
-            return None
+            reach = square | ~off_diagonal
+            raise Disconnected(int(np.unique(reach, axis=0).shape[0]))
         levels.append(square)
     dist = 2 * off_diagonal.astype(np.float64) - levels[-1]
     for level in reversed(levels[:-1]):
@@ -132,8 +115,6 @@ def distance_data(g: Graph) -> DistanceData:
     """All-pairs distances; raises Disconnected with the component count."""
     n = g.n
     dist = _seidel_distances(g.adjacency_matrix().astype(bool))
-    if dist is None:
-        raise Disconnected(_component_count(g))
     diameter = int(dist.max())
     rows = np.arange(n)[:, None] * (diameter + 1)
     gamma = np.bincount((dist + rows).ravel(), minlength=n * (diameter + 1))
@@ -149,9 +130,6 @@ def graph_spectrum(g: Graph, *, eig_rtol: float = EIG_GROUP_RTOL) -> Spectrum:
     degs = g.degrees
     if len(set(degs)) != 1:
         raise NotRegular(f"degrees range over {sorted(set(degs))}")
-    comps = _component_count(g)
-    if comps != 1:
-        raise Disconnected(comps)
     w = np.linalg.eigvalsh(g.adjacency_matrix().astype(float))
     thr = eig_rtol * max(1.0, float(np.abs(w).max()))
     theta, mult = [], []
@@ -163,6 +141,8 @@ def graph_spectrum(g: Graph, *, eig_rtol: float = EIG_GROUP_RTOL) -> Spectrum:
             start = pos
     theta = np.array(theta[::-1])
     mult = np.array(mult[::-1], dtype=float)
+    if mult[0] != 1:  # the degree k has one eigenvector per component
+        raise Disconnected(int(mult[0]))
     k = degs[0]
     # sanity: sum of m_i theta_i^2 counts the 2n|E| closed 2-walks = n*k here
     assert abs((mult * theta ** 2).sum() - g.n * k) <= 1e-6 * max(1.0, g.n * k)

@@ -2,9 +2,12 @@
 
 The inner product is <p, q> = (1/n) sum_i m_i p(theta_i) q(theta_i).  The
 predistance polynomials are the unique orthogonal system with deg p_i = i and
-<p_i, p_i> = p_i(theta_0) > 0; they are built by Gram-Schmidt on the monomials
-(with one re-orthogonalization pass) followed by the normalization
-p_i = q_i(theta_0)/<q_i, q_i> * q_i.
+<p_i, p_i> = p_i(theta_0) > 0.  They are kept only as their values on the
+spectrum, built by the discretized Stieltjes (Lanczos) procedure: row i
+orthogonalizes theta * p_{i-1} against every earlier row (classical
+Gram-Schmidt, two passes) and is rescaled at once to
+p_i = q_i(theta_0)/<q_i, q_i> * q_i (Gautschi, Orthogonal Polynomials:
+Computation and Approximation, 2004).
 """
 
 from __future__ import annotations
@@ -12,9 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
-#: Gram-Schmidt breakdown threshold: ||q_i||^2 below this times ||t^i||^2
+#: Gram-Schmidt breakdown threshold: ||q_i||^2 below this times ||theta p_{i-1}||^2
 GS_BREAKDOWN_RTOL = 1e-12
 
 
@@ -63,44 +65,6 @@ class Spectrum:
         return self.theta.size - 1
 
 
-@dataclass(frozen=True)
-class Polynomial:
-    """Dense polynomial in the monomial basis; coeffs ascending, trailing zeros trimmed."""
-
-    coeffs: tuple
-
-    @staticmethod
-    def of(seq) -> "Polynomial":
-        c = [float(v) for v in seq]
-        while len(c) > 1 and c[-1] == 0.0:
-            c.pop()
-        return Polynomial(tuple(c))
-
-    @classmethod
-    def monomial(cls, k: int) -> "Polynomial":
-        return cls(tuple([0.0] * k + [1.0]))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __call__(self, x):
-        return npoly.polyval(x, self.coeffs)
-
-    def __add__(self, other):
-        return Polynomial.of(npoly.polyadd(self.coeffs, other.coeffs))
-
-    def __sub__(self, other):
-        return Polynomial.of(npoly.polysub(self.coeffs, other.coeffs))
-
-    def __mul__(self, other):
-        if isinstance(other, Polynomial):
-            return Polynomial.of(npoly.polymul(self.coeffs, other.coeffs))
-        return Polynomial.of(np.asarray(self.coeffs) * float(other))
-
-    __rmul__ = __mul__
-
-
 def inner_product(p, q, sp: Spectrum) -> float:
     """(1/n) sum_i m_i p(theta_i) q(theta_i)."""
     return float((sp.m * p(sp.theta) * q(sp.theta)).sum() / sp.n)
@@ -108,15 +72,13 @@ def inner_product(p, q, sp: Spectrum) -> float:
 
 @dataclass(eq=False)
 class PredistanceSystem:
-    """The polynomials p_0..p_d plus their values table.
+    """The predistance polynomials p_0..p_d as their values on the spectrum.
 
-    values[i, h] = p_i(theta_h) is computed inside the orthogonalization (not
-    by re-evaluating coefficients) and is the authority for all route
-    comparisons; norms[i] = <p_i, p_i> = p_i(theta_0).
+    values[i, h] = p_i(theta_h); d + 1 values fix a polynomial of degree <= d.
+    norms[i] = <p_i, p_i> = p_i(theta_0).
     """
 
     spectrum: Spectrum
-    polys: tuple
     values: np.ndarray
     norms: np.ndarray
 
@@ -124,35 +86,22 @@ class PredistanceSystem:
 def predistance_polynomials(sp: Spectrum) -> PredistanceSystem:
     d = sp.d
     w = sp.m / sp.n
-    mono = np.vander(sp.theta, d + 1, increasing=True).T  # mono[i] = theta**i
-
-    q_vals = np.zeros((d + 1, d + 1))
-    q_coef = np.zeros((d + 1, d + 1))
-    q_norm = np.zeros(d + 1)
-    for i in range(d + 1):
-        v = mono[i].copy()
-        c = np.zeros(d + 1)
-        c[i] = 1.0
-        for _ in range(2):  # classical pass + one re-orthogonalization pass
-            for j in range(i):
-                proj = float((w * v * q_vals[j]).sum() / q_norm[j])
-                v -= proj * q_vals[j]
-                c -= proj * q_coef[j]
-        norm = float((w * v * v).sum())
-        if norm < GS_BREAKDOWN_RTOL * float((w * mono[i] * mono[i]).sum()):
-            raise NumericalBreakdown(f"||q_{i}||^2 = {norm:.3e} collapsed during Gram-Schmidt")
-        q_vals[i] = v
-        q_coef[i] = c
-        q_norm[i] = norm
-
     values = np.zeros((d + 1, d + 1))
-    polys = []
-    for i in range(d + 1):
-        scale = q_vals[i, 0] / q_norm[i]  # q_i(theta_0) / <q_i, q_i>
-        values[i] = scale * q_vals[i]
-        polys.append(Polynomial.of(scale * q_coef[i][: i + 1]))
-    norms = (w[None, :] * values * values).sum(axis=1)
-    return PredistanceSystem(spectrum=sp, polys=tuple(polys), values=values, norms=norms)
+    norms = np.zeros(d + 1)
+    values[0] = 1.0
+    norms[0] = float(w.sum())
+    for i in range(1, d + 1):
+        x = sp.theta * values[i - 1]
+        v = x.copy()
+        for _ in range(2):  # classical pass + one re-orthogonalization pass
+            v -= (values[:i] @ (w * v) / norms[:i]) @ values[:i]
+        norm = float(w @ (v * v))
+        if norm < GS_BREAKDOWN_RTOL * float(w @ (x * x)):
+            raise NumericalBreakdown(f"||q_{i}||^2 = {norm:.3e} collapsed during Gram-Schmidt")
+        # rescale now (q_i(theta_0) / <q_i, q_i>): unnormalized rows overflow by degree ~300
+        values[i] = v[0] / norm * v
+        norms[i] = float(w @ (values[i] * values[i]))
+    return PredistanceSystem(spectrum=sp, values=values, norms=norms)
 
 
 def kappa(sp: Spectrum, i: int) -> float:

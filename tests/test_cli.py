@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 
+import networkx as nx
 import numpy as np
 import pytest
 
@@ -222,6 +223,12 @@ class TestGraph:
     def test_disconnected(self, edge_file):
         assert main(["graph", edge_file("pair", 4, [(0, 1), (2, 3)])]) \
             == EXIT_PRECONDITION
+
+    def test_random_regular_with_d_far_above_diameter(self, edge_file, capsys):
+        # 60 distinct eigenvalues, so d = 59 while the diameter is about 5
+        h = nx.random_regular_graph(4, 60, seed=1)
+        assert main(["graph", edge_file("rr4", 60, list(h.edges()))]) == EXIT_NO
+        assert "drg=false" in capsys.readouterr().out
 
     def test_parse_error(self, tmp_path):
         bad = tmp_path / "bad.edges"

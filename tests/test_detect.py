@@ -418,3 +418,21 @@ class TestLadder:
         finally:
             tracemalloc.stop()
         assert peak < one_nxn, f"analyze peaked at {peak} bytes, n x n float64 is {one_nxn}"
+
+
+class TestLargeDiameter:
+    """Cycles past d = 22, where a monomial (Vandermonde) basis collapses."""
+
+    @pytest.mark.parametrize("n", [45, 100, 200])
+    def test_long_cycle_is_metric(self, n):
+        a = analyze(_scheme("cycle", (n,)))
+        assert a.report.status == YES
+        assert a.report.l == n // 2
+        assert a.report.predistance.max_residual < 1e-9
+        assert a.mstar_max < 1e-10
+
+    def test_mstar_product_stays_accurate(self):
+        s = _scheme("cycle", (60,))
+        sd = spectral_data(s)
+        for i in range(1, s.d + 1):
+            assert mstar_decomposition_residual(s, sd, i) < 1e-10, i

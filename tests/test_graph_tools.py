@@ -164,8 +164,9 @@ class TestSpectrum:
 
     def test_disconnected(self):
         g = Graph.from_edges(6, [(0, 1), (2, 3), (4, 5)])
-        with pytest.raises(Disconnected):
+        with pytest.raises(Disconnected) as exc:
             graph_spectrum(g)
+        assert exc.value.components == 3
 
 
 class TestSpectralExcess:

@@ -1,12 +1,13 @@
 from __future__ import annotations
 
+import networkx as nx
 import numpy as np
 import pytest
 
 from schemex.families import FamilySpec, generate
+from schemex.graph_tools import Graph, graph_spectrum
 from schemex.poly import (
     DegenerateSpectrum,
-    Polynomial,
     RepeatedBeta,
     Spectrum,
     graph_property_residual,
@@ -18,9 +19,13 @@ from schemex.poly import (
 from schemex.spectral import spectral_data
 
 
-def _spectrum(family, params=()):
-    sd = spectral_data(generate(FamilySpec(family, params)))
+def _spectrum_of(s):
+    sd = spectral_data(s)
     return Spectrum(theta=sd.theta, m=sd.multiplicities, n=sd.n)
+
+
+def _spectrum(family, params=()):
+    return _spectrum_of(generate(FamilySpec(family, params)))
 
 
 PETERSEN = Spectrum(theta=np.array([3.0, 1.0, -2.0]), m=np.array([1.0, 5.0, 4.0]), n=10)
@@ -47,42 +52,21 @@ class TestSpectrum:
         assert PETERSEN.d == 2
 
 
-class TestPolynomial:
-    def test_eval_and_arith(self):
-        p = Polynomial.of([1, 0, 1])  # 1 + t^2
-        q = Polynomial.monomial(1)
-        assert p(2.0) == pytest.approx(5.0)
-        assert (p * q)(3.0) == pytest.approx(30.0)
-        assert (p - q)(1.0) == pytest.approx(1.0)
-        assert (p + q)(2.0) == pytest.approx(7.0)
-        assert (2.0 * q)(4.0) == pytest.approx(8.0)
-        assert p.degree == 2
-
-    def test_trailing_zeros_trimmed(self):
-        p = Polynomial.of([1.0, 2.0, 0.0, 0.0])
-        assert p.coeffs == (1.0, 2.0)
-
-    def test_vector_eval(self):
-        p = Polynomial.of([0, 1])
-        x = np.array([1.0, 2.0, 3.0])
-        assert np.allclose(p(x), x)
-
-
 class TestPredistance:
     def test_first_two_members(self):
         ps = predistance_polynomials(PETERSEN)
-        assert np.allclose(ps.polys[0].coeffs, [1.0], atol=1e-12)
-        assert np.allclose(ps.polys[1].coeffs, [0.0, 1.0], atol=1e-10)
+        assert np.allclose(ps.values[0], 1.0, atol=1e-12)
+        assert np.allclose(ps.values[1], PETERSEN.theta, atol=1e-10)
 
     def test_petersen_top(self):
+        # p_2 = t^2 - 3 at theta = (3, 1, -2)
         ps = predistance_polynomials(PETERSEN)
-        assert np.allclose(ps.polys[2].coeffs, [-3.0, 0.0, 1.0], atol=1e-9)
-        assert ps.values[2, 0] == pytest.approx(6.0, abs=1e-9)
+        assert np.allclose(ps.values[2], [6.0, -2.0, 1.0], atol=1e-9)
 
     def test_pentagon_top(self):
         sp = _spectrum("cycle", (5,))
         ps = predistance_polynomials(sp)
-        assert np.allclose(ps.polys[2].coeffs, [-2.0, 0.0, 1.0], atol=1e-9)
+        assert np.allclose(ps.values[2], sp.theta ** 2 - 2.0, atol=1e-9)
         assert ps.values[2, 0] == pytest.approx(2.0, abs=1e-9)
 
     def test_norm_equals_value_at_theta0(self):
@@ -90,9 +74,10 @@ class TestPredistance:
         for fam, params in [("cycle", (7,)), ("hamming", (3, 2)), ("johnson", (5, 2))]:
             sp = _spectrum(fam, params)
             ps = predistance_polynomials(sp)
-            for i, p in enumerate(ps.polys):
-                ip = inner_product(p, p, sp)
-                assert ip == pytest.approx(ps.values[i, 0], rel=1e-8), (fam, i)
+            for i, row in enumerate(ps.values):
+                ip = inner_product(lambda t: row, lambda t: row, sp)
+                assert ip == pytest.approx(row[0], rel=1e-8), (fam, i)
+                assert ps.norms[i] == pytest.approx(row[0], rel=1e-8), (fam, i)
 
     def test_orthogonality(self):
         for fam, params in [("cycle", (9,)), ("hamming", (2, 3)), ("petersen", ())]:
@@ -101,7 +86,7 @@ class TestPredistance:
             d = sp.d
             for i in range(d + 1):
                 for j in range(i):
-                    ip = inner_product(ps.polys[i], ps.polys[j], sp)
+                    ip = inner_product(lambda t: ps.values[i], lambda t: ps.values[j], sp)
                     assert abs(ip) < 1e-8, (fam, i, j)
 
     def test_values_sum_to_n_minus_something(self):
@@ -111,11 +96,47 @@ class TestPredistance:
             ps = predistance_polynomials(sp)
             assert ps.values[:, 0].sum() == pytest.approx(sp.n, rel=1e-8), fam
 
-    def test_values_table_matches_polynomials(self):
-        sp = CUBE
-        ps = predistance_polynomials(sp)
-        for i, p in enumerate(ps.polys):
-            assert np.allclose(ps.values[i], p(sp.theta), atol=1e-8)
+
+def _spectral_excess_closed_form(sp):
+    """n / sum_h pi_0^2 / (m_h pi_h^2), pi_h = prod_{j != h} |theta_h - theta_j|, in log space.
+
+    The spectral excess theorem's value of p_d(theta_0) (Fiol and Garriga,
+    J. Combin. Theory Ser. B 71 (1997)); it shares no arithmetic with the
+    recurrence.
+    """
+    gaps = np.abs(sp.theta[:, None] - sp.theta[None, :])
+    np.fill_diagonal(gaps, 1.0)
+    log_pi = np.log(gaps).sum(axis=1)
+    e = 2 * log_pi[0] - np.log(sp.m) - 2 * log_pi
+    top = e.max()
+    return sp.n * np.exp(-top - np.log(np.exp(e - top).sum()))
+
+
+class TestTopValueClosedForm:
+    def test_seeded_random_regular_spectra(self):
+        rng = np.random.default_rng(20261018)
+        checked = 0
+        for _ in range(25):
+            k = int(rng.integers(3, 7))
+            n = int(rng.integers(8, 60)) // 2 * 2
+            h = nx.random_regular_graph(k, n, seed=int(rng.integers(2 ** 31)))
+            if not nx.is_connected(h):
+                continue
+            sp = graph_spectrum(Graph.from_edges(n, h.edges()))
+            ps = predistance_polynomials(sp)
+            assert abs(ps.values[sp.d, 0] - _spectral_excess_closed_form(sp)) < 1e-12, (n, k)
+            checked += 1
+        assert checked >= 20
+
+    def test_corpus_positives_give_last_valency(self, scheme_corpus, corpus_analyses):
+        for name, s, expected in scheme_corpus:
+            if expected != "yes":
+                continue
+            sp = _spectrum_of(s)
+            pd0 = predistance_polynomials(sp).values[sp.d, 0]
+            k_l = s.valencies[corpus_analyses[name].report.l]
+            assert pd0 == pytest.approx(k_l, rel=1e-9), name
+            assert _spectral_excess_closed_form(sp) == pytest.approx(k_l, rel=1e-9), name
 
 
 class TestKappa:
