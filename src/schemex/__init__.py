@@ -23,7 +23,6 @@ from .scheme_core import (
     IntersectionTensor,
     RelationMatrix,
     build_scheme,
-    intersection_numbers,
     reorder_relations,
 )
 from .spectral import (
@@ -42,8 +41,7 @@ __all__ = [
     "RelationMatrix", "RouteVerdict", "SpectralData", "Spectrum",
     "analyze", "build_scheme", "corpus", "detect", "distance_data",
     "generate", "graph_property_residual", "graph_spectrum", "inner_product",
-    "intersection_numbers", "kappa", "krein_parameters",
-    "lagrange_power_identity", "predistance_polynomials",
-    "primitive_idempotents", "reorder_relations", "scheme_from_drg",
-    "spectral_data", "spectral_excess_report",
+    "kappa", "krein_parameters", "lagrange_power_identity",
+    "predistance_polynomials", "primitive_idempotents", "reorder_relations",
+    "scheme_from_drg", "spectral_data", "spectral_excess_report",
 ]

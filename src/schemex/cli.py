@@ -1,7 +1,7 @@
 """Command line: validate scheme files, run detection, generate families, analyze graphs.
 
 Exit codes: 0 ok/yes, 1 parse error, 2 axiom violation, 3 verdict no,
-4 precondition failed (or graph not regular/connected), 5 route disagreement.
+4 precondition failed (or graph irregular, disconnected or under 2 vertices), 5 route disagreement.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from .graph_tools import (
     Disconnected,
     Graph,
     NotRegular,
+    TooFewVertices,
     spectral_excess_report,
 )
 from .scheme_core import AssociationScheme, RelationMatrix, SchemeValidationError, build_scheme
@@ -208,7 +209,7 @@ def cmd_graph(args) -> int:
         return EXIT_PARSE
     try:
         rep = spectral_excess_report(g)
-    except (NotRegular, Disconnected) as e:
+    except (NotRegular, Disconnected, TooFewVertices) as e:
         print(f"NOT APPLICABLE: {e}")
         return EXIT_PRECONDITION
     sp = rep.spectrum

@@ -30,7 +30,6 @@ from .spectral import (
     EIG_GROUP_RTOL,
     KreinTensor,
     SpectralData,
-    intersection_matrix,
     krein_parameters,
     primitive_idempotents,  # noqa: F401  unused here; perfbench/spans.py traces this name
     spectral_data,
@@ -184,7 +183,7 @@ def tridiagonal_route(t: IntersectionTensor) -> RouteVerdict:
     return RouteVerdict("tridiagonal", YES, ordering=order, l=order[-1])
 
 
-def nstar_sets(s: AssociationScheme, sd: SpectralData) -> NStarChain:
+def nstar_sets(t: IntersectionTensor, sd: SpectralData) -> NStarChain:
     """First-appearance sets of the relations in A_1^0, A_1^1, ..., A_1^d.
 
     The coefficient vector of A_1^h is B_1^h applied to the unit vector of
@@ -196,8 +195,8 @@ def nstar_sets(s: AssociationScheme, sd: SpectralData) -> NStarChain:
     never reached, the relation-1 graph is disconnected, i.e. theta_0 is not
     separated from the rest of the spectrum: PerronNotSeparated.
     """
-    d = s.d
-    support = s.tensor.p[:, 1, :] > 0  # support[k, j]: p^k_{1j} > 0
+    d = t.d
+    support = t.p[:, 1, :] > 0  # support[k, j]: p^k_{1j} > 0
     first = [None] * (d + 1)
     first[0] = 0
     frontier = [0]
@@ -255,12 +254,11 @@ def _match_columns(values, targets, match_rtol):
     return passing, raws, scaleds
 
 
-def excess_route(sd: SpectralData, t: IntersectionTensor, *,
-                 match_rtol: float = ROUTE_MATCH_RTOL) -> RouteVerdict:
+def excess_route(sd: SpectralData, *, match_rtol: float = ROUTE_MATCH_RTOL) -> RouteVerdict:
     """Match (kappa_1..kappa_d) against the columns -Q_i(l), i >= 1.
 
     Exactly one matching l is required for a yes; zero is a no; several raise
-    MultipleL.  Q is cross-checked against m_i P_l(i)/k_l before use.
+    MultipleL.  spectral_data has already checked Q against m_i P_l(i)/k_l.
     """
     col = _theta_collision(sd)
     if col is not None:
@@ -272,13 +270,7 @@ def excess_route(sd: SpectralData, t: IntersectionTensor, *,
     sp = _scheme_spectrum(sd)
     d = sd.d
     kap = np.array([kappa(sp, i) for i in range(1, d + 1)])
-    k = sd.valencies.astype(float)
-    m = sd.multiplicities
-    # targets[i-1, l] = -Q_i(l), checked against the multiplicity identity
-    targets = -sd.Q[:, 1:].T
-    alt = -(m[1:, None] * sd.P[1:, :] / k[None, :])
-    if np.abs(targets - alt).max() > 1e-6 * max(1.0, float(np.abs(targets).max())):
-        raise RouteDisagreement("Q columns disagree with m_i P_l(i)/k_l")
+    targets = -sd.Q[:, 1:].T  # targets[i-1, l] = -Q_i(l)
     passing, raws, scaleds = _match_columns(kap, targets, match_rtol)
     if len(passing) > 1:
         raise MultipleL(f"columns {passing} all satisfy kappa_i = -Q_i(l)")
@@ -318,7 +310,7 @@ def predistance_route(sd: SpectralData, ps: PredistanceSystem, *,
     )
 
 
-def mstar_decomposition_residual(s: AssociationScheme, sd: SpectralData, i: int) -> float:
+def mstar_decomposition_residual(t: IntersectionTensor, sd: SpectralData, i: int) -> float:
     """Max-abs residual of prod_{j!=i}(A_1 - theta_j I)/(theta_i - theta_j) - kappa_i E_0 - E_i.
 
     The product interpolates through all eigenvalues except theta_0 and
@@ -334,23 +326,23 @@ def mstar_decomposition_residual(s: AssociationScheme, sd: SpectralData, i: int)
     """
     if _theta_collision(sd) is not None:
         raise SpectrumNotSimple("the decomposition needs mutually distinct theta")
-    if not 1 <= i <= s.d:
-        raise ValueError(f"i must be in 1..{s.d}")
+    if not 1 <= i <= t.d:
+        raise ValueError(f"i must be in 1..{t.d}")
     th = sd.theta
-    B1 = intersection_matrix(s, 1)
-    c = np.zeros(s.d + 1)
+    B1 = t.p[:, 1, :].astype(float)
+    c = np.zeros(t.d + 1)
     c[0] = 1.0  # A_0 = I
     # Apply the factors at the theta-sorted positions j != i in bit-reversed
     # (van der Corput) order, which interleaves near and far theta_j.  In index
     # order the partial product climbs to ~2e20 on cycle(100) before cancelling
     # to O(1), losing every digit.
-    js = [j for j in range(1, s.d + 1) if j != i]
+    js = [j for j in range(1, t.d + 1) if j != i]
     bits = max(1, (len(js) - 1).bit_length())
     for pos in sorted(range(len(js)), key=lambda q: f"{q:0{bits}b}"[::-1]):
         j = js[pos]
         c = (B1 @ c - th[j] * c) / (th[i] - th[j])
     kap = kappa(_scheme_spectrum(sd), i)
-    return float(np.abs(c - kap / s.n - sd.Q[:, i] / s.n).max())
+    return float(np.abs(c - kap / sd.n - sd.Q[:, i] / sd.n).max())
 
 
 def q_polynomial_route(kt: KreinTensor, *, nonzero_tol: float = BASE_TOL) -> RouteVerdict:
@@ -381,40 +373,35 @@ class Analysis:
     multiplicity_residual: float
 
 
-def _nstar_verdict(s, sd):
+def _nstar_verdict(t, sd):
+    """Yes iff some relation first appears in A_1^d, i.e. iff all d+1 levels are
+    singletons: first appearances are breadth-first distances, so none is skipped."""
     try:
-        chain = nstar_sets(s, sd)
+        sing = nstar_sets(t, sd).singletons()
     except PerronNotSeparated as e:
-        return RouteVerdict("nstar", PRECONDITION_FAILED, witness=str(e)), None
-    full = frozenset(range(s.d + 1))
-    if chain.union_through(s.d - 1) != full:
-        sing = chain.singletons()
-        if sing is None:
-            raise RouteDisagreement(
-                f"first-appearance sets {chain.sets} admit a missing relation at power "
-                f"d-1 but are not all singletons"
-            )
-        return RouteVerdict("nstar", YES, ordering=sing, l=sing[-1]), chain
-    return RouteVerdict(
-        "nstar", NO,
-        witness="every relation already appears in a power A_1^h with h <= d-1",
-    ), chain
+        return RouteVerdict("nstar", PRECONDITION_FAILED, witness=str(e))
+    if sing is None:
+        return RouteVerdict(
+            "nstar", NO,
+            witness="every relation already appears in a power A_1^h with h <= d-1",
+        )
+    return RouteVerdict("nstar", YES, ordering=sing, l=sing[-1])
 
 
 def analyze(s: AssociationScheme, *, match_rtol: float = ROUTE_MATCH_RTOL,
             base_tol: float = BASE_TOL, eig_rtol: float = EIG_GROUP_RTOL) -> Analysis:
-    """Run every route, enforce their pairwise agreement, and keep the evidence."""
+    """Run every route on ``s.tensor``, enforce their pairwise agreement, keep the evidence."""
     t = s.tensor
-    sd = spectral_data(s, eig_rtol=eig_rtol)
+    sd = spectral_data(t, eig_rtol=eig_rtol)
 
     tri = tridiagonal_route(t)
-    nstar_v, _chain = _nstar_verdict(s, sd)
+    nstar_v = _nstar_verdict(t, sd)
 
     collision = _theta_collision(sd, eig_rtol)
     ps = None
     if collision is None:
         try:
-            excess_v = excess_route(sd, t, match_rtol=match_rtol)
+            excess_v = excess_route(sd, match_rtol=match_rtol)
             ps = predistance_polynomials(_scheme_spectrum(sd))
             pred_v = predistance_route(sd, ps, match_rtol=match_rtol)
         except DegenerateSpectrum as e:  # near-tie slipped past the gap check
@@ -465,16 +452,16 @@ def analyze(s: AssociationScheme, *, match_rtol: float = ROUTE_MATCH_RTOL,
     mstar_max = None
     if collision is None:
         mstar_max = max(
-            mstar_decomposition_residual(s, sd, i) for i in range(1, s.d + 1)
+            mstar_decomposition_residual(t, sd, i) for i in range(1, t.d + 1)
         )
 
     report = DetectionReport(
-        n=s.n, d=s.d, valencies=tuple(int(v) for v in s.valencies),
+        n=t.n, d=t.d, valencies=tuple(int(v) for v in t.valencies),
         tridiagonal=tri, nstar=nstar_v, excess=excess_v, predistance=pred_v,
         q_poly=qv, consensus=consensus, preconditions_ok=preconditions_ok,
         ordering=ordering, l=l,
     )
-    pq_resid = float(np.abs(sd.P @ sd.Q - s.n * np.eye(s.d + 1)).max())
+    pq_resid = float(np.abs(sd.P @ sd.Q - t.n * np.eye(t.d + 1)).max())
     mult_resid = float(np.abs(sd.multiplicities - np.round(sd.multiplicities)).max())
     return Analysis(
         report=report, spectral=sd, krein=kt, predistance_system=ps,

@@ -21,6 +21,10 @@ class NotRegular(ValueError):
     pass
 
 
+class TooFewVertices(ValueError):
+    pass
+
+
 class NotDistanceRegular(ValueError):
     pass
 
@@ -177,6 +181,8 @@ def spectral_excess_report(g: Graph, *, eig_rtol: float = EIG_GROUP_RTOL) -> Spe
     distance partition as a scheme (and checking diameter = d), never from the
     spectral comparison alone.
     """
+    if g.n < 2:
+        raise TooFewVertices(f"n = {g.n}: a distance partition needs at least 2 vertices")
     dd = distance_data(g)
     sp = graph_spectrum(g, eig_rtol=eig_rtol)
     d = sp.d

@@ -9,7 +9,6 @@ integers small enough for float32 to hold exactly (see :func:`build_scheme`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -89,7 +88,7 @@ class RelationMatrix:
 
 @dataclass(frozen=True, eq=False)
 class IntersectionTensor:
-    """All p^k_{ij} as a (d+1)^3 integer array, indexed p[k, i, j]."""
+    """All p^k_{ij} as a (d+1)^3 integer array, indexed p[k, i, j]: all that analysis reads."""
 
     d: int
     p: np.ndarray
@@ -109,6 +108,12 @@ class IntersectionTensor:
         lhs = np.einsum("kij,k->ij", p, k)
         if not np.array_equal(lhs, np.outer(k, k)):
             raise ValueError("sum_k p^k_{ij} k_k != k_i k_j; input is not a scheme")
+        # k_k p^k_{ij} = k_j p^j_{ik} (Bannai-Ito 1984): diag(k) B_i is symmetric,
+        # so diag(sqrt k) B_i diag(sqrt k)^-1 is too.  One (d+1)^2 slab at a time.
+        for i in range(m):
+            kb = k[:, None] * p[:, i, :]
+            if not np.array_equal(kb, kb.T):
+                raise ValueError(f"k_k p^k_{{{i}j}} != k_j p^j_{{{i}k}}; not a symmetric scheme")
         p.flags.writeable = False
         object.__setattr__(self, "p", p)
 
@@ -116,6 +121,11 @@ class IntersectionTensor:
     def valencies(self) -> np.ndarray:
         """k_i = p^0_{ii}."""
         return self.p[0].diagonal()
+
+    @property
+    def n(self) -> int:
+        """Number of points, n = sum_i k_i."""
+        return int(self.valencies.sum())
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,10 +140,6 @@ class AssociationScheme:
     def adjacency(self, i: int) -> np.ndarray:
         """0/1 indicator matrix of relation i (int32)."""
         return (self.rel == i).astype(np.int32)
-
-    @cached_property
-    def adjacency_matrices(self) -> tuple:
-        return tuple(self.adjacency(i) for i in range(self.d + 1))
 
     @property
     def valencies(self) -> np.ndarray:
@@ -228,11 +234,6 @@ def build_scheme(rm: RelationMatrix) -> AssociationScheme:
             _check_products_constant(rel, p, a_i, a_j, i, j)
 
     return AssociationScheme(n=n, d=d, rel=rel, tensor=IntersectionTensor(d=d, p=p))
-
-
-def intersection_numbers(s: AssociationScheme) -> IntersectionTensor:
-    """The exact integer tensor p^k_{ij} (cached on the scheme)."""
-    return s.tensor
 
 
 def reorder_relations(s: AssociationScheme, perm) -> AssociationScheme:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scheme_core import AssociationScheme
+from .scheme_core import AssociationScheme, IntersectionTensor
 
 #: two computed eigenvalues count as equal below this, relative to the
 #: spectral radius of the matrix being split
@@ -65,22 +65,15 @@ class KreinTensor:
         return float(self.q.min())
 
 
-def intersection_matrix(s: AssociationScheme, i: int) -> np.ndarray:
-    """B_i = (p^k_{ij})_{k,j} as a float matrix."""
-    return s.tensor.p[:, i, :].astype(float)
+def _split_blocks(dim, mats, eig_rtol):
+    """Common eigenvectors of a family of commuting symmetric dim x dim matrices.
 
-
-def _split_blocks(mats, eig_rtol):
-    """Common eigenvectors of a family of commuting symmetric matrices.
-
-    Returns a list of 1-dimensional blocks (unit vectors) or raises if the
-    family does not separate all eigenspaces.
+    ``mats`` is iterated lazily and left as soon as every block is
+    1-dimensional.  Returns a list of those blocks (unit vectors) or raises if
+    the family does not separate all eigenspaces.
     """
-    dim = mats[0].shape[0]
     blocks = [np.eye(dim)]
     for S in mats:
-        if all(V.shape[1] == 1 for V in blocks):
-            break
         refined = []
         for V in blocks:
             if V.shape[1] == 1:
@@ -96,6 +89,8 @@ def _split_blocks(mats, eig_rtol):
                     refined.append(V @ U[:, start:pos])
                     start = pos
         blocks = refined
+        if all(V.shape[1] == 1 for V in blocks):
+            break
     stuck = [V.shape[1] for V in blocks if V.shape[1] > 1]
     if stuck:
         raise EigenSplitFailure(
@@ -120,27 +115,22 @@ def _snap(values: np.ndarray, thr: float) -> np.ndarray:
     return snapped
 
 
-def spectral_data(s: AssociationScheme, *, eig_rtol: float = EIG_GROUP_RTOL) -> SpectralData:
-    """Compute P, Q, theta and the multiplicities of a scheme.
+def spectral_data(t: IntersectionTensor, *, eig_rtol: float = EIG_GROUP_RTOL) -> SpectralData:
+    """Compute P, Q, theta and the multiplicities from the intersection tensor.
 
     Raises EigenSplitFailure if the eigenstructure cannot be separated or the
     resulting multiplicities/Q fail their exact identities beyond tolerance.
     """
-    t = s.tensor
-    n, d = s.n, s.d
+    n, d = t.n, t.d
     k = t.valencies.astype(float)
     sq = np.sqrt(k)
 
-    sym = []
-    for i in range(1, d + 1):
-        B = t.p[:, i, :].astype(float)
-        S = (sq[:, None] * B) / sq[None, :]
-        defect = np.abs(S - S.T).max()
-        if defect > 1e-9 * max(1.0, np.abs(S).max()):
-            raise EigenSplitFailure(f"B_{i} failed to symmetrize (defect {defect:.3e})")
-        sym.append((S + S.T) / 2.0)
-
-    vecs = _split_blocks(sym, eig_rtol)
+    # S_i = diag(sqrt k) B_i diag(sqrt k)^-1 is symmetric by the identity
+    # k_k p^k_{ij} = k_j p^j_{ik}, which IntersectionTensor checks exactly, so
+    # averaging S_i with its transpose only evens out rounding.  Each S_i is
+    # built when _split_blocks reads it; a simple spectrum stops after S_1.
+    scaled = ((sq[:, None] * t.p[:, i, :]) / sq[None, :] for i in range(1, d + 1))
+    vecs = _split_blocks(d + 1, ((S + S.T) / 2.0 for S in scaled), eig_rtol)
 
     rows = []
     for v in vecs:

@@ -172,12 +172,12 @@ def test_05_regular_graph_residual_fuzz():
 def test_06_interpolation_decomposition_everywhere():
     worst = ("", 0.0)
     for name, s, _expected in corpus():
-        sd = spectral_data(s)
+        sd = spectral_data(s.tensor)
         th = np.sort(sd.theta)[::-1]
         if np.min(th[:-1] - th[1:]) <= 1e-9 * max(1.0, np.abs(th).max()):
             continue  # tied spectrum: decomposition undefined
         for i in range(1, s.d + 1):
-            r = mstar_decomposition_residual(s, sd, i)
+            r = mstar_decomposition_residual(s.tensor, sd, i)
             if r > worst[1]:
                 worst = (f"{name} i={i}", r)
     names = [name for name, _, _ in corpus()]
@@ -266,7 +266,7 @@ def test_09_graph_side_round_trips():
 def test_10_ordering_recovery_is_unique():
     s = reorder_relations(generate(FamilySpec("cycle", (7,))), (0, 2, 1, 3))
     r = detect(s)
-    chain = nstar_sets(s, spectral_data(s))
+    chain = nstar_sets(s.tensor, spectral_data(s.tensor))
 
     # exhaustive check that no other relabelling of classes >= 2 works
     mat = s.tensor.p[:, 1, :]

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import json
 
 import networkx as nx
@@ -229,6 +230,22 @@ class TestGraph:
         h = nx.random_regular_graph(4, 60, seed=1)
         assert main(["graph", edge_file("rr4", 60, list(h.edges()))]) == EXIT_NO
         assert "drg=false" in capsys.readouterr().out
+
+    def test_every_graph_on_at_most_four_vertices(self, edge_file, capsys):
+        # all 1 + 2 + 8 + 64 = 75 labelled graphs on 1..4 vertices
+        count = 0
+        for n in range(1, 5):
+            pairs = list(itertools.combinations(range(n), 2))
+            for mask in range(2 ** len(pairs)):
+                edges = [p for b, p in enumerate(pairs) if mask >> b & 1]
+                rc = main(["graph", edge_file(f"g{n}_{mask}", n, edges)])
+                assert rc in (EXIT_OK, EXIT_NO, EXIT_PRECONDITION), (n, edges, rc)
+                out = capsys.readouterr().out.splitlines()
+                if n == 1:  # the edge file "1 0"
+                    assert rc == EXIT_PRECONDITION
+                    assert len(out) == 1 and out[0].startswith("NOT APPLICABLE:")
+                count += 1
+        assert count == 75
 
     def test_parse_error(self, tmp_path):
         bad = tmp_path / "bad.edges"

@@ -26,7 +26,7 @@ from schemex.detect import (
 )
 from schemex.families import FamilySpec, generate
 from schemex.poly import predistance_polynomials, Spectrum
-from schemex.scheme_core import reorder_relations
+from schemex.scheme_core import IntersectionTensor, reorder_relations
 from schemex.spectral import KreinTensor, krein_parameters, spectral_data
 
 from nxn_reference import krein_expansion, mstar_product
@@ -58,17 +58,17 @@ def _walk_count_first_appearance(s):
 
 def _assert_nstar_matches_walk_counts(s, label):
     first = _walk_count_first_appearance(s)
-    sd = spectral_data(s)
+    sd = spectral_data(s.tensor)
     unreached = [j for j, f in enumerate(first) if f is None]
     if unreached:
         with pytest.raises(PerronNotSeparated) as exc:
-            nstar_sets(s, sd)
+            nstar_sets(s.tensor, sd)
         assert f"relations {unreached} never appear" in str(exc.value), label
         return
     want = tuple(
         frozenset(j for j, f in enumerate(first) if f == h) for h in range(s.d + 1)
     )
-    assert nstar_sets(s, sd).sets == want, label
+    assert nstar_sets(s.tensor, sd).sets == want, label
 
 
 # ---------------------------------------------------------------------------
@@ -143,13 +143,13 @@ class TestTridiagonal:
 class TestNStar:
     def test_cube_chain(self):
         s = _scheme("hamming", (3, 2))
-        chain = nstar_sets(s, spectral_data(s))
+        chain = nstar_sets(s.tensor, spectral_data(s.tensor))
         assert chain.sets == tuple(frozenset({h}) for h in range(4))
         assert chain.singletons() == (0, 1, 2, 3)
 
     def test_cyclotomic_collapses_early(self):
         s = _scheme("cyclotomic13")
-        chain = nstar_sets(s, spectral_data(s))
+        chain = nstar_sets(s.tensor, spectral_data(s.tensor))
         assert chain.sets == (
             frozenset({0}), frozenset({1}), frozenset({2, 3}), frozenset()
         )
@@ -158,13 +158,13 @@ class TestNStar:
 
     def test_swapped_cycle(self):
         s = _seven_cycle_swapped()
-        chain = nstar_sets(s, spectral_data(s))
+        chain = nstar_sets(s.tensor, spectral_data(s.tensor))
         assert chain.singletons() == (0, 1, 3, 2)
 
     def test_disconnected_first_relation(self):
         s = _scheme("disjoint_cliques", (3, 3))
         with pytest.raises(PerronNotSeparated) as exc:
-            nstar_sets(s, spectral_data(s))
+            nstar_sets(s.tensor, spectral_data(s.tensor))
         assert "[2]" in str(exc.value)  # the cross-clique relation is unreachable
 
     def test_matches_walk_counts_on_corpus(self, scheme_corpus):
@@ -183,7 +183,7 @@ class TestNStar:
 class TestExcess:
     def test_cube(self):
         s = _scheme("hamming", (3, 2))
-        v = excess_route(spectral_data(s), s.tensor)
+        v = excess_route(spectral_data(s.tensor))
         assert v.verdict == YES
         assert v.l == 3
         assert v.max_residual < 1e-9
@@ -191,34 +191,34 @@ class TestExcess:
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_complete(self, n):
         s = _scheme("complete", (n,))
-        v = excess_route(spectral_data(s), s.tensor)
+        v = excess_route(spectral_data(s.tensor))
         assert (v.verdict, v.l) == (YES, 1)
 
     def test_petersen(self):
         s = _scheme("petersen")
-        v = excess_route(spectral_data(s), s.tensor)
+        v = excess_route(spectral_data(s.tensor))
         assert (v.verdict, v.l) == (YES, 2)
 
     def test_cyclotomic_no(self):
         s = _scheme("cyclotomic13")
-        v = excess_route(spectral_data(s), s.tensor)
+        v = excess_route(spectral_data(s.tensor))
         assert v.verdict == NO
         assert v.witness is not None
 
     def test_tied_spectrum_precondition(self):
         s = _scheme("hypercube_reordered", (0, 3, 2, 1))
-        v = excess_route(spectral_data(s), s.tensor)
+        v = excess_route(spectral_data(s.tensor))
         assert v.verdict == PRECONDITION_FAILED
 
     def test_sloppy_tolerance_hits_many_columns(self):
         s = _scheme("complete", (2,))
         with pytest.raises(MultipleL):
-            excess_route(spectral_data(s), s.tensor, match_rtol=10.0)
+            excess_route(spectral_data(s.tensor), match_rtol=10.0)
 
 
 class TestPredistanceRoute:
     def test_petersen(self):
-        sd = spectral_data(_scheme("petersen"))
+        sd = spectral_data(_scheme("petersen").tensor)
         ps = predistance_polynomials(
             Spectrum(theta=sd.theta, m=sd.multiplicities, n=sd.n)
         )
@@ -227,7 +227,7 @@ class TestPredistanceRoute:
         assert v.max_residual < 1e-9
 
     def test_cube(self):
-        sd = spectral_data(_scheme("hamming", (3, 2)))
+        sd = spectral_data(_scheme("hamming", (3, 2)).tensor)
         ps = predistance_polynomials(
             Spectrum(theta=sd.theta, m=sd.multiplicities, n=sd.n)
         )
@@ -235,7 +235,7 @@ class TestPredistanceRoute:
         assert (v.verdict, v.l) == (YES, 3)
 
     def test_cyclotomic_no(self):
-        sd = spectral_data(_scheme("cyclotomic13"))
+        sd = spectral_data(_scheme("cyclotomic13").tensor)
         ps = predistance_polynomials(
             Spectrum(theta=sd.theta, m=sd.multiplicities, n=sd.n)
         )
@@ -246,51 +246,51 @@ class TestPredistanceRoute:
 class TestMStar:
     def test_k2_is_exact(self):
         s = _scheme("complete", (2,))
-        assert mstar_decomposition_residual(s, spectral_data(s), 1) == 0.0
+        assert mstar_decomposition_residual(s.tensor, spectral_data(s.tensor), 1) == 0.0
 
     def test_small_residual_everywhere(self, scheme_corpus):
         for name, s, expected in scheme_corpus:
-            sd = spectral_data(s)
+            sd = spectral_data(s.tensor)
             if expected == "precondition-failed":
                 continue
             for i in range(1, s.d + 1):
-                r = mstar_decomposition_residual(s, sd, i)
+                r = mstar_decomposition_residual(s.tensor, sd, i)
                 assert r < 1e-8, (name, i, r)
 
     def test_cyclotomic_included(self):
         # the identity holds without the chain property
         s = _scheme("cyclotomic13")
-        sd = spectral_data(s)
+        sd = spectral_data(s.tensor)
         assert max(
-            mstar_decomposition_residual(s, sd, i) for i in (1, 2, 3)
+            mstar_decomposition_residual(s.tensor, sd, i) for i in (1, 2, 3)
         ) < 1e-10
 
     def test_matches_nxn_product(self, scheme_corpus):
         for name, s, _ in scheme_corpus:
-            sd = spectral_data(s)
+            sd = spectral_data(s.tensor)
             if _theta_collision(sd) is not None:
                 continue
             for i in range(1, s.d + 1):
-                got = mstar_decomposition_residual(s, sd, i)
+                got = mstar_decomposition_residual(s.tensor, sd, i)
                 assert abs(got - mstar_product(s, sd, i)) <= 1e-12, (name, i)
 
     def test_tied_spectrum_raises(self):
         s = _scheme("hypercube_reordered", (0, 3, 2, 1))
         with pytest.raises(SpectrumNotSimple):
-            mstar_decomposition_residual(s, spectral_data(s), 1)
+            mstar_decomposition_residual(s.tensor, spectral_data(s.tensor), 1)
 
     def test_index_range(self):
         s = _scheme("cycle", (5,))
-        sd = spectral_data(s)
+        sd = spectral_data(s.tensor)
         with pytest.raises(ValueError):
-            mstar_decomposition_residual(s, sd, 0)
+            mstar_decomposition_residual(s.tensor, sd, 0)
         with pytest.raises(ValueError):
-            mstar_decomposition_residual(s, sd, 3)
+            mstar_decomposition_residual(s.tensor, sd, 3)
 
 
 class TestQPolynomial:
     def _krein(self, s):
-        sd = spectral_data(s)
+        sd = spectral_data(s.tensor)
         return krein_parameters(sd)
 
     def test_cube_self_dual(self):
@@ -433,6 +433,43 @@ class TestLargeDiameter:
 
     def test_mstar_product_stays_accurate(self):
         s = _scheme("cycle", (60,))
-        sd = spectral_data(s)
+        sd = spectral_data(s.tensor)
         for i in range(1, s.d + 1):
-            assert mstar_decomposition_residual(s, sd, i) < 1e-10, i
+            assert mstar_decomposition_residual(s.tensor, sd, i) < 1e-10, i
+
+
+class TestTensorOnly:
+    """Every stage after validation runs on an IntersectionTensor with no relation matrix."""
+
+    PENTAGON = [
+        [[1, 0, 0], [0, 2, 0], [0, 0, 2]],
+        [[0, 1, 0], [1, 0, 1], [0, 1, 1]],
+        [[0, 0, 1], [0, 1, 1], [1, 1, 0]],
+    ]
+
+    @staticmethod
+    def _stages(t):
+        sd = spectral_data(t)
+        ps = predistance_polynomials(Spectrum(theta=sd.theta, m=sd.multiplicities, n=sd.n))
+        return {
+            "P": sd.P, "Q": sd.Q, "m": sd.multiplicities,
+            "tridiagonal": tridiagonal_route(t),
+            "nstar": nstar_sets(t, sd).sets,
+            "excess": excess_route(sd),
+            "predistance": predistance_route(sd, ps),
+            "krein": krein_parameters(sd).q,
+            "mstar": [mstar_decomposition_residual(t, sd, i) for i in (1, 2)],
+        }
+
+    def test_literal_pentagon_matches_generated(self):
+        t = IntersectionTensor(d=2, p=np.array(self.PENTAGON))
+        assert t.n == 5
+        got = self._stages(t)
+        want = self._stages(_scheme("cycle", (5,)).tensor)
+        for key, value in want.items():
+            if isinstance(value, np.ndarray):
+                assert np.array_equal(got[key], value), key
+            else:
+                assert got[key] == value, key
+        assert got["tridiagonal"].verdict == YES
+        assert got["excess"].l == got["predistance"].l == 2

@@ -20,7 +20,7 @@ from schemex.spectral import spectral_data
 
 
 def _spectrum_of(s):
-    sd = spectral_data(s)
+    sd = spectral_data(s.tensor)
     return Spectrum(theta=sd.theta, m=sd.multiplicities, n=sd.n)
 
 

@@ -13,7 +13,6 @@ from schemex.scheme_core import (
     PermMovesZero,
     RelationMatrix,
     build_scheme,
-    intersection_numbers,
     reorder_relations,
 )
 
@@ -202,7 +201,7 @@ SMALL = [
 def test_product_expansion_identity(family, params):
     # A_i A_j = sum_k p^k_{ij} A_k, checked entrywise in integers
     s = generate(FamilySpec(family, params))
-    A = [m.astype(np.int64) for m in s.adjacency_matrices]
+    A = [s.adjacency(i).astype(np.int64) for i in range(s.d + 1)]
     p = s.tensor.p
     for i in range(s.d + 1):
         for j in range(s.d + 1):
@@ -211,23 +210,30 @@ def test_product_expansion_identity(family, params):
             assert np.array_equal(lhs, rhs), (i, j)
 
 
+def test_tensor_rejects_unsymmetrizable_counts():
+    # keeps p^k_{ij} = p^k_{ji}, p^0 = diag(k) and sum_k p^k_{ij} k_k = k_i k_j,
+    # but k_1 p^1_{12} = 4 while k_2 p^2_{11} = 2
+    p = generate(FamilySpec("cycle", (5,))).tensor.p.copy()
+    p[1, 1, 2] += 1
+    p[1, 2, 1] += 1
+    p[2, 1, 2] -= 1
+    p[2, 2, 1] -= 1
+    with pytest.raises(ValueError, match=r"k_k p\^k_\{1j\} != k_j p\^j_\{1k\}"):
+        IntersectionTensor(d=2, p=p)
+
+
 @pytest.mark.parametrize("family,params", SMALL)
 def test_tensor_invariants(family, params):
     s = generate(FamilySpec(family, params))
     p = s.tensor.p
     k = s.valencies
-    assert int(k.sum()) == s.n
+    assert int(k.sum()) == s.n == s.tensor.n
     assert np.array_equal(p, p.transpose(0, 2, 1))
     assert np.array_equal(p[0], np.diag(k))
     assert np.array_equal(np.einsum("kij,k->ij", p, k), np.outer(k, k))
     # indicators partition all of X x X
     total = sum(s.adjacency(i) for i in range(s.d + 1))
     assert np.array_equal(total, np.ones((s.n, s.n), dtype=total.dtype))
-
-
-def test_intersection_numbers_is_cached_tensor():
-    s = generate(FamilySpec("cycle", (7,)))
-    assert intersection_numbers(s) is s.tensor
 
 
 class TestReorder:

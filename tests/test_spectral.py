@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,7 @@ SQ5 = 5 ** 0.5
 
 
 def _sd(family, params=()):
-    return spectral_data(generate(FamilySpec(family, params)))
+    return spectral_data(generate(FamilySpec(family, params)).tensor)
 
 
 class TestEigenmatrices:
@@ -48,7 +50,7 @@ class TestEigenmatrices:
 
     def test_valency_row_is_row_zero(self, scheme_corpus):
         for name, s, _ in scheme_corpus:
-            sd = spectral_data(s)
+            sd = spectral_data(s.tensor)
             assert np.allclose(sd.P[0], s.valencies), name
             assert abs(sd.multiplicities[0] - 1) < 1e-9, name
 
@@ -69,7 +71,7 @@ class TestEigenmatrices:
 
 def test_pq_identity_and_integrality(scheme_corpus):
     for name, s, _ in scheme_corpus:
-        sd = spectral_data(s)
+        sd = spectral_data(s.tensor)
         n = s.n
         assert np.abs(sd.P @ sd.Q - n * np.eye(s.d + 1)).max() <= 1e-8 * n, name
         rounded = np.round(sd.multiplicities)
@@ -80,24 +82,24 @@ def test_pq_identity_and_integrality(scheme_corpus):
 class TestIdempotents:
     def test_k2_exact(self):
         s = generate(FamilySpec("complete", (2,)))
-        E = primitive_idempotents(s, spectral_data(s))
+        E = primitive_idempotents(s, spectral_data(s.tensor))
         assert np.allclose(E[0], [[0.5, 0.5], [0.5, 0.5]], atol=1e-12)
         assert np.allclose(E[1], [[0.5, -0.5], [-0.5, 0.5]], atol=1e-12)
 
     def test_petersen_ranks(self):
         s = generate(FamilySpec("petersen"))
-        E = primitive_idempotents(s, spectral_data(s))
+        E = primitive_idempotents(s, spectral_data(s.tensor))
         ranks = [np.linalg.matrix_rank(Ek, tol=1e-8) for Ek in E]
         assert ranks == [1, 5, 4]
 
     def test_pentagon_traces(self):
         s = generate(FamilySpec("cycle", (5,)))
-        E = primitive_idempotents(s, spectral_data(s))
+        E = primitive_idempotents(s, spectral_data(s.tensor))
         assert np.allclose([np.trace(Ek) for Ek in E], [1, 2, 2], atol=1e-9)
 
     def test_projection_algebra(self, scheme_corpus):
         for name, s, _ in scheme_corpus:
-            sd = spectral_data(s)
+            sd = spectral_data(s.tensor)
             E = primitive_idempotents(s, sd)
             n, d = s.n, s.d
             assert np.allclose(E[0], np.full((n, n), 1.0 / n), atol=1e-9), name
@@ -110,7 +112,7 @@ class TestIdempotents:
     def test_reconstruction(self, scheme_corpus):
         # A_i = sum_j P_i(j) E_j
         for name, s, _ in scheme_corpus:
-            sd = spectral_data(s)
+            sd = spectral_data(s.tensor)
             E = primitive_idempotents(s, sd)
             for i in range(s.d + 1):
                 got = sum(sd.P[j, i] * E[j] for j in range(s.d + 1))
@@ -120,13 +122,13 @@ class TestIdempotents:
 class TestKrein:
     def test_k3_value(self):
         s = generate(FamilySpec("complete", (3,)))
-        sd = spectral_data(s)
+        sd = spectral_data(s.tensor)
         kt = krein_parameters(sd)
         assert abs(kt.q[1, 1, 1] - 1.0) < 1e-10
 
     def test_q0_diagonal_is_multiplicities(self, scheme_corpus):
         for name, s, _ in scheme_corpus:
-            sd = spectral_data(s)
+            sd = spectral_data(s.tensor)
             kt = krein_parameters(sd)
             for i in range(s.d + 1):
                 for j in range(s.d + 1):
@@ -135,20 +137,20 @@ class TestKrein:
 
     def test_binary_hamming_self_dual(self):
         s = generate(FamilySpec("hamming", (3, 2)))
-        sd = spectral_data(s)
+        sd = spectral_data(s.tensor)
         kt = krein_parameters(sd)
         assert np.abs(kt.q - s.tensor.p).max() < 1e-8
 
     def test_nonnegativity_floor(self, scheme_corpus):
         for name, s, _ in scheme_corpus:
-            sd = spectral_data(s)
+            sd = spectral_data(s.tensor)
             kt = krein_parameters(sd)
             assert kt.min_value >= -1e-8 * s.n, name
 
     def test_row_sums(self, scheme_corpus):
         # sum_j q^k_{ij} = m_i, the dual of the valency row-sum identity
         for name, s, _ in scheme_corpus:
-            sd = spectral_data(s)
+            sd = spectral_data(s.tensor)
             kt = krein_parameters(sd)
             m = sd.multiplicities
             got = kt.q.sum(axis=2)
@@ -156,7 +158,19 @@ class TestKrein:
 
     def test_closed_form_matches_nxn_expansion(self, scheme_corpus):
         for name, s, _ in scheme_corpus:
-            sd = spectral_data(s)
+            sd = spectral_data(s.tensor)
             ref = krein_expansion(s, sd)
             q = krein_parameters(sd).q
             assert np.abs(q - ref).max() <= 1e-10 * max(1.0, np.abs(ref).max()), name
+
+
+def test_spectral_data_builds_no_cubic_array():
+    t = generate(FamilySpec("cycle", (100,))).tensor
+    one_cube = (t.d + 1) ** 3 * np.dtype(np.float64).itemsize
+    tracemalloc.start()
+    try:
+        spectral_data(t)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < one_cube, f"spectral_data peaked at {peak} bytes, (d+1)^3 float64 is {one_cube}"
