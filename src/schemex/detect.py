@@ -24,12 +24,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .poly import DegenerateSpectrum, PredistanceSystem, Spectrum, kappa, predistance_polynomials
+from .poly import PredistanceSystem, Spectrum, kappa, predistance_polynomials
 from .scheme_core import AssociationScheme, IntersectionTensor
 from .spectral import (
-    EIG_GROUP_RTOL,
     KreinTensor,
     SpectralData,
+    eigen_groups,
     krein_parameters,
     primitive_idempotents,  # noqa: F401  unused here; perfbench/spans.py traces this name
     spectral_data,
@@ -210,10 +210,9 @@ def nstar_sets(t: IntersectionTensor, sd: SpectralData) -> NStarChain:
         frontier = reached
     if any(f is None for f in first):
         unreached = [j for j, f in enumerate(first) if f is None]
-        near = [
-            j for j in range(1, d + 1)
-            if abs(sd.theta[j] - sd.theta[0]) <= 1e-6 * max(1.0, abs(sd.theta[0]))
-        ]
+        order = np.argsort(sd.theta)
+        group = next(order[a:b] for a, b in eigen_groups(sd.theta[order]) if 0 in order[a:b])
+        near = sorted(int(j) for j in group if j != 0)
         raise PerronNotSeparated(
             f"relations {unreached} never appear in powers of A_1 up to d = {d}; "
             f"theta_0 = {sd.theta[0]:g} is shared (rows {near} by the float data)"
@@ -225,23 +224,21 @@ def nstar_sets(t: IntersectionTensor, sd: SpectralData) -> NStarChain:
     return NStarChain(sets=sets)
 
 
-def _theta_collision(sd: SpectralData, eig_rtol: float = EIG_GROUP_RTOL):
-    """Indices of two eigenvalues closer than tolerance, or None if all distinct."""
-    th = np.sort(sd.theta)[::-1]
-    thr = eig_rtol * max(1.0, float(np.abs(th).max()))
-    gaps = th[:-1] - th[1:]
-    tight = np.flatnonzero(gaps <= thr)
-    if tight.size == 0:
+def _theta_collision(sd: SpectralData):
+    """Descending sorted positions of the top two members of the highest tied
+    eigenvalue group, or None if all theta are distinct."""
+    size = len(sd.theta)
+    tied = [b for a, b in eigen_groups(np.sort(sd.theta)) if b - a > 1]
+    if not tied:
         return None
-    j = int(tight[0])
-    return j, j + 1
+    return size - tied[-1], size - tied[-1] + 1
 
 
 def _scheme_spectrum(sd: SpectralData) -> Spectrum:
     return Spectrum(theta=sd.theta.copy(), m=sd.multiplicities.copy(), n=sd.n)
 
 
-def _match_columns(values, targets, match_rtol):
+def _match_columns(values, targets):
     """For each column l: scaled and raw max deviation of values vs targets[:, l]."""
     raws, scaleds = [], []
     for l in range(targets.shape[1]):
@@ -250,11 +247,11 @@ def _match_columns(values, targets, match_rtol):
         scaled = raw / np.maximum(1.0, np.maximum(np.abs(values), np.abs(col)))
         raws.append(float(raw.max()))
         scaleds.append(float(scaled.max()))
-    passing = [l for l, sc in enumerate(scaleds) if sc <= match_rtol]
+    passing = [l for l, sc in enumerate(scaleds) if sc <= ROUTE_MATCH_RTOL]
     return passing, raws, scaleds
 
 
-def excess_route(sd: SpectralData, *, match_rtol: float = ROUTE_MATCH_RTOL) -> RouteVerdict:
+def excess_route(sd: SpectralData) -> RouteVerdict:
     """Match (kappa_1..kappa_d) against the columns -Q_i(l), i >= 1.
 
     Exactly one matching l is required for a yes; zero is a no; several raise
@@ -271,7 +268,7 @@ def excess_route(sd: SpectralData, *, match_rtol: float = ROUTE_MATCH_RTOL) -> R
     d = sd.d
     kap = np.array([kappa(sp, i) for i in range(1, d + 1)])
     targets = -sd.Q[:, 1:].T  # targets[i-1, l] = -Q_i(l)
-    passing, raws, scaleds = _match_columns(kap, targets, match_rtol)
+    passing, raws, scaleds = _match_columns(kap, targets)
     if len(passing) > 1:
         raise MultipleL(f"columns {passing} all satisfy kappa_i = -Q_i(l)")
     if len(passing) == 1:
@@ -285,9 +282,12 @@ def excess_route(sd: SpectralData, *, match_rtol: float = ROUTE_MATCH_RTOL) -> R
     )
 
 
-def predistance_route(sd: SpectralData, ps: PredistanceSystem, *,
-                      match_rtol: float = ROUTE_MATCH_RTOL) -> RouteVerdict:
-    """Match the values p_d(theta_h) against the columns P_l(h) of the first eigenmatrix."""
+def predistance_route(sd: SpectralData, ps: PredistanceSystem | None) -> RouteVerdict:
+    """Match the values p_d(theta_h) against the columns P_l(h) of the first eigenmatrix.
+
+    On tied theta the verdict is precondition-failed and ``ps`` is never read,
+    so it may be None there.
+    """
     col = _theta_collision(sd)
     if col is not None:
         j1, j2 = col
@@ -296,7 +296,7 @@ def predistance_route(sd: SpectralData, ps: PredistanceSystem, *,
             witness=f"theta values at sorted positions {j1} and {j2} coincide",
         )
     vals = ps.values[sd.d]  # p_d at every theta_h
-    passing, raws, scaleds = _match_columns(vals, sd.P, match_rtol)
+    passing, raws, scaleds = _match_columns(vals, sd.P)
     if len(passing) > 1:
         raise MultipleL(f"columns {passing} of P all match p_d on the spectrum")
     if len(passing) == 1:
@@ -388,30 +388,19 @@ def _nstar_verdict(t, sd):
     return RouteVerdict("nstar", YES, ordering=sing, l=sing[-1])
 
 
-def analyze(s: AssociationScheme, *, match_rtol: float = ROUTE_MATCH_RTOL,
-            base_tol: float = BASE_TOL, eig_rtol: float = EIG_GROUP_RTOL) -> Analysis:
+def analyze(s: AssociationScheme, *, base_tol: float = BASE_TOL) -> Analysis:
     """Run every route on ``s.tensor``, enforce their pairwise agreement, keep the evidence."""
     t = s.tensor
-    sd = spectral_data(t, eig_rtol=eig_rtol)
+    sd = spectral_data(t)
 
     tri = tridiagonal_route(t)
     nstar_v = _nstar_verdict(t, sd)
 
-    collision = _theta_collision(sd, eig_rtol)
-    ps = None
-    if collision is None:
-        try:
-            excess_v = excess_route(sd, match_rtol=match_rtol)
-            ps = predistance_polynomials(_scheme_spectrum(sd))
-            pred_v = predistance_route(sd, ps, match_rtol=match_rtol)
-        except DegenerateSpectrum as e:  # near-tie slipped past the gap check
-            excess_v = RouteVerdict("excess", PRECONDITION_FAILED, witness=str(e))
-            pred_v = RouteVerdict("predistance", PRECONDITION_FAILED, witness=str(e))
-    else:
-        j1, j2 = collision
-        note = f"theta values at sorted positions {j1} and {j2} coincide"
-        excess_v = RouteVerdict("excess", PRECONDITION_FAILED, witness=note)
-        pred_v = RouteVerdict("predistance", PRECONDITION_FAILED, witness=note)
+    collision = _theta_collision(sd)
+    # no collision: singleton groups, so theta falls strictly from k_1 and Spectrum accepts it
+    ps = predistance_polynomials(_scheme_spectrum(sd)) if collision is None else None
+    excess_v = excess_route(sd)
+    pred_v = predistance_route(sd, ps)
 
     kt = krein_parameters(sd)
     qv = q_polynomial_route(kt, nonzero_tol=base_tol)
@@ -469,7 +458,6 @@ def analyze(s: AssociationScheme, *, match_rtol: float = ROUTE_MATCH_RTOL,
     )
 
 
-def detect(s: AssociationScheme, *, match_rtol: float = ROUTE_MATCH_RTOL,
-           base_tol: float = BASE_TOL, eig_rtol: float = EIG_GROUP_RTOL) -> DetectionReport:
+def detect(s: AssociationScheme, *, base_tol: float = BASE_TOL) -> DetectionReport:
     """Run all routes and return the agreed report; see :func:`analyze`."""
-    return analyze(s, match_rtol=match_rtol, base_tol=base_tol, eig_rtol=eig_rtol).report
+    return analyze(s, base_tol=base_tol).report

@@ -61,11 +61,11 @@ def _rel_johnson(v, k):
     _require(1 <= k and v >= 2 * k, f"johnson needs 1 <= k and v >= 2k, got ({v},{k})")
     npoints = comb(v, k)
     _require(npoints <= MAX_POINTS, f"johnson({v},{k}) has {npoints} > {MAX_POINTS} points")
-    pts = [frozenset(c) for c in combinations(range(v), k)]
-    rel = np.zeros((npoints, npoints), dtype=np.uint16)
-    for a in range(npoints):
-        for b in range(npoints):
-            rel[a, b] = k - len(pts[a] & pts[b])
+    # 0/1 membership rows; M M^T counts common elements, <= k, exact in float32
+    members = np.array(list(combinations(range(v), k)), dtype=np.intp)
+    M = np.zeros((npoints, v), dtype=np.float32)
+    M[np.arange(npoints)[:, None], members] = 1.0
+    rel = (k - M @ M.T).astype(np.uint16)
     return rel, k
 
 

@@ -8,7 +8,7 @@ import numpy as np
 
 from .poly import Spectrum, predistance_polynomials
 from .scheme_core import AssociationScheme, RelationMatrix, SchemeValidationError, build_scheme
-from .spectral import EIG_GROUP_RTOL
+from .spectral import eigen_groups
 
 
 class Disconnected(ValueError):
@@ -61,9 +61,9 @@ class Graph:
         return sum(self.degrees) // 2
 
     def adjacency_matrix(self) -> np.ndarray:
-        A = np.zeros((self.n, self.n), dtype=np.int64)
+        A = np.zeros((self.n, self.n), dtype=bool)
         for u, nbrs in enumerate(self.adj):
-            A[u, list(nbrs)] = 1
+            A[u, list(nbrs)] = True
         return A
 
 
@@ -118,7 +118,7 @@ def _seidel_distances(a: np.ndarray) -> np.ndarray:
 def distance_data(g: Graph) -> DistanceData:
     """All-pairs distances; raises Disconnected with the component count."""
     n = g.n
-    dist = _seidel_distances(g.adjacency_matrix().astype(bool))
+    dist = _seidel_distances(g.adjacency_matrix())
     diameter = int(dist.max())
     rows = np.arange(n)[:, None] * (diameter + 1)
     gamma = np.bincount((dist + rows).ravel(), minlength=n * (diameter + 1))
@@ -129,22 +129,15 @@ def distance_data(g: Graph) -> DistanceData:
                         eccentricity=ecc, excess=excess)
 
 
-def graph_spectrum(g: Graph, *, eig_rtol: float = EIG_GROUP_RTOL) -> Spectrum:
+def graph_spectrum(g: Graph) -> Spectrum:
     """Distinct eigenvalues with integer multiplicities of a connected regular graph."""
     degs = g.degrees
     if len(set(degs)) != 1:
         raise NotRegular(f"degrees range over {sorted(set(degs))}")
     w = np.linalg.eigvalsh(g.adjacency_matrix().astype(float))
-    thr = eig_rtol * max(1.0, float(np.abs(w).max()))
-    theta, mult = [], []
-    start = 0
-    for pos in range(1, len(w) + 1):
-        if pos == len(w) or w[pos] - w[pos - 1] > thr:
-            theta.append(float(w[start:pos].mean()))
-            mult.append(pos - start)
-            start = pos
-    theta = np.array(theta[::-1])
-    mult = np.array(mult[::-1], dtype=float)
+    groups = eigen_groups(w)[::-1]
+    theta = np.array([float(w[a:b].mean()) for a, b in groups])
+    mult = np.array([b - a for a, b in groups], dtype=float)
     if mult[0] != 1:  # the degree k has one eigenvector per component
         raise Disconnected(int(mult[0]))
     k = degs[0]
@@ -173,7 +166,7 @@ class SpectralExcessReport:
     spectrum: Spectrum
 
 
-def spectral_excess_report(g: Graph, *, eig_rtol: float = EIG_GROUP_RTOL) -> SpectralExcessReport:
+def spectral_excess_report(g: Graph) -> SpectralExcessReport:
     """Average excess against p_d(theta_0), with a combinatorial verdict.
 
     Both the arithmetic and the harmonic mean of the excesses are reported as
@@ -184,7 +177,7 @@ def spectral_excess_report(g: Graph, *, eig_rtol: float = EIG_GROUP_RTOL) -> Spe
     if g.n < 2:
         raise TooFewVertices(f"n = {g.n}: a distance partition needs at least 2 vertices")
     dd = distance_data(g)
-    sp = graph_spectrum(g, eig_rtol=eig_rtol)
+    sp = graph_spectrum(g)
     d = sp.d
     ps = predistance_polynomials(sp)
     pd0 = float(ps.values[d, 0])

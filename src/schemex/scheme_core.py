@@ -105,6 +105,8 @@ class IntersectionTensor:
             raise ValueError("p^k_{ij} != p^k_{ji}; input is not a symmetric scheme")
         if not np.array_equal(p[0], np.diag(k)):
             raise ValueError("p^0_{ij} must equal delta_{ij} k_i; input is not a scheme")
+        if not np.array_equal(p[:, 0, :], np.eye(m, dtype=np.int64)):
+            raise ValueError("p^k_{0j} must equal delta_{kj}; input is not a scheme")
         lhs = np.einsum("kij,k->ij", p, k)
         if not np.array_equal(lhs, np.outer(k, k)):
             raise ValueError("sum_k p^k_{ij} k_k != k_i k_j; input is not a scheme")

@@ -16,8 +16,8 @@ import numpy as np
 
 from .scheme_core import AssociationScheme, IntersectionTensor
 
-#: two computed eigenvalues count as equal below this, relative to the
-#: spectral radius of the matrix being split
+#: two computed eigenvalues count as equal when their gap is at most this,
+#: relative to max(1, spectral radius); read only by eigen_groups
 EIG_GROUP_RTOL = 1e-9
 
 #: multiplicities must land within this of a positive integer
@@ -65,7 +65,19 @@ class KreinTensor:
         return float(self.q.min())
 
 
-def _split_blocks(dim, mats, eig_rtol):
+def eigen_groups(w: np.ndarray) -> list:
+    """Index ranges [a, b) of the clusters of the non-empty ascending array ``w``.
+
+    A cluster ends where a gap exceeds EIG_GROUP_RTOL * max(1, max|w|).  This
+    is the one place that decides whether two computed eigenvalues are equal.
+    """
+    v = np.asarray(w, dtype=float).tolist()
+    thr = EIG_GROUP_RTOL * max(1.0, -v[0], v[-1])  # ascending: max|w| sits at an end
+    edges = [0, *(i for i in range(1, len(v)) if v[i] - v[i - 1] > thr), len(v)]
+    return list(zip(edges[:-1], edges[1:]))
+
+
+def _split_blocks(dim, mats):
     """Common eigenvectors of a family of commuting symmetric dim x dim matrices.
 
     ``mats`` is iterated lazily and left as soon as every block is
@@ -82,12 +94,7 @@ def _split_blocks(dim, mats, eig_rtol):
             T = V.T @ S @ V
             T = (T + T.T) / 2.0
             w, U = np.linalg.eigh(T)
-            thr = eig_rtol * max(1.0, float(np.abs(w).max()))
-            start = 0
-            for pos in range(1, len(w) + 1):
-                if pos == len(w) or w[pos] - w[pos - 1] > thr:
-                    refined.append(V @ U[:, start:pos])
-                    start = pos
+            refined.extend(V @ U[:, a:b] for a, b in eigen_groups(w))
         blocks = refined
         if all(V.shape[1] == 1 for V in blocks):
             break
@@ -100,22 +107,7 @@ def _split_blocks(dim, mats, eig_rtol):
     return [V[:, 0] for V in blocks]
 
 
-def _snap(values: np.ndarray, thr: float) -> np.ndarray:
-    """Replace each value by the representative of its tolerance-cluster."""
-    order = np.argsort(values)
-    snapped = values.astype(float).copy()
-    rep = None
-    prev = None
-    for idx in order:
-        v = values[idx]
-        if prev is None or v - prev > thr:
-            rep = v
-        snapped[idx] = rep
-        prev = v
-    return snapped
-
-
-def spectral_data(t: IntersectionTensor, *, eig_rtol: float = EIG_GROUP_RTOL) -> SpectralData:
+def spectral_data(t: IntersectionTensor) -> SpectralData:
     """Compute P, Q, theta and the multiplicities from the intersection tensor.
 
     Raises EigenSplitFailure if the eigenstructure cannot be separated or the
@@ -130,7 +122,7 @@ def spectral_data(t: IntersectionTensor, *, eig_rtol: float = EIG_GROUP_RTOL) ->
     # averaging S_i with its transpose only evens out rounding.  Each S_i is
     # built when _split_blocks reads it; a simple spectrum stops after S_1.
     scaled = ((sq[:, None] * t.p[:, i, :]) / sq[None, :] for i in range(1, d + 1))
-    vecs = _split_blocks(d + 1, ((S + S.T) / 2.0 for S in scaled), eig_rtol)
+    vecs = _split_blocks(d + 1, ((S + S.T) / 2.0 for S in scaled))
 
     rows = []
     for v in vecs:
@@ -149,8 +141,12 @@ def spectral_data(t: IntersectionTensor, *, eig_rtol: float = EIG_GROUP_RTOL) ->
     def mult(row):
         return n / float((row * row / k).sum())
 
+    # key every theta of a cluster by the cluster's smallest member
     thetas = np.array([r[1] for r in rest])
-    snapped = _snap(thetas, eig_rtol * max(1.0, float(np.abs(thetas).max(initial=0.0))))
+    order = np.argsort(thetas)
+    snapped = np.empty_like(thetas)
+    for a, b in eigen_groups(thetas[order]):
+        snapped[order[a:b]] = thetas[order[a]]
     keyed = sorted(
         range(len(rest)),
         key=lambda j: (-snapped[j], mult(rest[j]), tuple(np.round(rest[j], 9))),

@@ -222,6 +222,17 @@ def test_tensor_rejects_unsymmetrizable_counts():
         IntersectionTensor(d=2, p=p)
 
 
+def test_tensor_rejects_non_identity_relation_zero():
+    # both keep the four identities above, but p^k_{0j} = delta_{kj} fails:
+    # twice Petersen has k_0 = 2, and the padded class 3 has valency 0
+    pet = generate(FamilySpec("petersen")).tensor.p
+    padded = np.zeros((4, 4, 4), dtype=np.int64)
+    padded[:3, :3, :3] = pet
+    for d, p in ((2, 2 * pet), (3, padded)):
+        with pytest.raises(ValueError, match=r"p\^k_\{0j\} must equal delta_\{kj\}"):
+            IntersectionTensor(d=d, p=p)
+
+
 @pytest.mark.parametrize("family,params", SMALL)
 def test_tensor_invariants(family, params):
     s = generate(FamilySpec(family, params))
