@@ -14,7 +14,6 @@ from .poly import (
     Spectrum,
     graph_property_residual,
     inner_product,
-    kappa,
     lagrange_power_identity,
     predistance_polynomials,
 )
@@ -41,7 +40,7 @@ __all__ = [
     "RelationMatrix", "RouteVerdict", "SpectralData", "Spectrum",
     "analyze", "build_scheme", "corpus", "detect", "distance_data",
     "generate", "graph_property_residual", "graph_spectrum", "inner_product",
-    "kappa", "krein_parameters", "lagrange_power_identity",
+    "krein_parameters", "lagrange_power_identity",
     "predistance_polynomials", "primitive_idempotents", "reorder_relations",
     "scheme_from_drg", "spectral_data", "spectral_excess_report",
 ]

@@ -50,7 +50,10 @@ def _read_scheme_file(path) -> RelationMatrix:
     body = values[2:]
     if n < 1 or len(body) != n * n:
         raise ValueError(f"{path}: expected {n}x{n} entries after the header, got {len(body)}")
-    rel = np.array(body, dtype=np.int64).reshape(n, n)
+    try:
+        rel = np.array(body, dtype=np.int64).reshape(n, n)
+    except OverflowError:
+        raise ValueError(f"{path}: relation index out of range 0..{d}") from None
     return RelationMatrix(n=n, d=d, rel=rel)
 
 

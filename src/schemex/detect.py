@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .poly import PredistanceSystem, Spectrum, kappa, predistance_polynomials
+from .poly import PredistanceSystem, predistance_polynomials
 from .scheme_core import AssociationScheme, IntersectionTensor
 from .spectral import (
     KreinTensor,
@@ -172,14 +172,18 @@ def _band_violation(mat, order, positive, zero):
 
 
 def tridiagonal_route(t: IntersectionTensor) -> RouteVerdict:
-    """Greedy relation chain on p^j_{1,i}; exact integers, total (no preconditions)."""
-    mat = t.p[:, 1, :]  # mat[j, i] = p^j_{1,i}
-    order, witness = _greedy_chain(mat, t.d, lambda v: v > 0)
+    """Greedy relation chain on p^j_{1,i}; exact integers, total (no preconditions).
+
+    A completed chain is already an irreducible tridiagonal band, so no band
+    check follows it.  Below the diagonal: order[b+1] was the only unused j
+    with p^j_{1,order[b]} > 0 (for b = 0, p^j_{10} = delta_{j1}).  Above it:
+    k_k p^k_{1j} = k_j p^j_{1k} with every k_i >= 1, both checked exactly by
+    IntersectionTensor, copies that zero/positive pattern.  q_polynomial_route
+    keeps its band check, since its float thresholds break this argument.
+    """
+    order, witness = _greedy_chain(t.p[:, 1, :], t.d, lambda v: v > 0)
     if order is None:
         return RouteVerdict("tridiagonal", NO, witness=witness)
-    bad = _band_violation(mat, order, lambda v: v > 0, lambda v: v == 0)
-    if bad is not None:
-        return RouteVerdict("tridiagonal", NO, witness=bad)
     return RouteVerdict("tridiagonal", YES, ordering=order, l=order[-1])
 
 
@@ -224,20 +228,6 @@ def nstar_sets(t: IntersectionTensor, sd: SpectralData) -> NStarChain:
     return NStarChain(sets=sets)
 
 
-def _theta_collision(sd: SpectralData):
-    """Descending sorted positions of the top two members of the highest tied
-    eigenvalue group, or None if all theta are distinct."""
-    size = len(sd.theta)
-    tied = [b for a, b in eigen_groups(np.sort(sd.theta)) if b - a > 1]
-    if not tied:
-        return None
-    return size - tied[-1], size - tied[-1] + 1
-
-
-def _scheme_spectrum(sd: SpectralData) -> Spectrum:
-    return Spectrum(theta=sd.theta.copy(), m=sd.multiplicities.copy(), n=sd.n)
-
-
 def _match_columns(values, targets):
     """For each column l: scaled and raw max deviation of values vs targets[:, l]."""
     raws, scaleds = [], []
@@ -257,18 +247,14 @@ def excess_route(sd: SpectralData) -> RouteVerdict:
     Exactly one matching l is required for a yes; zero is a no; several raise
     MultipleL.  spectral_data has already checked Q against m_i P_l(i)/k_l.
     """
-    col = _theta_collision(sd)
-    if col is not None:
-        j1, j2 = col
+    if sd.tie is not None:
+        j1, j2 = sd.tie
         return RouteVerdict(
             "excess", PRECONDITION_FAILED,
             witness=f"theta values at sorted positions {j1} and {j2} coincide",
         )
-    sp = _scheme_spectrum(sd)
-    d = sd.d
-    kap = np.array([kappa(sp, i) for i in range(1, d + 1)])
     targets = -sd.Q[:, 1:].T  # targets[i-1, l] = -Q_i(l)
-    passing, raws, scaleds = _match_columns(kap, targets)
+    passing, raws, scaleds = _match_columns(sd.spectrum.kappa[1:], targets)
     if len(passing) > 1:
         raise MultipleL(f"columns {passing} all satisfy kappa_i = -Q_i(l)")
     if len(passing) == 1:
@@ -288,9 +274,8 @@ def predistance_route(sd: SpectralData, ps: PredistanceSystem | None) -> RouteVe
     On tied theta the verdict is precondition-failed and ``ps`` is never read,
     so it may be None there.
     """
-    col = _theta_collision(sd)
-    if col is not None:
-        j1, j2 = col
+    if sd.tie is not None:
+        j1, j2 = sd.tie
         return RouteVerdict(
             "predistance", PRECONDITION_FAILED,
             witness=f"theta values at sorted positions {j1} and {j2} coincide",
@@ -321,10 +306,10 @@ def mstar_decomposition_residual(t: IntersectionTensor, sd: SpectralData, i: int
     its coefficient vector c in the basis A_0..A_d: multiplication by A_1 is
     c -> B_1 c with B_1 = (p^k_{1j}), and kappa_i E_0 + E_i has coefficients
     kappa_i / n + Q_i(l) / n.  The A_l have disjoint supports and every class
-    of a validated scheme is nonempty, so the max-abs entry of the n x n
-    residual equals the max-abs entry of the coefficient residual.
+    is nonempty (IntersectionTensor checks k_l >= 1), so the max-abs entry of
+    the n x n residual equals the max-abs entry of the coefficient residual.
     """
-    if _theta_collision(sd) is not None:
+    if sd.spectrum is None:
         raise SpectrumNotSimple("the decomposition needs mutually distinct theta")
     if not 1 <= i <= t.d:
         raise ValueError(f"i must be in 1..{t.d}")
@@ -341,8 +326,7 @@ def mstar_decomposition_residual(t: IntersectionTensor, sd: SpectralData, i: int
     for pos in sorted(range(len(js)), key=lambda q: f"{q:0{bits}b}"[::-1]):
         j = js[pos]
         c = (B1 @ c - th[j] * c) / (th[i] - th[j])
-    kap = kappa(_scheme_spectrum(sd), i)
-    return float(np.abs(c - kap / sd.n - sd.Q[:, i] / sd.n).max())
+    return float(np.abs(c - sd.spectrum.kappa[i] / sd.n - sd.Q[:, i] / sd.n).max())
 
 
 def q_polynomial_route(kt: KreinTensor, *, nonzero_tol: float = BASE_TOL) -> RouteVerdict:
@@ -396,9 +380,7 @@ def analyze(s: AssociationScheme, *, base_tol: float = BASE_TOL) -> Analysis:
     tri = tridiagonal_route(t)
     nstar_v = _nstar_verdict(t, sd)
 
-    collision = _theta_collision(sd)
-    # no collision: singleton groups, so theta falls strictly from k_1 and Spectrum accepts it
-    ps = predistance_polynomials(_scheme_spectrum(sd)) if collision is None else None
+    ps = predistance_polynomials(sd.spectrum) if sd.spectrum is not None else None
     excess_v = excess_route(sd)
     pred_v = predistance_route(sd, ps)
 
@@ -439,7 +421,7 @@ def analyze(s: AssociationScheme, *, base_tol: float = BASE_TOL) -> Analysis:
                 )
 
     mstar_max = None
-    if collision is None:
+    if sd.spectrum is not None:
         mstar_max = max(
             mstar_decomposition_residual(t, sd, i) for i in range(1, t.d + 1)
         )
@@ -450,11 +432,9 @@ def analyze(s: AssociationScheme, *, base_tol: float = BASE_TOL) -> Analysis:
         q_poly=qv, consensus=consensus, preconditions_ok=preconditions_ok,
         ordering=ordering, l=l,
     )
-    pq_resid = float(np.abs(sd.P @ sd.Q - t.n * np.eye(t.d + 1)).max())
-    mult_resid = float(np.abs(sd.multiplicities - np.round(sd.multiplicities)).max())
     return Analysis(
-        report=report, spectral=sd, krein=kt, predistance_system=ps,
-        mstar_max=mstar_max, pq_residual=pq_resid, multiplicity_residual=mult_resid,
+        report=report, spectral=sd, krein=kt, predistance_system=ps, mstar_max=mstar_max,
+        pq_residual=sd.pq_residual, multiplicity_residual=sd.multiplicity_residual,
     )
 
 

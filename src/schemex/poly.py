@@ -13,6 +13,7 @@ Computation and Approximation, 2004).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -64,6 +65,20 @@ class Spectrum:
     def d(self) -> int:
         return self.theta.size - 1
 
+    @cached_property
+    def kappa(self) -> np.ndarray:
+        """kappa[i] = prod_{j=1..d, j != i} (theta_0 - theta_j) / (theta_i - theta_j); kappa[0] = 1.
+
+        Each pass over j updates every i, in the order of a scalar loop over j.
+        """
+        th = self.theta
+        out = np.ones(th.size)
+        for j in range(1, th.size):
+            for part in (slice(1, j), slice(j + 1, None)):
+                out[part] *= (th[0] - th[j]) / (th[part] - th[j])
+        out.flags.writeable = False
+        return out
+
 
 def inner_product(p, q, sp: Spectrum) -> float:
     """(1/n) sum_i m_i p(theta_i) q(theta_i)."""
@@ -104,19 +119,6 @@ def predistance_polynomials(sp: Spectrum) -> PredistanceSystem:
     return PredistanceSystem(spectrum=sp, values=values, norms=norms)
 
 
-def kappa(sp: Spectrum, i: int) -> float:
-    """prod_{j=1..d, j != i} (theta_0 - theta_j) / (theta_i - theta_j); empty product is 1."""
-    if not 1 <= i <= sp.d:
-        raise ValueError(f"i must be in 1..{sp.d}")
-    th = sp.theta
-    out = 1.0
-    for j in range(1, sp.d + 1):
-        if j == i:
-            continue
-        out *= (th[0] - th[j]) / (th[i] - th[j])
-    return out
-
-
 def lagrange_power_identity(betas, x: float, h: int) -> float:
     """sum_i beta_i^h prod_{k != i} (x - beta_k)/(beta_i - beta_k).
 
@@ -143,4 +145,4 @@ def graph_property_residual(sp: Spectrum, ps: PredistanceSystem, i: int) -> floa
     if not 1 <= i <= sp.d:
         raise ValueError(f"i must be in 1..{sp.d}")
     vd = ps.values[sp.d]
-    return float(kappa(sp, i) + sp.m[i] * vd[i] / vd[0])
+    return float(sp.kappa[i] + sp.m[i] * vd[i] / vd[0])

@@ -116,6 +116,8 @@ class IntersectionTensor:
             kb = k[:, None] * p[:, i, :]
             if not np.array_equal(kb, kb.T):
                 raise ValueError(f"k_k p^k_{{{i}j}} != k_j p^j_{{{i}k}}; not a symmetric scheme")
+        if k.min() < 1:
+            raise ValueError(f"k_{int(np.argmin(k))} = 0: every class must be nonempty")
         p.flags.writeable = False
         object.__setattr__(self, "p", p)
 
@@ -222,10 +224,11 @@ def build_scheme(rm: RelationMatrix) -> AssociationScheme:
     if not np.array_equal(rel, rel.T):
         x, y = np.argwhere(rel != rel.T)[0]
         raise NotSymmetric(int(x), int(y), int(rel[x, y]), int(rel[y, x]))
-    counts = np.bincount(rel.ravel(), minlength=d + 1)
+    # rel.max() <= d; count only the indices that occur, never d + 1 of them
+    counts = np.bincount(rel.ravel())
     absent = np.flatnonzero(counts == 0)
-    if absent.size:
-        raise MissingRelation(int(absent[0]))
+    if absent.size or counts.size <= d:
+        raise MissingRelation(int(absent[0]) if absent.size else counts.size)
 
     p = _tensor_from_representatives(rel, d)
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .poly import Spectrum
 from .scheme_core import AssociationScheme, IntersectionTensor
 
 #: two computed eigenvalues count as equal when their gap is at most this,
@@ -44,6 +45,10 @@ class SpectralData:
     Q: np.ndarray
     theta: np.ndarray
     multiplicities: np.ndarray
+    tie: tuple | None  # descending sorted positions of the highest tied theta pair
+    spectrum: Spectrum | None  # theta and multiplicities; None when theta are tied
+    pq_residual: float  # max |P Q - n I|
+    multiplicity_residual: float  # max |m - round(m)|
 
 
 @dataclass(eq=False)
@@ -55,8 +60,8 @@ class KreinTensor:
 
     def __post_init__(self):
         q = np.asarray(self.q, dtype=float)
-        scale = max(1.0, float(np.abs(q).max()))
-        if np.abs(q - q.transpose(0, 2, 1)).max() > 1e-8 * scale:
+        thr = 1e-8 * max(1.0, abs(float(q.max())), abs(float(q.min())))
+        if any(np.abs(qk - qk.T).max() > thr for qk in q):  # slab by slab: no (d+1)^3 temporary
             raise ValueError("Krein tensor is not symmetric in its lower indices")
         object.__setattr__(self, "q", q)
 
@@ -155,13 +160,14 @@ def spectral_data(t: IntersectionTensor) -> SpectralData:
 
     m = n / (P * P / k[None, :]).sum(axis=1)
     m_round = np.round(m)
-    if np.abs(m - m_round).max() > INTEGRALITY_TOL or m_round.min() < 1 or int(m_round.sum()) != n:
+    m_resid = float(np.abs(m - m_round).max())
+    if m_resid > INTEGRALITY_TOL or m_round.min() < 1 or int(m_round.sum()) != n:
         raise EigenSplitFailure(
             f"multiplicities {m} do not round to positive integers summing to {n}"
         )
 
     Q = np.linalg.solve(P, n * np.eye(d + 1))
-    pq_resid = np.abs(P @ Q - n * np.eye(d + 1)).max()
+    pq_resid = float(np.abs(P @ Q - n * np.eye(d + 1)).max())
     if pq_resid > 1e-7 * n:
         raise EigenSplitFailure(f"P Q = nI fails (residual {pq_resid:.3e})")
     # cross-check against Q_i(l) = m_i P_l(i) / k_l, entrywise
@@ -169,9 +175,15 @@ def spectral_data(t: IntersectionTensor) -> SpectralData:
     if np.abs(Q - Q_alt).max() > 1e-6 * max(1.0, np.abs(Q).max()):
         raise EigenSplitFailure("Q disagrees with m_i P_l(i)/k_l")
 
+    theta = P[:, 1].copy()
+    tied = [b for a, b in eigen_groups(np.sort(theta)) if b - a > 1]
+    tie = (d + 1 - tied[-1], d + 2 - tied[-1]) if tied else None
+    # no tie: singleton groups, so theta falls strictly from k_1 and Spectrum accepts it
+    spectrum = Spectrum(theta=theta.copy(), m=m.copy(), n=n) if tie is None else None
     return SpectralData(
         n=n, d=d, valencies=t.valencies.copy(),
-        P=P, Q=Q, theta=P[:, 1].copy(), multiplicities=m,
+        P=P, Q=Q, theta=theta, multiplicities=m, tie=tie, spectrum=spectrum,
+        pq_residual=pq_resid, multiplicity_residual=m_resid,
     )
 
 

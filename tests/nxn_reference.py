@@ -1,16 +1,16 @@
-"""Test-only n x n references for quantities the library computes in (d+1) coordinates.
+"""Test-only references for quantities the library computes another way.
 
 These are the direct definitions: the Krein parameters as the expansion of
-every entrywise product E_i o E_j of primitive idempotents, and the M*
-product as a chain of dense n x n matrix products.  They cost O(d^3 n^2) and
-O(d n^3), so tests only run them on small or mid-sized schemes.
+every entrywise product E_i o E_j of primitive idempotents, the M* product as
+a chain of dense n x n matrix products, and kappa_i as one scalar product
+loop.  The first two cost O(d^3 n^2) and O(d n^3), so tests only run them on
+small or mid-sized schemes.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from schemex.poly import Spectrum, kappa
 from schemex.spectral import primitive_idempotents
 
 
@@ -32,6 +32,15 @@ def krein_expansion(s, sd, *, residual_tol: float = 1e-8) -> np.ndarray:
     return q
 
 
+def kappa_scalar(theta, i: int) -> float:
+    """prod_{j=1..d, j != i} (theta_0 - theta_j) / (theta_i - theta_j), one factor at a time."""
+    out = 1.0
+    for j in range(1, len(theta)):
+        if j != i:
+            out *= (theta[0] - theta[j]) / (theta[i] - theta[j])
+    return out
+
+
 def mstar_product(s, sd, i: int) -> float:
     """Max-abs entry of prod_{j!=i}(A_1 - theta_j I)/(theta_i - theta_j) - kappa_i E_0 - E_i."""
     th = sd.theta
@@ -42,6 +51,6 @@ def mstar_product(s, sd, i: int) -> float:
         if j == i:
             continue
         M = (A1 - th[j] * eye) @ M / (th[i] - th[j])
-    kap = kappa(Spectrum(theta=sd.theta.copy(), m=sd.multiplicities.copy(), n=sd.n), i)
+    kap = kappa_scalar(sd.theta, i)
     E_i = sd.Q[s.rel, i] / s.n
     return float(np.abs(M - kap / s.n - E_i).max())

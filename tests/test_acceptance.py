@@ -31,7 +31,6 @@ from schemex.graph_tools import (
     spectral_excess_report,
 )
 from schemex.poly import (
-    Spectrum,
     graph_property_residual,
     lagrange_power_identity,
     predistance_polynomials,
@@ -80,10 +79,7 @@ def test_02_cube_spot_values():
     s = generate(FamilySpec("hamming", (3, 2)))
     a = analyze(s)
     sd = a.spectral
-    sp = Spectrum(theta=sd.theta, m=sd.multiplicities, n=sd.n)
-    from schemex.poly import kappa
-
-    kap = np.array([kappa(sp, i) for i in (1, 2, 3)])
+    kap = sd.spectrum.kappa[1:]
     target = -sd.Q[3, 1:]  # -Q_i(3) for i = 1..3
     resid = float(np.abs(kap - target).max())
     ok = (

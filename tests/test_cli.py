@@ -96,6 +96,20 @@ class TestValidate:
     def test_missing_file(self, tmp_path):
         assert main(["validate", str(tmp_path / "nope")]) == EXIT_PARSE
 
+    @pytest.mark.parametrize("command", ["validate", "detect"])
+    def test_oversized_token(self, tmp_path, capsys, command):
+        bad = tmp_path / "huge.scheme"
+        bad.write_text("2 1\n0 1\n1 99999999999999999999999\n")
+        assert main([command, str(bad)]) == EXIT_PARSE
+        assert "PARSE ERROR" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["validate", "detect"])
+    def test_oversized_class_count(self, tmp_path, capsys, command):
+        bad = tmp_path / "huge-d.scheme"
+        bad.write_text("2 99999999999999999999999\n0 1\n1 0\n")
+        assert main([command, str(bad)]) == EXIT_INVALID
+        assert capsys.readouterr().out.startswith("INVALID: relation index 2 never occurs")
+
     def test_wrong_row_count(self, tmp_path):
         bad = tmp_path / "short.scheme"
         bad.write_text("3 1\n0 1 1\n1 0 1\n")

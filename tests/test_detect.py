@@ -12,7 +12,6 @@ from schemex.detect import (
     MultipleL,
     PerronNotSeparated,
     SpectrumNotSimple,
-    _theta_collision,
     YES,
     NO,
     PRECONDITION_FAILED,
@@ -26,7 +25,7 @@ from schemex.detect import (
     tridiagonal_route,
 )
 from schemex.families import FamilySpec, generate
-from schemex.poly import predistance_polynomials, Spectrum
+from schemex.poly import predistance_polynomials
 from schemex.scheme_core import IntersectionTensor, reorder_relations
 from schemex.spectral import KreinTensor, krein_parameters, spectral_data
 
@@ -128,17 +127,19 @@ class TestTridiagonal:
         assert v.verdict == NO
 
     def test_matches_exhaustive_scan(self, scheme_corpus):
+        # tridiagonal_route runs no band check, so a completed chain must
+        # already be a band whichever class plays relation 1: every
+        # relabelling fixing 0 when d <= 4, the corpus labels otherwise
         for name, s, _ in scheme_corpus:
-            mat = s.tensor.p[:, 1, :]
-            got = tridiagonal_route(s.tensor)
-            found = _oracle_chain_orders(
-                mat, s.d, lambda v: v > 0, lambda v: v == 0
-            )
-            assert len(found) <= 1, (name, found)
-            if got.verdict == YES:
-                assert found == [got.ordering], name
-            else:
-                assert found == [], name
+            rests = itertools.permutations(range(1, s.d + 1)) if s.d <= 4 else [range(1, s.d + 1)]
+            for rest in rests:
+                idx = np.array((0, *rest))
+                p = np.empty_like(s.tensor.p)
+                p[np.ix_(idx, idx, idx)] = s.tensor.p
+                got = tridiagonal_route(IntersectionTensor(d=s.d, p=p))
+                found = _oracle_chain_orders(p[:, 1, :], s.d, lambda v: v > 0, lambda v: v == 0)
+                assert len(found) <= 1, (name, rest, found)
+                assert found == ([got.ordering] if got.verdict == YES else []), (name, rest)
 
 
 class TestNStar:
@@ -222,26 +223,20 @@ class TestExcess:
 class TestPredistanceRoute:
     def test_petersen(self):
         sd = spectral_data(_scheme("petersen").tensor)
-        ps = predistance_polynomials(
-            Spectrum(theta=sd.theta, m=sd.multiplicities, n=sd.n)
-        )
+        ps = predistance_polynomials(sd.spectrum)
         v = predistance_route(sd, ps)
         assert (v.verdict, v.l) == (YES, 2)
         assert v.max_residual < 1e-9
 
     def test_cube(self):
         sd = spectral_data(_scheme("hamming", (3, 2)).tensor)
-        ps = predistance_polynomials(
-            Spectrum(theta=sd.theta, m=sd.multiplicities, n=sd.n)
-        )
+        ps = predistance_polynomials(sd.spectrum)
         v = predistance_route(sd, ps)
         assert (v.verdict, v.l) == (YES, 3)
 
     def test_cyclotomic_no(self):
         sd = spectral_data(_scheme("cyclotomic13").tensor)
-        ps = predistance_polynomials(
-            Spectrum(theta=sd.theta, m=sd.multiplicities, n=sd.n)
-        )
+        ps = predistance_polynomials(sd.spectrum)
         v = predistance_route(sd, ps)
         assert v.verdict == NO
 
@@ -271,7 +266,7 @@ class TestMStar:
     def test_matches_nxn_product(self, scheme_corpus):
         for name, s, _ in scheme_corpus:
             sd = spectral_data(s.tensor)
-            if _theta_collision(sd) is not None:
+            if sd.tie is not None:
                 continue
             for i in range(1, s.d + 1):
                 got = mstar_decomposition_residual(s.tensor, sd, i)
@@ -427,8 +422,8 @@ class TestLargeDiameter:
     """Cycles past d = 22, where a monomial (Vandermonde) basis collapses."""
 
     @pytest.mark.parametrize("n", [45, 100, 200])
-    def test_long_cycle_is_metric(self, n):
-        a = analyze(_scheme("cycle", (n,)))
+    def test_long_cycle_is_metric(self, n, cycle_scheme):
+        a = analyze(cycle_scheme(n))
         assert a.report.status == YES
         assert a.report.l == n // 2
         assert a.report.predistance.max_residual < 1e-9
@@ -453,7 +448,7 @@ class TestTensorOnly:
     @staticmethod
     def _stages(t):
         sd = spectral_data(t)
-        ps = predistance_polynomials(Spectrum(theta=sd.theta, m=sd.multiplicities, n=sd.n))
+        ps = predistance_polynomials(sd.spectrum)
         return {
             "P": sd.P, "Q": sd.Q, "m": sd.multiplicities,
             "tridiagonal": tridiagonal_route(t),

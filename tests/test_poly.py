@@ -12,16 +12,16 @@ from schemex.poly import (
     Spectrum,
     graph_property_residual,
     inner_product,
-    kappa,
     lagrange_power_identity,
     predistance_polynomials,
 )
 from schemex.spectral import spectral_data
 
+from nxn_reference import kappa_scalar
+
 
 def _spectrum_of(s):
-    sd = spectral_data(s.tensor)
-    return Spectrum(theta=sd.theta, m=sd.multiplicities, n=sd.n)
+    return spectral_data(s.tensor).spectrum
 
 
 def _spectrum(family, params=()):
@@ -142,15 +142,32 @@ class TestTopValueClosedForm:
 class TestKappa:
     def test_single_class(self):
         sp = Spectrum(theta=np.array([1.0, -1.0]), m=np.array([1.0, 1.0]), n=2)
-        assert kappa(sp, 1) == pytest.approx(1.0)
+        assert sp.kappa[1] == pytest.approx(1.0)
 
     def test_cube(self):
-        got = [kappa(CUBE, i) for i in (1, 2, 3)]
-        assert np.allclose(got, [3.0, -3.0, 1.0], atol=1e-12)
+        assert np.allclose(CUBE.kappa, [1.0, 3.0, -3.0, 1.0], atol=1e-12)
 
     def test_petersen(self):
-        got = [kappa(PETERSEN, i) for i in (1, 2)]
-        assert np.allclose(got, [5.0 / 3.0, -2.0 / 3.0], atol=1e-12)
+        assert np.allclose(PETERSEN.kappa, [1.0, 5.0 / 3.0, -2.0 / 3.0], atol=1e-12)
+
+    def test_cached_and_read_only(self):
+        kap = CUBE.kappa
+        assert CUBE.kappa is kap
+        with pytest.raises(ValueError):
+            kap[1] = 0.0
+
+    def test_bit_identical_to_scalar_loop(self, scheme_corpus, cycle_scheme):
+        schemes = [(name, s) for name, s, _ in scheme_corpus]
+        schemes += [(f"cycle({n})", cycle_scheme(n)) for n in (44, 100, 200)]
+        checked = 0
+        for name, s in schemes:
+            sp = spectral_data(s.tensor).spectrum
+            if sp is None:  # tied theta: no kappa
+                continue
+            ref = [1.0] + [kappa_scalar(sp.theta, i) for i in range(1, sp.d + 1)]
+            assert sp.kappa.tolist() == ref, name
+            checked += 1
+        assert checked == len(schemes) - 2  # all but the two tied corpus entries
 
     def test_sums_to_one_minus_kappa0_style_identity(self):
         # kappa_i interpolates x -> prod (x - theta_j); at theta_0 the Lagrange

@@ -233,6 +233,25 @@ def test_tensor_rejects_non_identity_relation_zero():
             IntersectionTensor(d=d, p=p)
 
 
+def test_tensor_rejects_empty_class():
+    # K_2 plus a class of valency 0: every other identity holds with n = 2
+    p = np.zeros((3, 3, 3), dtype=np.int64)
+    p[0] = np.diag([1, 1, 0])
+    p[:, 0, :] = p[:, :, 0] = np.eye(3, dtype=np.int64)
+    p[2, 1, 1] = 1
+    with pytest.raises(ValueError, match="k_2 = 0: every class must be nonempty"):
+        IntersectionTensor(d=2, p=p)
+
+
+def test_missing_relation_ignores_an_absurd_class_count():
+    # the check counts only the indices that occur, never d + 1 of them
+    rel = _cycle_rel(5)
+    for d in (10**18, 10**30):
+        with pytest.raises(MissingRelation) as info:
+            build_scheme(RelationMatrix(n=5, d=d, rel=rel))
+        assert info.value.i == 3
+
+
 @pytest.mark.parametrize("family,params", SMALL)
 def test_tensor_invariants(family, params):
     s = generate(FamilySpec(family, params))

@@ -7,6 +7,7 @@ import pytest
 
 from schemex.families import FamilySpec, generate
 from schemex.spectral import (
+    KreinTensor,
     krein_parameters,
     primitive_idempotents,
     spectral_data,
@@ -164,8 +165,8 @@ class TestKrein:
             assert np.abs(q - ref).max() <= 1e-10 * max(1.0, np.abs(ref).max()), name
 
 
-def test_spectral_data_builds_no_cubic_array():
-    t = generate(FamilySpec("cycle", (100,))).tensor
+def test_spectral_data_builds_no_cubic_array(cycle_scheme):
+    t = cycle_scheme(100).tensor
     one_cube = (t.d + 1) ** 3 * np.dtype(np.float64).itemsize
     tracemalloc.start()
     try:
@@ -174,3 +175,26 @@ def test_spectral_data_builds_no_cubic_array():
     finally:
         tracemalloc.stop()
     assert peak < one_cube, f"spectral_data peaked at {peak} bytes, (d+1)^3 float64 is {one_cube}"
+
+
+def test_krein_parameters_hold_two_cubic_arrays(cycle_scheme):
+    # the closed form holds the pair products and the tensor; the symmetry
+    # check in KreinTensor works one (d+1)^2 slab at a time and adds no third
+    sd = spectral_data(cycle_scheme(200).tensor)
+    one_cube = (sd.d + 1) ** 3 * np.dtype(np.float64).itemsize
+    tracemalloc.start()
+    try:
+        krein_parameters(sd)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.05 * one_cube, f"krein_parameters peaked at {peak / one_cube:.3f} (d+1)^3 arrays"
+
+
+def test_krein_tensor_rejects_asymmetric_slab():
+    q = np.zeros((3, 3, 3))
+    q[2, 0, 1] = 1.0  # q^2_{01} != q^2_{10}
+    with pytest.raises(ValueError, match="not symmetric in its lower indices"):
+        KreinTensor(d=2, q=q)
+    q[2, 1, 0] = 1.0 + 1e-9  # within 1e-8 of the scale
+    KreinTensor(d=2, q=q)

@@ -1,10 +1,12 @@
-"""eigen_groups is the one owner of eigenvalue equality."""
+"""eigen_groups is the one owner of eigenvalue equality, and spectral_data decides the spectrum once."""
 
 from __future__ import annotations
 
 import ast
+import functools
 import importlib
 import inspect
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import schemex
-from schemex.detect import _theta_collision
+from schemex.detect import analyze
 from schemex.poly import Spectrum
 from schemex.spectral import EIG_GROUP_RTOL, eigen_groups, spectral_data
 
@@ -45,11 +47,38 @@ def test_collision_iff_tied_group(scheme_corpus):
     for name, s, _ in scheme_corpus:
         sd = spectral_data(s.tensor)
         simple = all(b - a == 1 for a, b in eigen_groups(np.sort(sd.theta)))
-        assert (_theta_collision(sd) is None) == simple, name
-        if simple:  # what analyze relies on to build the predistance system
-            Spectrum(theta=sd.theta, m=sd.multiplicities, n=sd.n)
+        assert (sd.tie is None) == simple, name
+        assert (sd.spectrum is not None) == simple, name
+        if simple:  # a copy: the Spectrum does not alias the eigenmatrix data
+            assert np.array_equal(sd.spectrum.theta, sd.theta)
+            assert np.array_equal(sd.spectrum.m, sd.multiplicities)
+            assert not np.shares_memory(sd.spectrum.theta, sd.theta)
         seen.add(simple)
     assert seen == {True, False}
+
+
+def test_analyze_decides_the_spectrum_once(monkeypatch, cycle_scheme):
+    s = cycle_scheme(100)
+    counts = Counter()
+
+    def counted(key, fn):
+        def wrapper(*args):
+            counts[key] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(Spectrum, "__post_init__", counted("Spectrum", Spectrum.__post_init__))
+    groups = counted("eigen_groups", eigen_groups)
+    for modname in ("schemex.spectral", "schemex.detect"):
+        monkeypatch.setattr(importlib.import_module(modname), "eigen_groups", groups)
+    kappa = functools.cached_property(counted("kappa", Spectrum.__dict__["kappa"].func))
+    kappa.__set_name__(Spectrum, "kappa")
+    monkeypatch.setattr(Spectrum, "kappa", kappa)
+
+    a = analyze(s)
+    assert a.report.status == "yes" and s.d == 50
+    # eigen_groups: split S_1, key the theta, find the tie
+    assert counts == {"Spectrum": 1, "eigen_groups": 3, "kappa": 1}
 
 
 def test_no_tolerance_knobs():
@@ -64,32 +93,54 @@ def test_no_tolerance_knobs():
             assert not params & {"eig_rtol", "match_rtol"}, f"{modname}.{f.__qualname__}"
 
 
-class _Readers(ast.NodeVisitor):
-    """(module, enclosing function) of every read of EIG_GROUP_RTOL."""
+class _Uses(ast.NodeVisitor):
+    """(module, enclosing function) of every node that ``hit`` accepts."""
 
-    def __init__(self, module):
-        self.module, self.stack, self.found = module, ["<module>"], []
+    def __init__(self, module, hit):
+        self.module, self.hit, self.stack, self.found = module, hit, ["<module>"], []
 
     def visit_FunctionDef(self, node):
         self.stack.append(node.name)
         self.generic_visit(node)
         self.stack.pop()
 
-    def visit_Name(self, node):
-        if node.id == "EIG_GROUP_RTOL" and isinstance(node.ctx, ast.Load):
+    def generic_visit(self, node):
+        if self.hit(node):
             self.found.append((self.module, self.stack[-1]))
+        super().generic_visit(node)
 
-    def visit_Attribute(self, node):
-        if node.attr == "EIG_GROUP_RTOL":
-            self.found.append((self.module, self.stack[-1]))
-        self.generic_visit(node)
+
+def _uses_in_src(hit):
+    found = []
+    for path in sorted(Path(schemex.__file__).parent.glob("*.py")):
+        v = _Uses(path.stem, hit)
+        v.visit(ast.parse(path.read_text(encoding="utf-8")))
+        found += v.found
+    return sorted(found)
+
+
+def _name(node):
+    """The identifier a Name or Attribute node refers to, else None."""
+    if isinstance(node, ast.Name):
+        return node.id
+    return node.attr if isinstance(node, ast.Attribute) else None
 
 
 def test_eig_group_rtol_has_one_reader():
-    found = []
-    for path in sorted(Path(schemex.__file__).parent.glob("*.py")):
-        v = _Readers(path.stem)
-        v.visit(ast.parse(path.read_text(encoding="utf-8")))
-        found += v.found
+    def reads(node):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+            return False
+        return _name(node) == "EIG_GROUP_RTOL"
+
     # eigen_groups decides; cli._report_json only records the value in its "tol" block
-    assert sorted(found) == [("cli", "_report_json"), ("spectral", "eigen_groups")]
+    assert _uses_in_src(reads) == [("cli", "_report_json"), ("spectral", "eigen_groups")]
+
+
+def test_spectrum_is_built_in_two_places():
+    def builds(node):
+        return isinstance(node, ast.Call) and _name(node.func) == "Spectrum"
+
+    # a scheme's Spectrum comes from spectral_data, a graph's from graph_spectrum
+    assert _uses_in_src(builds) == [
+        ("graph_tools", "graph_spectrum"), ("spectral", "spectral_data"),
+    ]
