@@ -4,6 +4,9 @@ A scheme on n points with d classes is stored as an n x n matrix of relation
 indices.  Every count is exact: the intersection tensor is counted in
 integers, and the validation products run as float32 GEMMs whose entries are
 integers small enough for float32 to hold exactly (see :func:`build_scheme`).
+Validation checks the products A_i A_j row by row and stops once a verified
+relation generates the Bose-Mesner algebra, which proves the unchecked
+products constant (see :func:`_generates_algebra`).
 """
 
 from __future__ import annotations
@@ -56,6 +59,10 @@ class PermMovesZero(ValueError):
         super().__init__(f"relabelling {tuple(perm)} must fix the identity relation 0")
 
 
+# relation indices are stored as uint16
+_MAX_INDEX = np.iinfo(np.uint16).max
+
+
 @dataclass(frozen=True, eq=False)
 class RelationMatrix:
     """Raw input: n points, d non-identity classes, and the n x n index matrix.
@@ -79,8 +86,12 @@ class RelationMatrix:
             raise ValueError(f"relation matrix has shape {rel.shape}, expected {(self.n, self.n)}")
         if not np.issubdtype(rel.dtype, np.integer):
             raise ValueError("relation matrix must be integer valued")
-        if rel.size and (rel.min() < 0 or rel.max() > self.d):
-            raise ValueError(f"relation indices must lie in 0..{self.d}")
+        if rel.size:
+            lo, hi = int(rel.min()), int(rel.max())
+            if lo < 0 or hi > self.d:
+                raise ValueError(f"relation indices must lie in 0..{self.d}")
+            if hi > _MAX_INDEX:
+                raise ValueError(f"relation index {hi} exceeds {_MAX_INDEX}, the largest index stored")
         rel = np.ascontiguousarray(rel.astype(np.uint16))
         rel.flags.writeable = False
         object.__setattr__(self, "rel", rel)
@@ -160,10 +171,10 @@ def _tensor_from_representatives(rel: np.ndarray, d: int) -> np.ndarray:
     n = rel.shape[0]
     m = d + 1
     p = np.zeros((m, m, m), dtype=np.int64)
-    flat = rel.ravel()
+    # every class occurs; the stable sort gives each one's row-major first pair
+    _, first = np.unique(rel.ravel(), return_index=True)
     for k in range(m):
-        pos = np.flatnonzero(flat == k)
-        x, y = divmod(int(pos[0]), n)
+        x, y = divmod(int(first[k]), n)
         key = rel[x, :].astype(np.int64) * m + rel[:, y]
         p[k] = np.bincount(key, minlength=m * m).reshape(m, m)
     return p
@@ -204,13 +215,53 @@ def _check_products_constant(rel, p, a_i, a_j, i, j):
     )
 
 
+def _generates_algebra(p, i):
+    """True if A_i provably generates the span V of A_0..A_d.
+
+    Call it only once every product A_i A_j, j = 0..d, is verified constant on
+    the classes.  Then A_i A_j = sum_k p[k, i, j] A_k, so multiplication by
+    A_i maps V into V with matrix B_i = p[:, i, :] in the basis A_0..A_d, and
+    A_i^h = sum_k (B_i^h e_0)_k A_k.  B_i is non-negative, so (B_i^h e_0)_k > 0
+    exactly when the support graph of B_i (j -> k when p[k, i, j] > 0) has a
+    walk of length h from class 0 to class k.
+
+    The test: breadth-first search from class 0 puts exactly one class c_h on
+    each level h = 0..d.  Then B_i^h e_0 is positive on c_h and zero on
+    c_{h+1}..c_d, so the d+1 vectors B_i^h e_0 are triangular with positive
+    pivots and I, A_i, ..., A_i^d span V.  With A_i V in V this gives
+    V = C[A_i], a commutative algebra (Bannai-Ito 1984, III.1;
+    Brouwer-Cohen-Neumaier 1989, 2.1).  So every product A_a A_b lies in V,
+    that is, it is constant on each class, with the coefficients p[:, a, b]
+    counted at the representative pairs.  The test holds exactly when
+    relation i is the distance-1 relation of a metric ordering, c_0..c_d.
+    """
+    m = p.shape[0]
+    seen = np.zeros(m, dtype=bool)
+    seen[0] = True
+    c = 0
+    for _ in range(m - 1):
+        level = np.flatnonzero((p[:, i, c] > 0) & ~seen)
+        if level.size != 1:
+            return False
+        c = int(level[0])
+        seen[c] = True
+    return True
+
+
 def build_scheme(rm: RelationMatrix) -> AssociationScheme:
     """Validate the scheme axioms and compute the intersection tensor.
 
-    Validation is exhaustive: for every pair of classes 1 <= i <= j <= d the
-    product A_i A_j is checked to be constant on each class.  The products
-    are float32 GEMMs, exact for n < 2**24; at most two class indicators are
-    held at a time, so memory stays O(n^2) whatever d is.
+    The products A_i A_j, 1 <= i <= j <= d, are checked to be constant on
+    each class, row by row in i.  Once row i has passed, every A_i A_j is
+    verified (rows before i covered j < i, as A_i A_j = (A_j A_i)^T); if then
+    A_i generates the algebra (:func:`_generates_algebra`), every unchecked
+    product is constant by proof and validation stops.  On a metric scheme
+    ordered by distance that is after row 1: d products, not d(d+1)/2.  A
+    failure after the stopping point is impossible, so every input gets the
+    same verdict and the same :class:`NotConstant` witness as the full scan.
+
+    The products are float32 GEMMs, exact for n < 2**24; at most two class
+    indicators are held at a time, so memory stays O(n^2) whatever d is.
     """
     rel, n, d = rm.rel, rm.n, rm.d
     if n >= _FLOAT32_EXACT:
@@ -237,6 +288,8 @@ def build_scheme(rm: RelationMatrix) -> AssociationScheme:
         for j in range(i, d + 1):
             a_j = a_i if j == i else (rel == j).astype(np.float32)
             _check_products_constant(rel, p, a_i, a_j, i, j)
+        if _generates_algebra(p, i):
+            break
 
     return AssociationScheme(n=n, d=d, rel=rel, tensor=IntersectionTensor(d=d, p=p))
 

@@ -22,5 +22,5 @@ def corpus_analyses(scheme_corpus):
 
 @pytest.fixture(scope="session")
 def cycle_scheme():
-    """cycle(n) -> its validated scheme, built once per session (cycle(200) takes seconds)."""
+    """cycle(n) -> its validated scheme, built once per session."""
     return functools.cache(lambda n: generate(FamilySpec("cycle", (n,))))

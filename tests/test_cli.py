@@ -110,6 +110,13 @@ class TestValidate:
         assert main([command, str(bad)]) == EXIT_INVALID
         assert capsys.readouterr().out.startswith("INVALID: relation index 2 never occurs")
 
+    def test_index_past_uint16(self, tmp_path, capsys):
+        bad = tmp_path / "wide.scheme"
+        bad.write_text("2 65537\n0 65537\n65537 0\n")
+        assert main(["validate", str(bad)]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("PARSE ERROR") and "relation index 65537" in err
+
     def test_wrong_row_count(self, tmp_path):
         bad = tmp_path / "short.scheme"
         bad.write_text("3 1\n0 1 1\n1 0 1\n")

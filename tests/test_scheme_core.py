@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from schemex import scheme_core
 from schemex.families import FamilySpec, generate
 from schemex.scheme_core import (
     DiagonalNotZero,
@@ -41,6 +42,11 @@ class TestRelationMatrix:
     def test_rejects_float_matrix(self):
         with pytest.raises(ValueError):
             RelationMatrix(n=2, d=1, rel=np.array([[0.0, 1.0], [1.0, 0.0]]))
+
+    def test_rejects_index_past_uint16(self):
+        # indices are stored as uint16; 65537 must not wrap to 1
+        with pytest.raises(ValueError, match="relation index 65537 exceeds 65535"):
+            RelationMatrix(n=2, d=65537, rel=[[0, 65537], [65537, 0]])
 
     def test_is_read_only(self):
         rm = RelationMatrix(n=5, d=2, rel=_cycle_rel(5))
@@ -148,11 +154,13 @@ SMALL_SOURCES = [("cycle", (n,)) for n in range(7, 13)] + [
     ("hamming", (2, 3)), ("hamming", (3, 2)), ("johnson", (5, 2)), ("petersen", ()),
     ("disjoint_cliques", (4, 3)),
 ]
+# larger metric sources, where validation stops after row 1 of the scan
+METRIC_SOURCES = [("cycle", (30,)), ("hamming", (4, 3)), ("johnson", (8, 3))]
 
 
 def test_validation_witnesses_match_integer_reference():
     rng = np.random.default_rng(20261017)
-    sources = [generate(FamilySpec(f, params)) for f, params in SMALL_SOURCES]
+    sources = [generate(FamilySpec(f, params)) for f, params in SMALL_SOURCES + METRIC_SOURCES]
     failing_pairs = set()
     for trial in range(400):
         if trial % 2:
@@ -174,6 +182,82 @@ def test_validation_witnesses_match_integer_reference():
         err = info.value
         assert (err.i, err.j, err.k, err.witness_lo, err.witness_hi) == witness
     assert len(failing_pairs) >= 3
+
+
+def _blow_up(rel_t, s):
+    """Replace each point of rel_t by a clique of s points, which is class 1.
+
+    Class 1 + c joins points whose cliques are in class c of rel_t.  Every
+    product A_1 A_j is then constant on the classes, whatever rel_t is, while
+    A_1 spans only I and A_1 with its powers; so when rel_t is not a scheme,
+    validation passes row 1 and must fail in a later row.
+    """
+    b = np.repeat(np.arange(rel_t.shape[0]), s)
+    rel = 1 + rel_t[np.ix_(b, b)]
+    rel[b[:, None] == b[None, :]] = 1
+    np.fill_diagonal(rel, 0)
+    return rel
+
+
+def test_perturbed_blow_ups_fail_after_row_one():
+    rng = np.random.default_rng(20261018)
+    sources = [generate(FamilySpec(f, params)) for f, params in SMALL_SOURCES]
+    for _ in range(60):
+        src = sources[int(rng.integers(len(sources)))]
+        rel = _blow_up(_perturbed_scheme(rng, src), int(rng.integers(2, 4)))
+        _tensor, witness = _reference_validation(rel, src.d + 1)
+        assert witness is not None and witness[0] >= 2
+        with pytest.raises(NotConstant) as info:
+            build_scheme(RelationMatrix(n=rel.shape[0], d=src.d + 1, rel=rel))
+        err = info.value
+        assert (err.i, err.j, err.k, err.witness_lo, err.witness_hi) == witness
+
+
+# (family, params, products A_i A_j checked); the full scan checks d(d+1)/2
+PRODUCT_CHECKS = [
+    ("cycle", (100,), 50),                        # stops after row 1
+    ("hamming", (6, 3), 6),
+    ("johnson", (12, 4), 4),
+    ("hypercube_reordered", (0, 2, 1, 3), 5),     # relation 2 is distance 1: row 2
+    ("cyclotomic13", (), 6),                      # not metric: full scan
+    ("disjoint_cliques", (4, 3), 3),
+]
+
+
+@pytest.mark.parametrize("family,params,checks", PRODUCT_CHECKS)
+def test_validation_stops_once_a_relation_generates(monkeypatch, family, params, checks):
+    s = generate(FamilySpec(family, params))
+    calls = []
+    check = scheme_core._check_products_constant
+
+    def spy(rel, p, a_i, a_j, i, j):
+        calls.append((i, j))
+        return check(rel, p, a_i, a_j, i, j)
+
+    monkeypatch.setattr(scheme_core, "_check_products_constant", spy)
+    rebuilt = build_scheme(RelationMatrix(n=s.n, d=s.d, rel=np.asarray(s.rel)))
+    assert len(calls) == checks
+    assert np.array_equal(rebuilt.tensor.p, s.tensor.p)
+
+
+def _cycle_band(d):
+    """B_1 of the cycle on 2d points: b_0 = c_d = 2, b_j = c_j = 1 for 0 < j < d, a_j = 0."""
+    upper = np.r_[2, np.ones(d - 1, dtype=np.int64)]
+    lower = np.r_[np.ones(d - 1, dtype=np.int64), 2]
+    return np.diag(upper, 1) + np.diag(lower, -1)
+
+
+def test_cycle400_builds_with_its_band(cycle_scheme):
+    s = cycle_scheme(400)
+    assert s.d == 200
+    assert np.array_equal(s.tensor.p[:, 1, :], _cycle_band(200))
+
+
+@pytest.mark.slow
+def test_cycle1000_builds_with_its_band():
+    s = generate(FamilySpec("cycle", (1000,)))
+    assert s.d == 500
+    assert np.array_equal(s.tensor.p[:, 1, :], _cycle_band(500))
 
 
 def test_corpus_tensors_match_integer_reference(scheme_corpus):
