@@ -1,7 +1,9 @@
 """Command line: validate scheme files, run detection, generate families, analyze graphs.
 
-Exit codes: 0 ok/yes, 1 parse error, 2 axiom violation, 3 verdict no,
-4 precondition failed (or graph irregular, disconnected or under 2 vertices), 5 route disagreement.
+Commands read, compute and print; only :func:`main` maps failures to exit codes:
+0 ok/yes, 1 unreadable input (PARSE ERROR) or bad gen parameters or unwritable output (ERROR),
+2 axiom violation (INVALID), 3 verdict no, 4 precondition failed or graph irregular,
+disconnected or under 2 vertices (NOT APPLICABLE), 5 route disagreement.
 """
 
 from __future__ import annotations
@@ -36,49 +38,58 @@ EXIT_DISAGREE = 5
 _STATUS_EXIT = {"yes": EXIT_OK, "no": EXIT_NO, "precondition-failed": EXIT_PRECONDITION}
 
 
+class InputError(ValueError):
+    """An input file or tolerance could not be read or parsed."""
+
+
+def _read_ints(path, header: str):
+    """A file of integers: the two header values by int(), whatever their size, then the
+    rest as int64 (numpy accepts the tokens int() accepts, and overflows past int64)."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            tokens = fh.read().split()
+    except (OSError, ValueError) as e:  # ValueError: a UnicodeDecodeError
+        raise InputError(str(e)) from None
+    if len(tokens) < 2:
+        raise InputError(f"{path}: missing '{header}' header")
+    try:
+        return int(tokens[0]), int(tokens[1]), np.array(tokens[2:], dtype=np.int64)
+    except ValueError as e:
+        raise InputError(f"{path}: non-integer token ({e})") from None
+    except OverflowError:
+        raise InputError(f"{path}: integer token out of int64 range") from None
+
+
 def _read_scheme_file(path) -> RelationMatrix:
     """Text format: a header line "n d", then n rows of n relation indices."""
-    with open(path, "r", encoding="utf-8") as fh:
-        tokens = fh.read().split()
-    if len(tokens) < 2:
-        raise ValueError(f"{path}: missing 'n d' header")
+    n, d, body = _read_ints(path, "n d")
+    if n < 1 or body.size != n * n:
+        raise InputError(f"{path}: expected {n}x{n} entries after the header, got {body.size}")
     try:
-        values = [int(tok) for tok in tokens]
+        return RelationMatrix(n=n, d=d, rel=body.reshape(n, n))
     except ValueError as e:
-        raise ValueError(f"{path}: non-integer token ({e})") from None
-    n, d = values[0], values[1]
-    body = values[2:]
-    if n < 1 or len(body) != n * n:
-        raise ValueError(f"{path}: expected {n}x{n} entries after the header, got {len(body)}")
-    try:
-        rel = np.array(body, dtype=np.int64).reshape(n, n)
-    except OverflowError:
-        raise ValueError(f"{path}: relation index out of range 0..{d}") from None
-    return RelationMatrix(n=n, d=d, rel=rel)
+        raise InputError(str(e)) from None
 
 
 def write_scheme_file(s: AssociationScheme, fh) -> None:
     fh.write(f"{s.n} {s.d}\n")
-    for row in np.asarray(s.rel):
-        fh.write(" ".join(str(int(v)) for v in row) + "\n")
+    np.savetxt(fh, s.rel, fmt="%d")
 
 
 def _read_edge_file(path) -> Graph:
     """Text format: a header line "n m", then m lines "u v" (0-indexed)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        tokens = fh.read().split()
+    n, m, body = _read_ints(path, "n m")
+    if body.size != 2 * m:
+        raise InputError(f"{path}: expected {m} edges, got {body.size // 2}")
     try:
-        values = [int(tok) for tok in tokens]
-    except ValueError as e:
-        raise ValueError(f"{path}: non-integer token ({e})") from None
-    if len(values) < 2:
-        raise ValueError(f"{path}: missing 'n m' header")
-    n, m = values[0], values[1]
-    body = values[2:]
-    if len(body) != 2 * m:
-        raise ValueError(f"{path}: expected {m} edges, got {len(body) // 2}")
-    edges = list(zip(body[0::2], body[1::2]))
-    return Graph.from_edges(n, edges)
+        return Graph.from_edges(n, body.reshape(m, 2).tolist())
+    except (ValueError, MemoryError) as e:  # MemoryError: no room for the n x n matrix
+        raise InputError(str(e)) from None
+
+
+def _write_json(path, payload: dict) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(_round12(payload), indent=2, sort_keys=True) + "\n")
 
 
 def _tol_from(args) -> float:
@@ -92,10 +103,10 @@ def _tol_from(args) -> float:
         try:
             tol = float(env)
         except ValueError:
-            raise ValueError(f"SCHEMEX_TOL = {env!r} is not a number") from None
+            raise InputError(f"SCHEMEX_TOL = {env!r} is not a number") from None
         source = "SCHEMEX_TOL"
     if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"{source} = {tol!r} is not a finite number > 0")
+        raise InputError(f"{source} = {tol!r} is not a finite number > 0")
     return tol
 
 
@@ -113,16 +124,8 @@ def _round12(obj):
 
 
 def cmd_validate(args) -> int:
-    try:
-        rm = _read_scheme_file(args.path)
-    except (OSError, ValueError) as e:
-        print(f"PARSE ERROR: {e}", file=sys.stderr)
-        return EXIT_PARSE
-    try:
-        build_scheme(rm)
-    except SchemeValidationError as e:
-        print(f"INVALID: {e}")
-        return EXIT_INVALID
+    rm = _read_scheme_file(args.path)
+    build_scheme(rm)
     print(f"VALID n={rm.n} d={rm.d}")
     return EXIT_OK
 
@@ -157,27 +160,11 @@ def _report_json(a, tol) -> dict:
 
 
 def cmd_detect(args) -> int:
-    try:
-        tol = _tol_from(args)
-        rm = _read_scheme_file(args.path)
-    except (OSError, ValueError) as e:
-        print(f"PARSE ERROR: {e}", file=sys.stderr)
-        return EXIT_PARSE
-    try:
-        s = build_scheme(rm)
-    except SchemeValidationError as e:
-        print(f"INVALID: {e}")
-        return EXIT_INVALID
-    try:
-        a = analyze(s, base_tol=tol)
-    except RouteDisagreement as e:
-        print(f"ROUTE DISAGREEMENT: {e}")
-        return EXIT_DISAGREE
+    tol = _tol_from(args)
+    a = analyze(build_scheme(_read_scheme_file(args.path)), base_tol=tol)
     rep = a.report
     if args.json:
-        payload = json.dumps(_round12(_report_json(a, tol)), indent=2, sort_keys=True)
-        with open(args.json, "w", encoding="utf-8") as fh:
-            fh.write(payload + "\n")
+        _write_json(args.json, _report_json(a, tol))
     print(f"n={rep.n} d={rep.d} valencies={list(rep.valencies)}")
     routes = " ".join(f"{name}={v.verdict}" for name, v in rep.routes().items())
     print(f"routes: {routes}")
@@ -187,11 +174,7 @@ def cmd_detect(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    try:
-        s = generate(FamilySpec(args.family, tuple(args.params)))
-    except ParamOutOfRange as e:
-        print(f"ERROR: {e}", file=sys.stderr)
-        return EXIT_PARSE
+    s = generate(FamilySpec(args.family, tuple(args.params)))
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             write_scheme_file(s, fh)
@@ -205,16 +188,7 @@ def _fmt_theta(x: float) -> str:
 
 
 def cmd_graph(args) -> int:
-    try:
-        g = _read_edge_file(args.path)
-    except (OSError, ValueError) as e:
-        print(f"PARSE ERROR: {e}", file=sys.stderr)
-        return EXIT_PARSE
-    try:
-        rep = spectral_excess_report(g)
-    except (NotRegular, Disconnected, TooFewVertices) as e:
-        print(f"NOT APPLICABLE: {e}")
-        return EXIT_PRECONDITION
+    rep = spectral_excess_report(_read_edge_file(args.path))
     sp = rep.spectrum
     spec_str = " ".join(
         f"{_fmt_theta(t)}^{int(m)}" for t, m in zip(sp.theta, sp.m)
@@ -228,7 +202,7 @@ def cmd_graph(args) -> int:
     if rep.witness:
         print(f"witness: {rep.witness}")
     if args.json:
-        payload = {
+        _write_json(args.json, {
             "n": rep.n, "k": rep.degree, "d": rep.d, "diameter": rep.diameter,
             "theta": sp.theta.tolist(), "multiplicities": sp.m.tolist(),
             "pd_theta0": rep.pd_theta0,
@@ -236,9 +210,7 @@ def cmd_graph(args) -> int:
             "excess_mean": rep.excess_mean,
             "excess_harmonic_mean": rep.excess_harmonic_mean,
             "drg": rep.drg, "witness": rep.witness,
-        }
-        with open(args.json, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(_round12(payload), indent=2, sort_keys=True) + "\n")
+        })
     return EXIT_OK if rep.drg else EXIT_NO
 
 
@@ -275,8 +247,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; the only place a failure becomes an exit code."""
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except InputError as e:
+        print(f"PARSE ERROR: {e}", file=sys.stderr)
+        return EXIT_PARSE
+    except SchemeValidationError as e:
+        print(f"INVALID: {e}")
+        return EXIT_INVALID
+    except RouteDisagreement as e:
+        print(f"ROUTE DISAGREEMENT: {e}")
+        return EXIT_DISAGREE
+    except (NotRegular, Disconnected, TooFewVertices) as e:
+        print(f"NOT APPLICABLE: {e}")
+        return EXIT_PRECONDITION
+    except (ParamOutOfRange, OSError) as e:  # OSError: an output file; inputs raise InputError
+        print(f"ERROR: {e}", file=sys.stderr)
+        return EXIT_PARSE
 
 
 if __name__ == "__main__":

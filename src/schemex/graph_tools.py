@@ -17,10 +17,6 @@ class Disconnected(ValueError):
         super().__init__(f"graph is disconnected ({components} components)")
 
 
-class NotRegular(ValueError):
-    pass
-
-
 class TooFewVertices(ValueError):
     pass
 
@@ -29,42 +25,43 @@ class NotDistanceRegular(ValueError):
     pass
 
 
+class NotRegular(NotDistanceRegular):
+    """Vertex degrees differ, so the graph is not distance-regular either."""
+
+
 @dataclass(frozen=True, eq=False)
 class Graph:
-    """Simple undirected graph as an adjacency list."""
+    """Simple undirected graph as its read-only bool adjacency matrix."""
 
     n: int
-    adj: tuple
+    adj: np.ndarray
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
         if n < 1:
             raise ValueError("graph needs at least one vertex")
-        nbrs = [set() for _ in range(n)]
+        adj = np.zeros((n, n), dtype=bool)
         for u, v in edges:
             u, v = int(u), int(v)
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) out of range 0..{n - 1}")
             if u == v:
                 raise ValueError(f"loop at vertex {u}")
-            if v in nbrs[u]:
+            if adj[u, v]:
                 raise ValueError(f"duplicate edge ({u},{v})")
-            nbrs[u].add(v)
-            nbrs[v].add(u)
-        return cls(n=n, adj=tuple(tuple(sorted(s)) for s in nbrs))
+            adj[u, v] = adj[v, u] = True
+        adj.flags.writeable = False
+        return cls(n=n, adj=adj)
 
     @property
     def degrees(self):
-        return tuple(len(a) for a in self.adj)
+        return tuple(self.adj.sum(axis=1).tolist())
 
     def edge_count(self) -> int:
         return sum(self.degrees) // 2
 
     def adjacency_matrix(self) -> np.ndarray:
-        A = np.zeros((self.n, self.n), dtype=bool)
-        for u, nbrs in enumerate(self.adj):
-            A[u, list(nbrs)] = True
-        return A
+        return self.adj
 
 
 @dataclass(eq=False)
@@ -118,7 +115,7 @@ def _seidel_distances(a: np.ndarray) -> np.ndarray:
 def distance_data(g: Graph) -> DistanceData:
     """All-pairs distances; raises Disconnected with the component count."""
     n = g.n
-    dist = _seidel_distances(g.adjacency_matrix())
+    dist = _seidel_distances(g.adj)
     diameter = int(dist.max())
     rows = np.arange(n)[:, None] * (diameter + 1)
     gamma = np.bincount((dist + rows).ravel(), minlength=n * (diameter + 1))
@@ -134,7 +131,7 @@ def graph_spectrum(g: Graph) -> Spectrum:
     degs = g.degrees
     if len(set(degs)) != 1:
         raise NotRegular(f"degrees range over {sorted(set(degs))}")
-    w = np.linalg.eigvalsh(g.adjacency_matrix().astype(float))
+    w = np.linalg.eigvalsh(g.adj.astype(float))
     groups = eigen_groups(w)[::-1]
     theta = np.array([float(w[a:b].mean()) for a, b in groups])
     mult = np.array([b - a for a, b in groups], dtype=float)
@@ -146,9 +143,17 @@ def graph_spectrum(g: Graph) -> Spectrum:
     return Spectrum(theta=theta, m=mult, n=g.n)
 
 
-def _distance_scheme(g: Graph, dd: DistanceData) -> AssociationScheme:
+def _drg_scheme(g: Graph, dd: DistanceData, d: int) -> AssociationScheme:
+    """The distance scheme of g, which must validate and have diameter d (distinct
+    eigenvalues minus one); else NotDistanceRegular with the witness."""
     rm = RelationMatrix(n=g.n, d=dd.diameter, rel=dd.dist.astype(np.uint16))
-    return build_scheme(rm)
+    try:
+        s = build_scheme(rm)
+    except SchemeValidationError as e:
+        raise NotDistanceRegular(str(e)) from e
+    if dd.diameter != d:
+        raise NotDistanceRegular(f"distance partition validates but diameter {dd.diameter} != d {d}")
+    return s
 
 
 @dataclass(eq=False)
@@ -184,32 +189,18 @@ def spectral_excess_report(g: Graph) -> SpectralExcessReport:
     exc = dd.excess.astype(float)
     mean = float(exc.mean())
     harm = float(g.n / (1.0 / exc).sum())
-    witness = None
     try:
-        _distance_scheme(g, dd)
-        drg = dd.diameter == d
-        if not drg:
-            witness = f"distance partition validates but diameter {dd.diameter} != d {d}"
-    except SchemeValidationError as e:
-        drg = False
+        _drg_scheme(g, dd, d)
+        witness = None
+    except NotDistanceRegular as e:
         witness = str(e)
     return SpectralExcessReport(
         n=g.n, degree=g.degrees[0], diameter=dd.diameter, d=d, pd_theta0=pd0,
         excess=dd.excess, excess_mean=mean, excess_harmonic_mean=harm,
-        drg=drg, witness=witness, spectrum=sp,
+        drg=witness is None, witness=witness, spectrum=sp,
     )
 
 
 def scheme_from_drg(g: Graph) -> AssociationScheme:
     """The metric scheme of a distance-regular graph (relation i = distance i)."""
-    dd = distance_data(g)
-    try:
-        s = _distance_scheme(g, dd)
-    except SchemeValidationError as e:
-        raise NotDistanceRegular(str(e)) from e
-    sp = graph_spectrum(g)
-    if dd.diameter != sp.d:
-        raise NotDistanceRegular(
-            f"diameter {dd.diameter} != {sp.d} distinct eigenvalues minus one"
-        )
-    return s
+    return _drg_scheme(g, distance_data(g), graph_spectrum(g).d)

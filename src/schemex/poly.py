@@ -70,12 +70,18 @@ class Spectrum:
         """kappa[i] = prod_{j=1..d, j != i} (theta_0 - theta_j) / (theta_i - theta_j); kappa[0] = 1.
 
         Each pass over j updates every i, in the order of a scalar loop over j.
+        The products leave float64's range near d = 600, so each pass moves their
+        exponents into an integer; that rescaling is exact and keeps the loop's roundings.
         """
         th = self.theta
         out = np.ones(th.size)
+        exponent = np.zeros(th.size, dtype=np.int64)
         for j in range(1, th.size):
             for part in (slice(1, j), slice(j + 1, None)):
                 out[part] *= (th[0] - th[j]) / (th[part] - th[j])
+            out, e = np.frexp(out)
+            exponent += e
+        out = np.ldexp(out, exponent)
         out.flags.writeable = False
         return out
 

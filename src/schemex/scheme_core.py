@@ -34,6 +34,12 @@ class NotSymmetric(SchemeValidationError):
         )
 
 
+class ZeroOffDiagonal(SchemeValidationError):
+    def __init__(self, x: int, y: int):
+        self.x, self.y = x, y
+        super().__init__(f"rel({x},{y}) = 0 off the diagonal; relation 0 must be the identity")
+
+
 class MissingRelation(SchemeValidationError):
     def __init__(self, i: int):
         self.i = i
@@ -290,6 +296,10 @@ def build_scheme(rm: RelationMatrix) -> AssociationScheme:
             _check_products_constant(rel, p, a_i, a_j, i, j)
         if _generates_algebra(p, i):
             break
+    # last, so every other failure keeps its witness (the early stop assumed A_0 = I)
+    if counts[0] != n:
+        x, y = np.argwhere((rel == 0) & ~np.eye(n, dtype=bool))[0]
+        raise ZeroOffDiagonal(int(x), int(y))
 
     return AssociationScheme(n=n, d=d, rel=rel, tensor=IntersectionTensor(d=d, p=p))
 

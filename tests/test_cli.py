@@ -16,7 +16,7 @@ from schemex.cli import (
     EXIT_PRECONDITION,
     main,
 )
-from schemex.families import FamilySpec, generate
+from schemex.families import FAMILIES, FamilySpec, generate
 
 
 @pytest.fixture()
@@ -39,6 +39,14 @@ def edge_file(tmp_path):
         return str(out)
 
     return write
+
+
+# one generator call per family, every corpus family included
+GEN_SPECS = [
+    ("cycle", (12,)), ("hamming", (4, 3)), ("johnson", (7, 3)), ("complete", (6,)),
+    ("petersen", ()), ("cyclotomic13", ()), ("disjoint_cliques", (3, 3)),
+    ("hypercube_reordered", (0, 3, 2, 1)),
+]
 
 
 def _petersen_edges():
@@ -68,6 +76,15 @@ class TestGen:
 
     def test_bad_params(self, capsys):
         assert main(["gen", "cycle", "2"]) == EXIT_PARSE
+
+    def test_output_is_a_per_row_join(self, capsys):
+        assert {family for family, _ in GEN_SPECS} == set(FAMILIES)
+        for family, params in GEN_SPECS:
+            assert main(["gen", family, *map(str, params)]) == EXIT_OK
+            s = generate(FamilySpec(family, params))
+            rows = [" ".join(str(int(v)) for v in row) for row in s.rel]
+            want = "\n".join([f"{s.n} {s.d}", *rows]) + "\n"
+            assert capsys.readouterr().out == want, family
 
     def test_roundtrip_through_validate(self, scheme_file, capsys):
         path = scheme_file("johnson", (5, 2))
@@ -273,6 +290,16 @@ class TestGraph:
         bad.write_text("4 1\n0 q\n")
         assert main(["graph", str(bad)]) == EXIT_PARSE
 
+    @pytest.mark.parametrize("n", [10**12, 3 * 10**9, 10**25])
+    def test_absurd_vertex_count_fails_fast(self, tmp_path, capsys, n):
+        # numpy refuses the n x n adjacency matrix before any edge is read:
+        # past the largest array size, or past the address space at n = 3e9
+        bad = tmp_path / "huge.edges"
+        bad.write_text(f"{n} 0\n")
+        assert main(["graph", str(bad)]) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("PARSE ERROR")
+
     def test_json(self, edge_file, tmp_path):
         path = edge_file("petersen", 10, _petersen_edges())
         out = tmp_path / "g.json"
@@ -281,6 +308,34 @@ class TestGraph:
         assert d["drg"] is True
         assert d["n"] == 10 and d["k"] == 3
         assert d["pd_theta0"] == pytest.approx(6.0)
+
+
+class TestOutputFiles:
+    """An output file that cannot be written is one ERROR line and exit 1, never a traceback."""
+
+    def _assert_one_error(self, capsys):
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("ERROR:"), captured.err
+        return captured.out
+
+    def test_detect_json(self, scheme_file, tmp_path, capsys):
+        src = scheme_file("cycle", (5,))
+        capsys.readouterr()
+        rc = main(["detect", src, "--json", str(tmp_path / "missing" / "r.json")])
+        assert rc == EXIT_PARSE
+        assert self._assert_one_error(capsys) == ""  # the report is written before stdout
+
+    def test_graph_json(self, edge_file, tmp_path, capsys):
+        path = edge_file("petersen", 10, _petersen_edges())
+        rc = main(["graph", path, "--json", str(tmp_path / "missing" / "g.json")])
+        assert rc == EXIT_PARSE
+        assert "drg=true" in self._assert_one_error(capsys)  # stdout comes first
+
+    def test_gen_output(self, tmp_path, capsys):
+        rc = main(["gen", "cycle", "5", "-o", str(tmp_path / "missing" / "x")])
+        assert rc == EXIT_PARSE
+        assert self._assert_one_error(capsys) == ""
 
 
 class TestExitCodes:

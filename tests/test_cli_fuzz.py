@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from schemex.cli import EXIT_INVALID, EXIT_OK, _STATUS_EXIT, main, write_scheme_file
+from schemex.cli import EXIT_INVALID, EXIT_OK, EXIT_PARSE, _STATUS_EXIT, main, write_scheme_file
 from schemex.families import FamilySpec, generate
 from schemex.scheme_core import reorder_relations
 
@@ -106,6 +106,7 @@ def test_garbled_scheme_files(workdir, data):
 
 @FUZZ
 @given(text=symmetric_relation_files())
+@example(text="4 1\n0 1 0 1\n1 0 1 0\n0 1 0 1\n1 0 1 0\n")  # relation 0 off the diagonal
 def test_random_symmetric_relation_matrices(workdir, text):
     path = workdir / "random.scheme"
     path.write_text(text, encoding="utf-8")
@@ -135,7 +136,15 @@ def test_relabelled_corpus(workdir, scheme_corpus, corpus_analyses, data):
 
 @FUZZ
 @given(text=edge_files())
+@example(text="3 1\n0 99999999999999999999999\n")  # an edge token past int64
+@example(text="3 1\n0 x\n")  # a non-integer edge token
 def test_small_edge_lists(workdir, text):
     path = workdir / "small.edges"
     path.write_text(text, encoding="utf-8")
-    _main(["graph", str(path)])
+    rc = _main(["graph", str(path)])
+    try:
+        values = [int(tok) for tok in text.split()]
+    except ValueError:
+        values = None
+    if values is None or any(abs(v) >= 2**63 for v in values[2:]):
+        assert rc == EXIT_PARSE

@@ -47,6 +47,7 @@ class TestGraph:
         assert g.degrees == (1, 2, 1)
         assert g.edge_count() == 2
         A = g.adjacency_matrix()
+        assert A is g.adj and A.dtype == bool and not A.flags.writeable
         assert np.array_equal(A, A.T) and A.sum() == 4
 
     def test_rejects_loops_duplicates_range(self):

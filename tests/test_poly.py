@@ -169,6 +169,16 @@ class TestKappa:
             checked += 1
         assert checked == len(schemes) - 2  # all but the two tied corpus entries
 
+    @pytest.mark.parametrize("N", [1300, 2000, 5000])
+    def test_cycle_spectrum_past_float_range(self, N):
+        # C_N: theta_j = 2 cos(2 pi j / N), m = (1, 2, ..., 2, 1), and
+        # kappa_i = -m_i (-1)^i; the running products leave float64's range near d = 600
+        j = np.arange(N // 2 + 1)
+        m = np.where((j == 0) | (j == N // 2), 1.0, 2.0)
+        sp = Spectrum(theta=2 * np.cos(2 * np.pi * j / N), m=m, n=N)
+        want = np.where(j == 0, 1.0, -m * (-1.0) ** j)
+        assert np.abs(sp.kappa - want).max() < 1e-8
+
     def test_sums_to_one_minus_kappa0_style_identity(self):
         # kappa_i interpolates x -> prod (x - theta_j); at theta_0 the Lagrange
         # basis sums to 1, so sum over all i (including i=0 with value 1) is

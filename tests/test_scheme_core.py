@@ -13,6 +13,7 @@ from schemex.scheme_core import (
     NotSymmetric,
     PermMovesZero,
     RelationMatrix,
+    ZeroOffDiagonal,
     build_scheme,
     reorder_relations,
 )
@@ -69,6 +70,14 @@ class TestBuildScheme:
         with pytest.raises(DiagonalNotZero) as info:
             build_scheme(RelationMatrix(n=5, d=2, rel=rel))
         assert info.value.x == 2
+
+    def test_zero_off_diagonal(self):
+        # two blocks {0,2}, {1,3} joined by relation 1: every product is constant,
+        # but relation 0 is not the identity
+        rel = np.array([[0, 1, 0, 1], [1, 0, 1, 0], [0, 1, 0, 1], [1, 0, 1, 0]])
+        with pytest.raises(ZeroOffDiagonal) as info:
+            build_scheme(RelationMatrix(n=4, d=1, rel=rel))
+        assert (info.value.x, info.value.y) == (0, 2)
 
     def test_not_symmetric(self):
         rel = _cycle_rel(5)
