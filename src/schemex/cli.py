@@ -1,17 +1,16 @@
 """Command line: validate scheme files, run detection, generate families, analyze graphs.
 
 Commands read, compute and print; only :func:`main` maps failures to exit codes:
-0 ok/yes, 1 unreadable input (PARSE ERROR) or bad gen parameters or unwritable output (ERROR),
-2 axiom violation (INVALID), 3 verdict no, 4 precondition failed or graph irregular,
-disconnected or under 2 vertices (NOT APPLICABLE), 5 route disagreement.
+0 ok/yes, 1 unreadable input or command-line usage error (PARSE ERROR), or bad gen
+parameters, unwritable output or no memory left (ERROR), 2 axiom violation (INVALID),
+3 verdict no, 4 precondition failed or graph irregular, disconnected or under 2 vertices
+(NOT APPLICABLE), 5 route disagreement.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
-import os
 import sys
 
 import numpy as np
@@ -39,7 +38,7 @@ _STATUS_EXIT = {"yes": EXIT_OK, "no": EXIT_NO, "precondition-failed": EXIT_PRECO
 
 
 class InputError(ValueError):
-    """An input file or tolerance could not be read or parsed."""
+    """An input file or the command line could not be read or parsed."""
 
 
 def _read_ints(path, header: str):
@@ -92,24 +91,6 @@ def _write_json(path, payload: dict) -> None:
         fh.write(json.dumps(_round12(payload), indent=2, sort_keys=True) + "\n")
 
 
-def _tol_from(args) -> float:
-    """The base tolerance: --tol, else SCHEMEX_TOL, else BASE_TOL; finite and > 0."""
-    if args.tol is not None:
-        tol, source = args.tol, "--tol"
-    else:
-        env = os.environ.get("SCHEMEX_TOL")
-        if not env:
-            return BASE_TOL
-        try:
-            tol = float(env)
-        except ValueError:
-            raise InputError(f"SCHEMEX_TOL = {env!r} is not a number") from None
-        source = "SCHEMEX_TOL"
-    if not (math.isfinite(tol) and tol > 0):
-        raise InputError(f"{source} = {tol!r} is not a finite number > 0")
-    return tol
-
-
 def _round12(obj):
     """Fix every float at 12 significant digits so reports are byte-stable."""
     if isinstance(obj, dict):
@@ -130,7 +111,7 @@ def cmd_validate(args) -> int:
     return EXIT_OK
 
 
-def _report_json(a, tol) -> dict:
+def _report_json(a) -> dict:
     sd = a.spectral
     rep = a.report
     return {
@@ -155,16 +136,15 @@ def _report_json(a, tol) -> dict:
             "multiplicity_rounding": a.multiplicity_residual,
             "mstar_max": a.mstar_max,
         },
-        "tol": {"base": tol, "route_match": ROUTE_MATCH_RTOL, "eig_group": EIG_GROUP_RTOL},
+        "tol": {"base": BASE_TOL, "route_match": ROUTE_MATCH_RTOL, "eig_group": EIG_GROUP_RTOL},
     }
 
 
 def cmd_detect(args) -> int:
-    tol = _tol_from(args)
-    a = analyze(build_scheme(_read_scheme_file(args.path)), base_tol=tol)
+    a = analyze(build_scheme(_read_scheme_file(args.path)))
     rep = a.report
     if args.json:
-        _write_json(args.json, _report_json(a, tol))
+        _write_json(args.json, _report_json(a))
     print(f"n={rep.n} d={rep.d} valencies={list(rep.valencies)}")
     routes = " ".join(f"{name}={v.verdict}" for name, v in rep.routes().items())
     print(f"routes: {routes}")
@@ -214,8 +194,15 @@ def cmd_graph(args) -> int:
     return EXIT_OK if rep.drg else EXIT_NO
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise InputError, so main reports them like an unreadable input."""
+
+    def error(self, message):
+        raise InputError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="schemex",
         description="association schemes: validation, spectra, and P-polynomial detection",
     )
@@ -228,8 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("detect", help="run every detection route on a scheme file")
     p.add_argument("path")
     p.add_argument("--json", metavar="PATH", help="write the full report as JSON")
-    p.add_argument("--tol", type=float, default=None,
-                   help="base tolerance (default 1e-8; SCHEMEX_TOL env var also honoured)")
     p.set_defaults(fn=cmd_detect)
 
     p = sub.add_parser("gen", help="generate a named family as a scheme file")
@@ -248,8 +233,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Run one command; the only place a failure becomes an exit code."""
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except InputError as e:
         print(f"PARSE ERROR: {e}", file=sys.stderr)
@@ -263,8 +248,9 @@ def main(argv=None) -> int:
     except (NotRegular, Disconnected, TooFewVertices) as e:
         print(f"NOT APPLICABLE: {e}")
         return EXIT_PRECONDITION
-    except (ParamOutOfRange, OSError) as e:  # OSError: an output file; inputs raise InputError
-        print(f"ERROR: {e}", file=sys.stderr)
+    # OSError: an output file (inputs raise InputError); MemoryError: e.g. a gen too large to build
+    except (ParamOutOfRange, OSError, MemoryError) as e:
+        print(f"ERROR: {str(e) or 'out of memory'}", file=sys.stderr)
         return EXIT_PARSE
 
 

@@ -42,7 +42,7 @@ PRECONDITION_FAILED = "precondition-failed"
 #: relative tolerance for matching kappa against -Q and p_d against P columns
 ROUTE_MATCH_RTOL = 1e-6
 
-#: generic residual scale (Krein chain threshold)
+#: Krein-chain threshold, relative to max(1, n); q_poly is reported, never in the consensus
 BASE_TOL = 1e-8
 
 
@@ -86,12 +86,6 @@ class NStarChain:
     """sets[h] = relations whose coefficient in A_1^h is nonzero for the first time."""
 
     sets: tuple
-
-    def union_through(self, h: int) -> frozenset:
-        out = frozenset()
-        for part in self.sets[: h + 1]:
-            out |= part
-        return out
 
     def singletons(self):
         if any(len(part) != 1 for part in self.sets):
@@ -329,11 +323,11 @@ def mstar_decomposition_residual(t: IntersectionTensor, sd: SpectralData, i: int
     return float(np.abs(c - sd.spectrum.kappa[i] / sd.n - sd.Q[:, i] / sd.n).max())
 
 
-def q_polynomial_route(kt: KreinTensor, *, nonzero_tol: float = BASE_TOL) -> RouteVerdict:
+def q_polynomial_route(kt: KreinTensor) -> RouteVerdict:
     """Greedy chain on the Krein tensor: the dual (cometric) analogue of tridiagonal."""
     q = kt.q
     n = float(q[0].diagonal().sum())  # q^0_{ii} = m_i sums to n
-    thr = nonzero_tol * max(1.0, n)
+    thr = BASE_TOL * max(1.0, n)
     mat = q[:, 1, :]
     order, witness = _greedy_chain(mat, kt.d, lambda v: v > thr)
     if order is None:
@@ -372,7 +366,7 @@ def _nstar_verdict(t, sd):
     return RouteVerdict("nstar", YES, ordering=sing, l=sing[-1])
 
 
-def analyze(s: AssociationScheme, *, base_tol: float = BASE_TOL) -> Analysis:
+def analyze(s: AssociationScheme) -> Analysis:
     """Run every route on ``s.tensor``, enforce their pairwise agreement, keep the evidence."""
     t = s.tensor
     sd = spectral_data(t)
@@ -385,7 +379,7 @@ def analyze(s: AssociationScheme, *, base_tol: float = BASE_TOL) -> Analysis:
     pred_v = predistance_route(sd, ps)
 
     kt = krein_parameters(sd)
-    qv = q_polynomial_route(kt, nonzero_tol=base_tol)
+    qv = q_polynomial_route(kt)
 
     principal = [tri, nstar_v, excess_v, pred_v]
     ran = [v for v in principal if v.verdict != PRECONDITION_FAILED]
@@ -438,6 +432,6 @@ def analyze(s: AssociationScheme, *, base_tol: float = BASE_TOL) -> Analysis:
     )
 
 
-def detect(s: AssociationScheme, *, base_tol: float = BASE_TOL) -> DetectionReport:
+def detect(s: AssociationScheme) -> DetectionReport:
     """Run all routes and return the agreed report; see :func:`analyze`."""
-    return analyze(s, base_tol=base_tol).report
+    return analyze(s).report

@@ -57,12 +57,6 @@ class Graph:
     def degrees(self):
         return tuple(self.adj.sum(axis=1).tolist())
 
-    def edge_count(self) -> int:
-        return sum(self.degrees) // 2
-
-    def adjacency_matrix(self) -> np.ndarray:
-        return self.adj
-
 
 @dataclass(eq=False)
 class DistanceData:

@@ -7,6 +7,7 @@ import networkx as nx
 import numpy as np
 import pytest
 
+from schemex import cli
 from schemex.cli import (
     EXIT_DISAGREE,
     EXIT_INVALID,
@@ -195,46 +196,6 @@ class TestDetect:
         assert main(["detect", src, "--json", str(b)]) == EXIT_OK
         assert a.read_bytes() == b.read_bytes()
 
-    def test_tol_flag_recorded(self, scheme_file, tmp_path):
-        out = tmp_path / "r.json"
-        main(["detect", scheme_file("cycle", (5,)), "--tol", "1e-7",
-              "--json", str(out)])
-        assert json.loads(out.read_text())["tol"]["base"] == 1e-7
-
-    def test_tol_env_fallback(self, scheme_file, tmp_path, monkeypatch):
-        monkeypatch.setenv("SCHEMEX_TOL", "1e-9")
-        out = tmp_path / "r.json"
-        main(["detect", scheme_file("cycle", (5,)), "--json", str(out)])
-        assert json.loads(out.read_text())["tol"]["base"] == 1e-9
-
-    def test_flag_beats_env(self, scheme_file, tmp_path, monkeypatch):
-        monkeypatch.setenv("SCHEMEX_TOL", "1e-9")
-        out = tmp_path / "r.json"
-        main(["detect", scheme_file("cycle", (5,)), "--tol", "1e-5",
-              "--json", str(out)])
-        assert json.loads(out.read_text())["tol"]["base"] == 1e-5
-
-    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "0", "-1"])
-    def test_tol_flag_must_be_finite_positive(self, scheme_file, tmp_path, capsys, bad):
-        out = tmp_path / "r.json"
-        rc = main(["detect", scheme_file("hamming", (3, 2)), f"--tol={bad}",
-                   "--json", str(out)])
-        assert rc == EXIT_PARSE
-        captured = capsys.readouterr()
-        assert captured.err.startswith("PARSE ERROR: --tol")
-        assert captured.out == ""
-        assert not out.exists()
-
-    @pytest.mark.parametrize("bad", ["nan", "inf", "0", "-1e-8"])
-    def test_tol_env_must_be_finite_positive(self, scheme_file, tmp_path, capsys,
-                                            monkeypatch, bad):
-        monkeypatch.setenv("SCHEMEX_TOL", bad)
-        out = tmp_path / "r.json"
-        rc = main(["detect", scheme_file("hamming", (3, 2)), "--json", str(out)])
-        assert rc == EXIT_PARSE
-        assert capsys.readouterr().err.startswith("PARSE ERROR: SCHEMEX_TOL")
-        assert not out.exists()
-
 
 class TestGraph:
     def test_petersen(self, edge_file, capsys):
@@ -336,6 +297,61 @@ class TestOutputFiles:
         rc = main(["gen", "cycle", "5", "-o", str(tmp_path / "missing" / "x")])
         assert rc == EXIT_PARSE
         assert self._assert_one_error(capsys) == ""
+
+
+class TestOutOfMemory:
+    """No memory left is one ERROR line and exit 1, never a traceback.
+
+    The failure is injected: a real cycle(5000) asks numpy for 117 GiB, which
+    an overcommitting kernel grants lazily and then kills the process filling it.
+    """
+
+    @pytest.mark.parametrize("exc, err", [
+        (MemoryError("Unable to allocate 117. GiB"), "ERROR: Unable to allocate 117. GiB"),
+        (MemoryError(), "ERROR: out of memory"),
+    ])
+    def test_gen(self, monkeypatch, capsys, exc, err):
+        def no_room(spec):
+            raise exc
+
+        monkeypatch.setattr(cli, "generate", no_room)
+        assert main(["gen", "cycle", "5000"]) == EXIT_PARSE
+        assert capsys.readouterr() == ("", err + "\n")
+
+    def test_detect(self, scheme_file, monkeypatch, capsys):
+        src = scheme_file("cycle", (5,))
+        capsys.readouterr()
+
+        def no_room(rm):
+            raise MemoryError("Unable to allocate 8. GiB")
+
+        monkeypatch.setattr(cli, "build_scheme", no_room)
+        assert main(["detect", src]) == EXIT_PARSE
+        assert capsys.readouterr() == ("", "ERROR: Unable to allocate 8. GiB\n")
+
+
+class TestUsageErrors:
+    """A bad command line is one PARSE ERROR line and exit 1; exit 2 stays INVALID's."""
+
+    @pytest.mark.parametrize("argv, err", [
+        (["gen", "hamming", "x", "2"], "schemex gen: argument params: invalid int value: 'x'"),
+        (["detect"], "schemex detect: the following arguments are required: path"),
+        (["bogus"], "schemex: argument command: invalid choice: 'bogus'"),
+        (["detect", "F", "--tol", "1e-7"], "schemex: unrecognized arguments: --tol 1e-7"),
+    ])
+    def test_one_parse_error_line(self, capsys, argv, err):
+        assert main(argv) == EXIT_PARSE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"PARSE ERROR: {err}")
+        assert len(captured.err.splitlines()) == 1
+
+    def test_help_exits_zero_and_lists_no_tol(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["detect", "--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert "--json" in out and "--tol" not in out
 
 
 class TestExitCodes:

@@ -156,7 +156,7 @@ class TestNStar:
             frozenset({0}), frozenset({1}), frozenset({2, 3}), frozenset()
         )
         assert chain.singletons() is None
-        assert chain.union_through(2) == frozenset({0, 1, 2, 3})
+        assert frozenset().union(*chain.sets[:3]) == frozenset({0, 1, 2, 3})
 
     def test_swapped_cycle(self):
         s = _seven_cycle_swapped()
@@ -313,6 +313,18 @@ class TestQPolynomial:
                 assert got.ordering in found, name
             else:
                 assert found == [], name
+
+    def test_no_entry_near_the_threshold(self, corpus_analyses, ladder, cycle_scheme):
+        """Every q^j_{1i} is 1000x below or above the chain threshold, so no q_poly
+        verdict here would move if BASE_TOL moved a thousandfold either way."""
+        analyses = dict(corpus_analyses)
+        analyses.update((spec, analyze(s)) for spec, s in ladder.items())
+        analyses.update((f"cycle({n})", analyze(cycle_scheme(n))) for n in (44, 100, 200))
+        for name, a in analyses.items():
+            thr = BASE_TOL * max(1.0, a.report.n)
+            q1 = a.krein.q[:, 1, :]
+            near = (np.abs(q1) > thr / 1000) & (q1 < thr * 1000)
+            assert not near.any(), (name, q1[near])
 
 
 class TestAnalyze:

@@ -1,4 +1,5 @@
-"""eigen_groups is the one owner of eigenvalue equality, and spectral_data decides the spectrum once."""
+"""eigen_groups is the one owner of eigenvalue equality, spectral_data decides the spectrum once,
+and every tolerance is a module constant with one reader."""
 
 from __future__ import annotations
 
@@ -6,6 +7,7 @@ import ast
 import functools
 import importlib
 import inspect
+import pkgutil
 from collections import Counter
 from pathlib import Path
 
@@ -82,15 +84,20 @@ def test_analyze_decides_the_spectrum_once(monkeypatch, cycle_scheme):
 
 
 def test_no_tolerance_knobs():
-    for modname in ("schemex.detect", "schemex.spectral", "schemex.graph_tools"):
+    knobs = {"eig_rtol", "match_rtol", "base_tol", "nonzero_tol", "tol"}
+    modnames = [m.name for m in pkgutil.iter_modules(schemex.__path__, "schemex.")]
+    assert {"schemex.cli", "schemex.detect", "schemex.spectral"} <= set(modnames)
+    for modname in modnames:
         mod = importlib.import_module(modname)
         funcs = [f for _, f in inspect.getmembers(mod, inspect.isfunction)]
         for _, cls in inspect.getmembers(mod, inspect.isclass):
             if cls.__module__ == modname:
                 funcs += [f for _, f in inspect.getmembers(cls, inspect.isfunction)]
         for f in funcs:
+            if f.__module__ != modname:
+                continue  # imported; checked in its own module
             params = set(inspect.signature(f).parameters)
-            assert not params & {"eig_rtol", "match_rtol"}, f"{modname}.{f.__qualname__}"
+            assert not params & knobs, f"{modname}.{f.__qualname__}"
 
 
 class _Uses(ast.NodeVisitor):
@@ -126,14 +133,23 @@ def _name(node):
     return node.attr if isinstance(node, ast.Attribute) else None
 
 
-def test_eig_group_rtol_has_one_reader():
+def _readers(constant):
     def reads(node):
         if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
             return False
-        return _name(node) == "EIG_GROUP_RTOL"
+        return _name(node) == constant
 
+    return _uses_in_src(reads)
+
+
+def test_eig_group_rtol_has_one_reader():
     # eigen_groups decides; cli._report_json only records the value in its "tol" block
-    assert _uses_in_src(reads) == [("cli", "_report_json"), ("spectral", "eigen_groups")]
+    assert _readers("EIG_GROUP_RTOL") == [("cli", "_report_json"), ("spectral", "eigen_groups")]
+
+
+def test_base_tol_has_one_reader():
+    # q_polynomial_route decides; cli._report_json only records the value in its "tol" block
+    assert _readers("BASE_TOL") == [("cli", "_report_json"), ("detect", "q_polynomial_route")]
 
 
 def test_spectrum_is_built_in_two_places():
