@@ -131,8 +131,8 @@ class DetectionReport:
         }
 
 
-def _greedy_chain(mat, d, positive):
-    """Shared chain builder: mat[j, cur] read through ``positive``.
+def _greedy_chain(support, d):
+    """Shared chain builder: from each relation cur, step to the one unused j with support[j, cur].
 
     Returns (ordering, None) on success or (None, witness) when the chain
     stalls or branches.
@@ -141,7 +141,7 @@ def _greedy_chain(mat, d, positive):
     used = {0, 1}
     while len(order) < d + 1:
         cur = order[-1]
-        cands = [j for j in range(d + 1) if j not in used and positive(mat[j, cur])]
+        cands = [j for j, on in enumerate(support[:, cur].tolist()) if on and j not in used]
         if len(cands) != 1:
             return None, (
                 f"chain {tuple(order)} cannot be extended from {cur}: "
@@ -152,15 +152,15 @@ def _greedy_chain(mat, d, positive):
     return tuple(order), None
 
 
-def _band_violation(mat, order, positive, zero):
+def _band_violation(mat, order, thr):
     m = len(order)
     idx = np.asarray(order)
     R = mat[np.ix_(idx, idx)]
     for a in range(m):
         for b in range(m):
-            if abs(a - b) >= 2 and not zero(R[a, b]):
+            if abs(a - b) >= 2 and not abs(R[a, b]) <= thr:
                 return f"entry ({order[a]},{order[b]}) = {R[a, b]} lies outside the band"
-            if abs(a - b) == 1 and not positive(R[a, b]):
+            if abs(a - b) == 1 and not R[a, b] > thr:
                 return f"band entry ({order[a]},{order[b]}) = {R[a, b]} is not positive"
     return None
 
@@ -175,7 +175,7 @@ def tridiagonal_route(t: IntersectionTensor) -> RouteVerdict:
     IntersectionTensor, copies that zero/positive pattern.  q_polynomial_route
     keeps its band check, since its float thresholds break this argument.
     """
-    order, witness = _greedy_chain(t.p[:, 1, :], t.d, lambda v: v > 0)
+    order, witness = _greedy_chain(t.p[:, 1, :] > 0, t.d)
     if order is None:
         return RouteVerdict("tridiagonal", NO, witness=witness)
     return RouteVerdict("tridiagonal", YES, ordering=order, l=order[-1])
@@ -329,10 +329,10 @@ def q_polynomial_route(kt: KreinTensor) -> RouteVerdict:
     n = float(q[0].diagonal().sum())  # q^0_{ii} = m_i sums to n
     thr = BASE_TOL * max(1.0, n)
     mat = q[:, 1, :]
-    order, witness = _greedy_chain(mat, kt.d, lambda v: v > thr)
+    order, witness = _greedy_chain(mat > thr, kt.d)
     if order is None:
         return RouteVerdict("q_poly", NO, witness=witness)
-    bad = _band_violation(mat, order, lambda v: v > thr, lambda v: abs(v) <= thr)
+    bad = _band_violation(mat, order, thr)
     if bad is not None:
         return RouteVerdict("q_poly", NO, witness=bad)
     return RouteVerdict("q_poly", YES, ordering=order, l=order[-1])

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .poly import Spectrum
-from .scheme_core import AssociationScheme, IntersectionTensor
+from .scheme_core import AssociationScheme, IntersectionTensor, slab_blocks
 
 #: two computed eigenvalues count as equal when their gap is at most this,
 #: relative to max(1, spectral radius); read only by eigen_groups
@@ -61,7 +61,8 @@ class KreinTensor:
     def __post_init__(self):
         q = np.asarray(self.q, dtype=float)
         thr = 1e-8 * max(1.0, abs(float(q.max())), abs(float(q.min())))
-        if any(np.abs(qk - qk.T).max() > thr for qk in q):  # slab by slab: no (d+1)^3 temporary
+        # q[:, i, :] is the contiguous i-th slab krein_parameters fills; no (d+1)^3 temporary
+        if any(np.abs(q[:, i, :] - q[:, :, i]).max() > thr for i in range(q.shape[1])):
             raise ValueError("Krein tensor is not symmetric in its lower indices")
         object.__setattr__(self, "q", q)
 
@@ -198,14 +199,16 @@ def krein_parameters(sd: SpectralData) -> KreinTensor:
     q^k_{ij} = (m_i m_j / n) sum_l P_l(i) P_l(j) P_l(k) / k_l^2
     (Bannai-Ito 1984; Brouwer-Cohen-Neumaier 1989) gives the coefficients of
     n E_i o E_j in the idempotent basis without forming any n x n matrix.
-    The sum over l runs as one ((d+1)^2 x (d+1)) @ ((d+1) x (d+1)) product.
+    The sum over l runs as one (rows x (d+1)) @ ((d+1) x (d+1)) product per
+    block of slabs (see slab_blocks), written into the one (d+1)^3 array kept.
     """
     d, n = sd.d, sd.n
     P = sd.P
     m = sd.multiplicities
     W = P / sd.valencies  # W[i, l] = P_l(i) / k_l
-    pairs = (W[:, None, :] * W[None, :, :]).reshape((d + 1) ** 2, d + 1)
-    q_ijk = (pairs @ P.T).reshape(d + 1, d + 1, d + 1)
-    del pairs  # the tensor is (d+1)^3; hold at most two of that size
+    q_ijk = np.empty((d + 1, d + 1, d + 1))
+    for b in slab_blocks(d + 1):
+        pairs = (W[b, None, :] * W[None, :, :]).reshape(-1, d + 1)
+        np.matmul(pairs, P.T, out=q_ijk[b].reshape(-1, d + 1))  # a view: q_ijk[b] is contiguous
     q_ijk *= (np.outer(m, m) / n)[:, :, None]
     return KreinTensor(d=d, q=q_ijk.transpose(2, 0, 1))

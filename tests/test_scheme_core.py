@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -313,6 +315,26 @@ def test_tensor_rejects_unsymmetrizable_counts():
     p[2, 2, 1] -= 1
     with pytest.raises(ValueError, match=r"k_k p\^k_\{1j\} != k_j p\^j_\{1k\}"):
         IntersectionTensor(d=2, p=p)
+
+
+def test_tensor_rejects_asymmetric_lower_indices():
+    p = generate(FamilySpec("cycle", (5,))).tensor.p.copy()
+    p[2, 1, 2] += 1  # p^2_{12} != p^2_{21}
+    with pytest.raises(ValueError, match=r"p\^k_\{ij\} != p\^k_\{ji\}"):
+        IntersectionTensor(d=2, p=p)
+
+
+def test_tensor_checks_allocate_no_cube(cycle_scheme):
+    # the checks read the tensor in blocks of slabs (slab_blocks), here one slab each
+    t = cycle_scheme(400).tensor
+    one_cube = (t.d + 1) ** 3 * np.dtype(np.int64).itemsize
+    tracemalloc.start()
+    try:
+        IntersectionTensor(d=t.d, p=t.p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.01 * one_cube, f"the checks peaked at {peak / one_cube:.4f} (d+1)^3 int64 arrays"
 
 
 def test_tensor_rejects_non_identity_relation_zero():

@@ -177,9 +177,9 @@ def test_spectral_data_builds_no_cubic_array(cycle_scheme):
     assert peak < one_cube, f"spectral_data peaked at {peak} bytes, (d+1)^3 float64 is {one_cube}"
 
 
-def test_krein_parameters_hold_two_cubic_arrays(cycle_scheme):
-    # the closed form holds the pair products and the tensor; the symmetry
-    # check in KreinTensor works one (d+1)^2 slab at a time and adds no third
+def test_krein_parameters_hold_one_cubic_array(cycle_scheme):
+    # the closed form fills the tensor a block of slabs at a time (here 3 of
+    # 101), and the symmetry check in KreinTensor reads it slab by slab: no second cube
     sd = spectral_data(cycle_scheme(200).tensor)
     one_cube = (sd.d + 1) ** 3 * np.dtype(np.float64).itemsize
     tracemalloc.start()
@@ -188,7 +188,7 @@ def test_krein_parameters_hold_two_cubic_arrays(cycle_scheme):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 2.05 * one_cube, f"krein_parameters peaked at {peak / one_cube:.3f} (d+1)^3 arrays"
+    assert peak <= 1.1 * one_cube, f"krein_parameters peaked at {peak / one_cube:.3f} (d+1)^3 arrays"
 
 
 def test_krein_tensor_rejects_asymmetric_slab():

@@ -76,11 +76,16 @@ def test_analyze_decides_the_spectrum_once(monkeypatch, cycle_scheme):
     kappa = functools.cached_property(counted("kappa", Spectrum.__dict__["kappa"].func))
     kappa.__set_name__(Spectrum, "kappa")
     monkeypatch.setattr(Spectrum, "kappa", kappa)
+    # Krein is one call; M* is one call per i = 1..d
+    detect = importlib.import_module("schemex.detect")
+    for name in ("mstar_decomposition_residual", "krein_parameters"):
+        monkeypatch.setattr(detect, name, counted(name, getattr(detect, name)))
 
     a = analyze(s)
     assert a.report.status == "yes" and s.d == 50
     # eigen_groups: split S_1, key the theta, find the tie
-    assert counts == {"Spectrum": 1, "eigen_groups": 3, "kappa": 1}
+    assert counts == {"Spectrum": 1, "eigen_groups": 3, "kappa": 1,
+                      "mstar_decomposition_residual": 50, "krein_parameters": 1}
 
 
 def test_no_tolerance_knobs():
