@@ -132,8 +132,8 @@ def _report_json(a) -> dict:
             "l": rep.l,
         },
         "residuals": {
-            "pq_identity": a.pq_residual,
-            "multiplicity_rounding": a.multiplicity_residual,
+            "pq_identity": sd.pq_residual,
+            "multiplicity_rounding": sd.multiplicity_residual,
             "mstar_max": a.mstar_max,
         },
         "tol": {"base": BASE_TOL, "route_match": ROUTE_MATCH_RTOL, "eig_group": EIG_GROUP_RTOL},

@@ -153,16 +153,18 @@ def _greedy_chain(support, d):
 
 
 def _band_violation(mat, order, thr):
+    """The first entry, row-major in ``order``, off the band pattern; NaN is always off."""
     m = len(order)
     idx = np.asarray(order)
     R = mat[np.ix_(idx, idx)]
-    for a in range(m):
-        for b in range(m):
-            if abs(a - b) >= 2 and not abs(R[a, b]) <= thr:
-                return f"entry ({order[a]},{order[b]}) = {R[a, b]} lies outside the band"
-            if abs(a - b) == 1 and not R[a, b] > thr:
-                return f"band entry ({order[a]},{order[b]}) = {R[a, b]} is not positive"
-    return None
+    gap = np.abs(np.subtract.outer(np.arange(m), np.arange(m)))
+    bad = np.flatnonzero(((gap >= 2) & ~(np.abs(R) <= thr)) | ((gap == 1) & ~(R > thr)))
+    if not bad.size:
+        return None
+    a, b = divmod(int(bad[0]), m)
+    if gap[a, b] >= 2:
+        return f"entry ({order[a]},{order[b]}) = {R[a, b]} lies outside the band"
+    return f"band entry ({order[a]},{order[b]}) = {R[a, b]} is not positive"
 
 
 def tridiagonal_route(t: IntersectionTensor) -> RouteVerdict:

@@ -68,16 +68,6 @@ class PermMovesZero(ValueError):
 # relation indices are stored as uint16
 _MAX_INDEX = np.iinfo(np.uint16).max
 
-#: (d+1)^3 tensors are worked on in blocks of (d+1)^2 slabs of at most this many
-#: entries: up to d = 31 one block and one numpy call, past it no cube temporary
-BLOCK_ENTRIES = 1 << 15
-
-
-def slab_blocks(m: int) -> list[slice]:
-    """Consecutive slices of range(m) whose m x m slabs hold at most BLOCK_ENTRIES entries."""
-    step = max(1, BLOCK_ENTRIES // (m * m))
-    return [slice(s, s + step) for s in range(0, m, step)]
-
 
 @dataclass(frozen=True, eq=False)
 class RelationMatrix:
@@ -128,22 +118,22 @@ class IntersectionTensor:
         if p.min() < 0:
             raise ValueError("intersection numbers must be non-negative")
         k = p[0].diagonal()
-        # no check allocates a (d+1)^3 temporary: the two over whole slabs go block by block
-        blocks = slab_blocks(m)
-        if any(not np.array_equal(p[b], p[b].transpose(0, 2, 1)) for b in blocks):
+        # every check works one (d+1)^2 slab at a time, so none allocates a (d+1)^3 temporary
+        if any(not np.array_equal(pk, pk.T) for pk in p):
             raise ValueError("p^k_{ij} != p^k_{ji}; input is not a symmetric scheme")
         if not np.array_equal(p[0], np.diag(k)):
             raise ValueError("p^0_{ij} must equal delta_{ij} k_i; input is not a scheme")
         if not np.array_equal(p[:, 0, :], np.eye(m, dtype=np.int64)):
             raise ValueError("p^k_{0j} must equal delta_{kj}; input is not a scheme")
-        if any(not np.array_equal(np.einsum("kij,k->ij", p[:, b, :], k), np.outer(k[b], k))
-               for b in blocks):
-            raise ValueError("sum_k p^k_{ij} k_k != k_i k_j; input is not a scheme")
-        # k_k p^k_{ij} = k_j p^j_{ik} (Bannai-Ito 1984): diag(k) B_i is symmetric,
-        # so diag(sqrt k) B_i diag(sqrt k)^-1 is too.
+        # kb[c, j] = k_c p^c_{ij}: its column sums are sum_k p^k_{ij} k_k = k_i k_j, and
+        # k_k p^k_{ij} = k_j p^j_{ik} (Bannai-Ito 1984) makes it symmetric, so
+        # diag(sqrt k) B_i diag(sqrt k)^-1 is too.
         kb = np.empty((m, m), dtype=np.int64)
         for i in range(m):
-            if (np.multiply(k[:, None], p[:, i, :], out=kb) != kb.T).any():
+            np.multiply(k[:, None], p[:, i, :], out=kb)
+            if not np.array_equal(kb.sum(axis=0), k[i] * k):
+                raise ValueError("sum_k p^k_{ij} k_k != k_i k_j; input is not a scheme")
+            if (kb != kb.T).any():
                 raise ValueError(f"k_k p^k_{{{i}j}} != k_j p^j_{{{i}k}}; not a symmetric scheme")
         if k.min() < 1:
             raise ValueError(f"k_{int(np.argmin(k))} = 0: every class must be nonempty")

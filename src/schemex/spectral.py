@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .poly import Spectrum
-from .scheme_core import AssociationScheme, IntersectionTensor, slab_blocks
+from .scheme_core import AssociationScheme, IntersectionTensor
 
 #: two computed eigenvalues count as equal when their gap is at most this,
 #: relative to max(1, spectral radius); read only by eigen_groups
@@ -199,16 +199,15 @@ def krein_parameters(sd: SpectralData) -> KreinTensor:
     q^k_{ij} = (m_i m_j / n) sum_l P_l(i) P_l(j) P_l(k) / k_l^2
     (Bannai-Ito 1984; Brouwer-Cohen-Neumaier 1989) gives the coefficients of
     n E_i o E_j in the idempotent basis without forming any n x n matrix.
-    The sum over l runs as one (rows x (d+1)) @ ((d+1) x (d+1)) product per
-    block of slabs (see slab_blocks), written into the one (d+1)^3 array kept.
+    The sum over l runs as one (d+1) x (d+1) product per slab i, written into
+    the one (d+1)^3 array kept.
     """
     d, n = sd.d, sd.n
     P = sd.P
     m = sd.multiplicities
     W = P / sd.valencies  # W[i, l] = P_l(i) / k_l
     q_ijk = np.empty((d + 1, d + 1, d + 1))
-    for b in slab_blocks(d + 1):
-        pairs = (W[b, None, :] * W[None, :, :]).reshape(-1, d + 1)
-        np.matmul(pairs, P.T, out=q_ijk[b].reshape(-1, d + 1))  # a view: q_ijk[b] is contiguous
+    for i in range(d + 1):
+        np.matmul(W[i] * W, P.T, out=q_ijk[i])
     q_ijk *= (np.outer(m, m) / n)[:, :, None]
     return KreinTensor(d=d, q=q_ijk.transpose(2, 0, 1))

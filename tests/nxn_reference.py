@@ -2,8 +2,8 @@
 
 These are the direct definitions: the Krein parameters as the expansion of
 every entrywise product E_i o E_j of primitive idempotents, the M* product as
-a chain of dense n x n matrix products, and kappa_i as one scalar product
-loop.  The first two cost O(d^3 n^2) and O(d n^3), so tests only run them on
+a chain of dense n x n matrix products, kappa_i as one scalar product loop,
+and the Krein-chain band check as a loop over every entry.  The first two cost O(d^3 n^2) and O(d n^3), so tests only run them on
 small or mid-sized schemes.
 """
 
@@ -54,3 +54,18 @@ def mstar_product(s, sd, i: int) -> float:
     kap = kappa_scalar(sd.theta, i)
     E_i = sd.Q[s.rel, i] / s.n
     return float(np.abs(M - kap / s.n - E_i).max())
+
+
+def band_violation_loop(mat, order, thr):
+    """The first entry, row by row in ``order``, off the band pattern: |entry| <= thr two
+    or more places off the diagonal, entry > thr next to it; NaN fails both tests."""
+    m = len(order)
+    idx = np.asarray(order)
+    R = mat[np.ix_(idx, idx)]
+    for a in range(m):
+        for b in range(m):
+            if abs(a - b) >= 2 and not abs(R[a, b]) <= thr:
+                return f"entry ({order[a]},{order[b]}) = {R[a, b]} lies outside the band"
+            if abs(a - b) == 1 and not R[a, b] > thr:
+                return f"band entry ({order[a]},{order[b]}) = {R[a, b]} is not positive"
+    return None

@@ -187,9 +187,9 @@ def test_07_spectral_sanity_everywhere():
     for name, s, _expected in corpus():
         a = analyze(s)
         sd = a.spectral
-        if a.pq_residual > 1e-8 * s.n:
-            bad.append(f"{name}: PQ residual {a.pq_residual:.2e}")
-        if a.multiplicity_residual > 1e-6:
+        if sd.pq_residual > 1e-8 * s.n:
+            bad.append(f"{name}: PQ residual {sd.pq_residual:.2e}")
+        if sd.multiplicity_residual > 1e-6:
             bad.append(f"{name}: multiplicity residual")
         if int(np.round(sd.multiplicities).sum()) != s.n:
             bad.append(f"{name}: multiplicities do not sum to n")

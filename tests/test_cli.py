@@ -196,6 +196,14 @@ class TestDetect:
         assert main(["detect", src, "--json", str(b)]) == EXIT_OK
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.slow
+    def test_hamming_10_2(self, scheme_file, capsys):
+        # n = 1024, d = 10: about 0.8 s with the gen step, so it stays out of the default run
+        assert main(["detect", scheme_file("hamming", (10, 2))]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "status=yes" in out
+        assert f"ordering={list(range(11))}" in out
+
 
 class TestGraph:
     def test_petersen(self, edge_file, capsys):
@@ -212,6 +220,15 @@ class TestGraph:
                  (0, 3), (1, 4), (2, 5)]
         assert main(["graph", edge_file("prism", 6, edges)]) == EXIT_NO
         assert "drg=false" in capsys.readouterr().out
+
+    @pytest.mark.slow
+    def test_ten_cube(self, edge_file, capsys):
+        # n = 1024, d = D = 10: about 0.5 s, so it stays out of the default run
+        edges = [(u, u ^ (1 << b)) for u in range(1024) for b in range(10) if u < u ^ (1 << b)]
+        assert main(["graph", edge_file("cube10", 1024, edges)]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "d=10 D=10" in out
+        assert "drg=true" in out
 
     def test_star_is_not_regular(self, edge_file, capsys):
         edges = [(0, 1), (0, 2), (0, 3)]

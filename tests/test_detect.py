@@ -15,6 +15,7 @@ from schemex.detect import (
     YES,
     NO,
     PRECONDITION_FAILED,
+    _band_violation,
     analyze,
     detect,
     excess_route,
@@ -29,7 +30,7 @@ from schemex.poly import predistance_polynomials
 from schemex.scheme_core import IntersectionTensor, reorder_relations
 from schemex.spectral import KreinTensor, krein_parameters, spectral_data
 
-from nxn_reference import krein_expansion, mstar_product
+from nxn_reference import band_violation_loop, krein_expansion, mstar_product
 
 
 def _scheme(family, params=()):
@@ -313,6 +314,45 @@ class TestQPolynomial:
                 assert got.ordering in found, name
             else:
                 assert found == [], name
+
+    def test_band_mask_matches_entrywise_loop(self):
+        # band patterns (off the band 0 or +-1e-12, on it positive) with some entries
+        # redrawn from 0, +-1e-12, positive, negative and NaN, so witnesses land anywhere
+        rng = np.random.default_rng(13)
+        thr = 1e-8
+        values = np.array([0.0, 1e-12, -1e-12, 0.5, 3.0, -0.5, -2.0, np.nan])
+        outcomes = {None: 0, "entry": 0, "band": 0, "nan": 0}
+        for m in range(2, 7):
+            count = 2_000
+            pos = np.arange(m)
+            gap = np.abs(pos[:, None] - pos[None, :])
+            R = np.where(gap == 1, rng.uniform(0.1, 5.0, (count, m, m)),
+                         rng.choice(values[:3], (count, m, m)))
+            hit = rng.random((count, m, m)) < rng.uniform(0.0, 0.3, (count, 1, 1))
+            R[hit] = rng.choice(values, int(hit.sum()))
+            orders = rng.permuted(np.tile(pos, (count, 1)), axis=1)
+            for r, idx in zip(R, orders):
+                mat = np.empty_like(r)
+                mat[np.ix_(idx, idx)] = r
+                order = tuple(idx.tolist())
+                got = _band_violation(mat, order, thr)
+                assert got == band_violation_loop(mat, order, thr), (mat, order)
+                outcomes[None if got is None else got.split()[0]] += 1
+                outcomes["nan"] += got is not None and "nan" in got
+        assert min(outcomes.values()) >= 100, outcomes
+
+    def test_band_mask_matches_entrywise_loop_on_the_corpus(self, corpus_analyses):
+        rng = np.random.default_rng(13)
+        for name, a in corpus_analyses.items():
+            mat = a.krein.q[:, 1, :]
+            thr = BASE_TOL * max(1.0, a.report.n)
+            m = a.report.d + 1
+            orders = [tuple(range(m))] + [tuple(rng.permutation(m).tolist()) for _ in range(5)]
+            if a.report.q_poly.ordering is not None:
+                orders.append(a.report.q_poly.ordering)
+            for order in orders:
+                assert _band_violation(mat, order, thr) == band_violation_loop(mat, order, thr), (
+                    name, order)
 
     def test_no_entry_near_the_threshold(self, corpus_analyses, ladder, cycle_scheme):
         """Every q^j_{1i} is 1000x below or above the chain threshold, so no q_poly

@@ -324,8 +324,33 @@ def test_tensor_rejects_asymmetric_lower_indices():
         IntersectionTensor(d=2, p=p)
 
 
+def test_tensor_rejects_negative_entry():
+    p = generate(FamilySpec("cycle", (5,))).tensor.p.copy()
+    p[2, 1, 1] = -1
+    with pytest.raises(ValueError, match="intersection numbers must be non-negative"):
+        IntersectionTensor(d=2, p=p)
+
+
+def test_tensor_rejects_off_diagonal_p0():
+    # symmetric in the lower indices, but p^0_{12} = p^0_{21} = 1
+    p = generate(FamilySpec("cycle", (5,))).tensor.p.copy()
+    p[0, 1, 2] = p[0, 2, 1] = 1
+    with pytest.raises(ValueError, match=r"p\^0_\{ij\} must equal delta_\{ij\} k_i"):
+        IntersectionTensor(d=2, p=p)
+
+
+def test_tensor_rejects_broken_row_sums():
+    # p^0 = diag(1, 3), p^k_{0j} = delta_{kj} and p^1_{11} = 0 (K_4 has 2): k_1 p^1_{11}
+    # stays symmetric, but sum_k p^k_{11} k_k = 3 while k_1 k_1 = 9
+    p = np.zeros((2, 2, 2), dtype=np.int64)
+    p[0] = np.diag([1, 3])
+    p[:, 0, :] = p[:, :, 0] = np.eye(2, dtype=np.int64)
+    with pytest.raises(ValueError, match=r"sum_k p\^k_\{ij\} k_k != k_i k_j"):
+        IntersectionTensor(d=1, p=p)
+
+
 def test_tensor_checks_allocate_no_cube(cycle_scheme):
-    # the checks read the tensor in blocks of slabs (slab_blocks), here one slab each
+    # every check reads the tensor one (d+1)^2 slab at a time
     t = cycle_scheme(400).tensor
     one_cube = (t.d + 1) ** 3 * np.dtype(np.int64).itemsize
     tracemalloc.start()

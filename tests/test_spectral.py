@@ -178,8 +178,8 @@ def test_spectral_data_builds_no_cubic_array(cycle_scheme):
 
 
 def test_krein_parameters_hold_one_cubic_array(cycle_scheme):
-    # the closed form fills the tensor a block of slabs at a time (here 3 of
-    # 101), and the symmetry check in KreinTensor reads it slab by slab: no second cube
+    # the closed form fills the tensor one slab at a time, and the symmetry
+    # check in KreinTensor reads it slab by slab: no second cube
     sd = spectral_data(cycle_scheme(200).tensor)
     one_cube = (sd.d + 1) ** 3 * np.dtype(np.float64).itemsize
     tracemalloc.start()
