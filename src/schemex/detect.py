@@ -327,14 +327,11 @@ def mstar_decomposition_residual(t: IntersectionTensor, sd: SpectralData, i: int
 
 def q_polynomial_route(kt: KreinTensor) -> RouteVerdict:
     """Greedy chain on the Krein tensor: the dual (cometric) analogue of tridiagonal."""
-    q = kt.q
-    n = float(q[0].diagonal().sum())  # q^0_{ii} = m_i sums to n
-    thr = BASE_TOL * max(1.0, n)
-    mat = q[:, 1, :]
-    order, witness = _greedy_chain(mat > thr, kt.d)
+    thr = BASE_TOL * max(1.0, kt.n)
+    order, witness = _greedy_chain(kt.q1 > thr, kt.d)
     if order is None:
         return RouteVerdict("q_poly", NO, witness=witness)
-    bad = _band_violation(mat, order, thr)
+    bad = _band_violation(kt.q1, order, thr)
     if bad is not None:
         return RouteVerdict("q_poly", NO, witness=bad)
     return RouteVerdict("q_poly", YES, ordering=order, l=order[-1])

@@ -127,7 +127,10 @@ def graph_spectrum(g: Graph) -> Spectrum:
         raise NotRegular(f"degrees range over {sorted(set(degs))}")
     w = np.linalg.eigvalsh(g.adj.astype(float))
     groups = eigen_groups(w)[::-1]
-    theta = np.array([float(w[a:b].mean()) for a, b in groups])
+    # a cluster straddling 0 is the eigenvalue 0, not the rounding noise of its mean
+    theta = np.array([
+        0.0 if w[a] <= 0.0 <= w[b - 1] else float(w[a:b].mean()) for a, b in groups
+    ])
     mult = np.array([b - a for a, b in groups], dtype=float)
     if mult[0] != 1:  # the degree k has one eigenvector per component
         raise Disconnected(int(mult[0]))

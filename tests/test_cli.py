@@ -56,6 +56,11 @@ def _petersen_edges():
     return [(u, v) for u in range(10) for v in range(u + 1, 10) if A[u, v]]
 
 
+def _cube_edges(dim):
+    n = 1 << dim
+    return [(u, u ^ (1 << b)) for u in range(n) for b in range(dim) if u < u ^ (1 << b)]
+
+
 class TestGen:
     def test_stdout_header(self, capsys):
         assert main(["gen", "cycle", "5"]) == EXIT_OK
@@ -204,6 +209,14 @@ class TestDetect:
         assert "status=yes" in out
         assert f"ordering={list(range(11))}" in out
 
+    @pytest.mark.slow
+    def test_cycle_1000(self, scheme_file, capsys):
+        # d = 500: the largest d detect is run on; see CHANGES.md for its time and peak RSS
+        assert main(["detect", scheme_file("cycle", (1000,))]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "status=yes" in out
+        assert "l=500" in out
+
 
 class TestGraph:
     def test_petersen(self, edge_file, capsys):
@@ -221,13 +234,22 @@ class TestGraph:
         assert main(["graph", edge_file("prism", 6, edges)]) == EXIT_NO
         assert "drg=false" in capsys.readouterr().out
 
+    def test_four_cube_prints_zero_eigenvalue(self, edge_file, tmp_path, capsys):
+        # the computed zero cluster straddles 0, so it prints as 0, not as its mean's rounding noise
+        path = edge_file("cube4", 16, _cube_edges(4))
+        out = tmp_path / "cube4.json"
+        assert main(["graph", path, "--json", str(out)]) == EXIT_OK
+        assert "spectrum: 4^1 2^4 0^6 -2^4 -4^1\n" in capsys.readouterr().out
+        d = json.loads(out.read_text())
+        assert d["theta"][2] == 0.0 and d["multiplicities"][2] == 6
+
     @pytest.mark.slow
     def test_ten_cube(self, edge_file, capsys):
         # n = 1024, d = D = 10: about 0.5 s, so it stays out of the default run
-        edges = [(u, u ^ (1 << b)) for u in range(1024) for b in range(10) if u < u ^ (1 << b)]
-        assert main(["graph", edge_file("cube10", 1024, edges)]) == EXIT_OK
+        assert main(["graph", edge_file("cube10", 1024, _cube_edges(10))]) == EXIT_OK
         out = capsys.readouterr().out
         assert "d=10 D=10" in out
+        assert " 0^252 " in out
         assert "drg=true" in out
 
     def test_star_is_not_regular(self, edge_file, capsys):

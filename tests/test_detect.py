@@ -9,6 +9,7 @@ import pytest
 
 from schemex.detect import (
     BASE_TOL,
+    ROUTE_MATCH_RTOL,
     MultipleL,
     PerronNotSeparated,
     SpectrumNotSimple,
@@ -16,6 +17,7 @@ from schemex.detect import (
     NO,
     PRECONDITION_FAILED,
     _band_violation,
+    _match_columns,
     analyze,
     detect,
     excess_route,
@@ -28,7 +30,14 @@ from schemex.detect import (
 from schemex.families import FamilySpec, generate
 from schemex.poly import predistance_polynomials
 from schemex.scheme_core import IntersectionTensor, reorder_relations
-from schemex.spectral import KreinTensor, krein_parameters, spectral_data
+from schemex.spectral import (
+    EIG_GROUP_RTOL,
+    INTEGRALITY_TOL,
+    KreinTensor,
+    eigen_groups,
+    krein_parameters,
+    spectral_data,
+)
 
 from nxn_reference import band_violation_loop, krein_expansion, mstar_product
 
@@ -304,10 +313,10 @@ class TestQPolynomial:
     def test_matches_exhaustive_scan(self, scheme_corpus):
         for name, s, _ in scheme_corpus:
             kt = self._krein(s)
-            thr = BASE_TOL * max(1.0, float(kt.q[0].diagonal().sum()))
+            thr = BASE_TOL * max(1.0, kt.n)
             got = q_polynomial_route(kt)
             found = _oracle_chain_orders(
-                kt.q[:, 1, :], kt.d,
+                kt.q1, kt.d,
                 lambda v: v > thr, lambda v: abs(v) <= thr,
             )
             if got.verdict == YES:
@@ -344,7 +353,7 @@ class TestQPolynomial:
     def test_band_mask_matches_entrywise_loop_on_the_corpus(self, corpus_analyses):
         rng = np.random.default_rng(13)
         for name, a in corpus_analyses.items():
-            mat = a.krein.q[:, 1, :]
+            mat = a.krein.q1
             thr = BASE_TOL * max(1.0, a.report.n)
             m = a.report.d + 1
             orders = [tuple(range(m))] + [tuple(rng.permutation(m).tolist()) for _ in range(5)]
@@ -354,15 +363,12 @@ class TestQPolynomial:
                 assert _band_violation(mat, order, thr) == band_violation_loop(mat, order, thr), (
                     name, order)
 
-    def test_no_entry_near_the_threshold(self, corpus_analyses, ladder, cycle_scheme):
+    def test_no_entry_near_the_threshold(self, margin_analyses):
         """Every q^j_{1i} is 1000x below or above the chain threshold, so no q_poly
         verdict here would move if BASE_TOL moved a thousandfold either way."""
-        analyses = dict(corpus_analyses)
-        analyses.update((spec, analyze(s)) for spec, s in ladder.items())
-        analyses.update((f"cycle({n})", analyze(cycle_scheme(n))) for n in (44, 100, 200))
-        for name, a in analyses.items():
+        for name, a in margin_analyses.items():
             thr = BASE_TOL * max(1.0, a.report.n)
-            q1 = a.krein.q[:, 1, :]
+            q1 = a.krein.q1
             near = (np.abs(q1) > thr / 1000) & (q1 < thr * 1000)
             assert not near.any(), (name, q1[near])
 
@@ -446,6 +452,54 @@ def ladder():
     return {spec: _scheme(*spec) for spec in LADDER}
 
 
+@pytest.fixture(scope="module")
+def margin_analyses(corpus_analyses, ladder, cycle_scheme):
+    """The inputs every tolerance must clear by a wide margin: corpus, ladder, three cycles."""
+    analyses = dict(corpus_analyses)
+    analyses.update((spec, analyze(s)) for spec, s in ladder.items())
+    analyses.update((f"cycle({n})", analyze(cycle_scheme(n))) for n in (44, 100, 200))
+    return analyses
+
+
+class TestToleranceMargins:
+    """Each tolerance-gated decision clears its tolerance 1000x either way on every known
+    input, so moving a tolerance a thousandfold would change no verdict here."""
+
+    def test_multiplicities_are_far_inside_integrality(self, margin_analyses):
+        for name, a in margin_analyses.items():
+            assert a.spectral.multiplicity_residual <= INTEGRALITY_TOL / 1000, name
+
+    def test_route_columns_match_or_miss_by_far(self, margin_analyses):
+        for name, a in margin_analyses.items():
+            sd = a.spectral
+            if sd.spectrum is None:
+                continue  # tied theta: neither route matches columns
+            checks = {
+                "excess": (sd.spectrum.kappa[1:], -sd.Q[:, 1:].T),
+                "predistance": (a.predistance_system.values[sd.d], sd.P),
+            }
+            for route, (values, targets) in checks.items():
+                _, _, scaleds = _match_columns(values, targets)
+                l = a.report.routes()[route].l
+                for col, sc in enumerate(scaleds):
+                    if col == l:
+                        assert sc <= ROUTE_MATCH_RTOL / 1000, (name, route, col, sc)
+                    else:
+                        assert sc >= 1000 * ROUTE_MATCH_RTOL, (name, route, col, sc)
+
+    def test_theta_gaps_are_far_from_the_group_threshold(self, margin_analyses):
+        for name, a in margin_analyses.items():
+            w = np.sort(a.spectral.theta)
+            thr = EIG_GROUP_RTOL * max(1.0, float(np.abs(w).max()))
+            gaps = np.diff(w)
+            inside = np.ones(len(gaps), dtype=bool)
+            for _, b in eigen_groups(w):
+                if b < len(w):
+                    inside[b - 1] = False  # the gap from w[b - 1] to the next cluster
+            assert (gaps[inside] <= thr / 1000).all(), (name, gaps[inside].max() / thr)
+            assert (gaps[~inside] >= 1000 * thr).all(), (name, gaps[~inside].min() / thr)
+
+
 class TestLadder:
     """The mid-sized ladder schemes, affordable now that analyze does no n x n work."""
 
@@ -455,7 +509,8 @@ class TestLadder:
         a = analyze(s)
         assert a.report.status == YES
         assert a.mstar_max < 1e-8
-        ref = KreinTensor(d=s.d, q=krein_expansion(s, a.spectral))
+        ref = krein_expansion(s, a.spectral)
+        ref = KreinTensor(d=s.d, n=s.n, q1=ref[:, 1, :], min_value=float(ref.min()))
         assert a.report.q_poly.verdict == q_polynomial_route(ref).verdict
 
     def test_analyze_allocates_no_nxn_array(self, ladder):
@@ -481,6 +536,18 @@ class TestLargeDiameter:
         assert a.report.predistance.max_residual < 1e-9
         assert a.mstar_max < 1e-10
 
+    def test_analyze_allocates_no_cubic_array(self, cycle_scheme):
+        # the Krein parameters stream slab by slab; p itself is built before analyze runs
+        s = cycle_scheme(200)
+        one_cube = (s.d + 1) ** 3 * np.dtype(np.float64).itemsize
+        tracemalloc.start()
+        try:
+            analyze(s)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.15 * one_cube, f"analyze peaked at {peak / one_cube:.3f} (d+1)^3 arrays"
+
     def test_mstar_product_stays_accurate(self):
         s = _scheme("cycle", (60,))
         sd = spectral_data(s.tensor)
@@ -501,13 +568,15 @@ class TestTensorOnly:
     def _stages(t):
         sd = spectral_data(t)
         ps = predistance_polynomials(sd.spectrum)
+        kt = krein_parameters(sd)
         return {
             "P": sd.P, "Q": sd.Q, "m": sd.multiplicities,
             "tridiagonal": tridiagonal_route(t),
             "nstar": nstar_sets(t, sd).sets,
             "excess": excess_route(sd),
             "predistance": predistance_route(sd, ps),
-            "krein": krein_parameters(sd).q,
+            "krein_q1": kt.q1,
+            "krein_min": kt.min_value,
             "mstar": [mstar_decomposition_residual(t, sd, i) for i in (1, 2)],
         }
 

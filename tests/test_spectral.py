@@ -7,8 +7,8 @@ import pytest
 
 from schemex.families import FamilySpec, generate
 from schemex.spectral import (
-    KreinTensor,
     krein_parameters,
+    krein_slabs,
     primitive_idempotents,
     spectral_data,
 )
@@ -20,6 +20,11 @@ SQ5 = 5 ** 0.5
 
 def _sd(family, params=()):
     return spectral_data(generate(FamilySpec(family, params)).tensor)
+
+
+def _krein_cube(sd):
+    """q[k, i, j], stacked from the slabs q[:, i, :]."""
+    return np.stack(list(krein_slabs(sd)), axis=1)
 
 
 class TestEigenmatrices:
@@ -123,24 +128,22 @@ class TestIdempotents:
 class TestKrein:
     def test_k3_value(self):
         s = generate(FamilySpec("complete", (3,)))
-        sd = spectral_data(s.tensor)
-        kt = krein_parameters(sd)
-        assert abs(kt.q[1, 1, 1] - 1.0) < 1e-10
+        q = _krein_cube(spectral_data(s.tensor))
+        assert abs(q[1, 1, 1] - 1.0) < 1e-10
 
     def test_q0_diagonal_is_multiplicities(self, scheme_corpus):
         for name, s, _ in scheme_corpus:
             sd = spectral_data(s.tensor)
-            kt = krein_parameters(sd)
+            q = _krein_cube(sd)
             for i in range(s.d + 1):
                 for j in range(s.d + 1):
                     want = sd.multiplicities[i] if i == j else 0.0
-                    assert abs(kt.q[0, i, j] - want) < 1e-8, (name, i, j)
+                    assert abs(q[0, i, j] - want) < 1e-8, (name, i, j)
 
     def test_binary_hamming_self_dual(self):
         s = generate(FamilySpec("hamming", (3, 2)))
-        sd = spectral_data(s.tensor)
-        kt = krein_parameters(sd)
-        assert np.abs(kt.q - s.tensor.p).max() < 1e-8
+        q = _krein_cube(spectral_data(s.tensor))
+        assert np.abs(q - s.tensor.p).max() < 1e-8
 
     def test_nonnegativity_floor(self, scheme_corpus):
         for name, s, _ in scheme_corpus:
@@ -152,17 +155,29 @@ class TestKrein:
         # sum_j q^k_{ij} = m_i, the dual of the valency row-sum identity
         for name, s, _ in scheme_corpus:
             sd = spectral_data(s.tensor)
-            kt = krein_parameters(sd)
             m = sd.multiplicities
-            got = kt.q.sum(axis=2)
+            got = _krein_cube(sd).sum(axis=2)
             assert np.abs(got - m[None, :]).max() < 1e-7, name
 
     def test_closed_form_matches_nxn_expansion(self, scheme_corpus):
         for name, s, _ in scheme_corpus:
             sd = spectral_data(s.tensor)
             ref = krein_expansion(s, sd)
-            q = krein_parameters(sd).q
+            q = _krein_cube(sd)
             assert np.abs(q - ref).max() <= 1e-10 * max(1.0, np.abs(ref).max()), name
+            # krein_parameters checks q^k_{ij} = q^k_{ji} on slab 1 only; the rest holds by construction
+            assert np.abs(q - q.transpose(0, 2, 1)).max() <= 1e-12 * max(1.0, np.abs(q).max()), name
+
+    def test_kept_fields_match_the_cube(self, scheme_corpus, cycle_scheme):
+        schemes = [(name, s) for name, s, _ in scheme_corpus] + [("cycle(200)", cycle_scheme(200))]
+        for name, s in schemes:
+            sd = spectral_data(s.tensor)
+            q = _krein_cube(sd)
+            kt = krein_parameters(sd)
+            assert np.array_equal(kt.q1, q[:, 1, :]), name
+            assert kt.min_value == q.min(), name
+            assert kt.n == s.n and isinstance(kt.n, int), name
+            assert np.abs(q - q.transpose(0, 2, 1)).max() <= 1e-12 * max(1.0, np.abs(q).max()), name
 
 
 def test_spectral_data_builds_no_cubic_array(cycle_scheme):
@@ -177,9 +192,8 @@ def test_spectral_data_builds_no_cubic_array(cycle_scheme):
     assert peak < one_cube, f"spectral_data peaked at {peak} bytes, (d+1)^3 float64 is {one_cube}"
 
 
-def test_krein_parameters_hold_one_cubic_array(cycle_scheme):
-    # the closed form fills the tensor one slab at a time, and the symmetry
-    # check in KreinTensor reads it slab by slab: no second cube
+def test_krein_parameters_hold_no_cubic_array(cycle_scheme):
+    # one (d+1)^2 slab at a time, keeping only q^k_{1j} and the column q^k_{i1}
     sd = spectral_data(cycle_scheme(200).tensor)
     one_cube = (sd.d + 1) ** 3 * np.dtype(np.float64).itemsize
     tracemalloc.start()
@@ -188,13 +202,21 @@ def test_krein_parameters_hold_one_cubic_array(cycle_scheme):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 1.1 * one_cube, f"krein_parameters peaked at {peak / one_cube:.3f} (d+1)^3 arrays"
+    assert peak <= 0.1 * one_cube, f"krein_parameters peaked at {peak / one_cube:.3f} (d+1)^3 arrays"
 
 
-def test_krein_tensor_rejects_asymmetric_slab():
-    q = np.zeros((3, 3, 3))
-    q[2, 0, 1] = 1.0  # q^2_{01} != q^2_{10}
+def test_krein_tensor_rejects_asymmetric_slab(monkeypatch):
+    sd = _sd("cycle", (5,))
+    slabs = list(krein_slabs(sd))
+
+    def skewed(eps):
+        out = [slab.copy() for slab in slabs]
+        out[2][1, 1] += eps  # q^1_{21}; slab 1 keeps q^1_{12}
+        return lambda _sd: iter(out)
+
+    scale = max(1.0, max(abs(slab).max() for slab in slabs))
+    monkeypatch.setattr("schemex.spectral.krein_slabs", skewed(1e-6 * scale))
     with pytest.raises(ValueError, match="not symmetric in its lower indices"):
-        KreinTensor(d=2, q=q)
-    q[2, 1, 0] = 1.0 + 1e-9  # within 1e-8 of the scale
-    KreinTensor(d=2, q=q)
+        krein_parameters(sd)
+    monkeypatch.setattr("schemex.spectral.krein_slabs", skewed(1e-9 * scale))  # within 1e-8 of the scale
+    krein_parameters(sd)
