@@ -10,7 +10,6 @@ from .graph_tools import (
     spectral_excess_report,
 )
 from .poly import (
-    PredistanceSystem,
     Spectrum,
     graph_property_residual,
     inner_product,
@@ -36,8 +35,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AssociationScheme", "DetectionReport", "FamilySpec", "Graph",
-    "IntersectionTensor", "KreinTensor", "PredistanceSystem",
-    "RelationMatrix", "RouteVerdict", "SpectralData", "Spectrum",
+    "IntersectionTensor", "KreinTensor", "RelationMatrix",
+    "RouteVerdict", "SpectralData", "Spectrum",
     "analyze", "build_scheme", "corpus", "detect", "distance_data",
     "generate", "graph_property_residual", "graph_spectrum", "inner_product",
     "krein_parameters", "lagrange_power_identity",

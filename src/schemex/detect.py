@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .poly import PredistanceSystem, predistance_polynomials
+from .poly import predistance_polynomials
 from .scheme_core import AssociationScheme, IntersectionTensor
 from .spectral import (
     KreinTensor,
@@ -79,18 +79,6 @@ class RouteVerdict:
             "max_residual": self.max_residual,
             "witness": self.witness,
         }
-
-
-@dataclass(frozen=True)
-class NStarChain:
-    """sets[h] = relations whose coefficient in A_1^h is nonzero for the first time."""
-
-    sets: tuple
-
-    def singletons(self):
-        if any(len(part) != 1 for part in self.sets):
-            return None
-        return tuple(next(iter(part)) for part in self.sets)
 
 
 @dataclass(eq=False)
@@ -183,8 +171,11 @@ def tridiagonal_route(t: IntersectionTensor) -> RouteVerdict:
     return RouteVerdict("tridiagonal", YES, ordering=order, l=order[-1])
 
 
-def nstar_sets(t: IntersectionTensor, sd: SpectralData) -> NStarChain:
+def nstar_sets(t: IntersectionTensor, sd: SpectralData) -> tuple:
     """First-appearance sets of the relations in A_1^0, A_1^1, ..., A_1^d.
+
+    Entry h is the frozenset of relations whose coefficient in A_1^h is
+    nonzero for the first time.
 
     The coefficient vector of A_1^h is B_1^h applied to the unit vector of
     A_0, and every entry of B_1 = (p^k_{1j}) is a nonnegative integer, so no
@@ -221,20 +212,47 @@ def nstar_sets(t: IntersectionTensor, sd: SpectralData) -> NStarChain:
         frozenset(j for j, f in enumerate(first) if f == h) for h in range(d + 1)
     )
     assert sets[0] == frozenset({0}) and sets[1] == frozenset({1})
-    return NStarChain(sets=sets)
+    return sets
 
 
 def _match_columns(values, targets):
     """For each column l: scaled and raw max deviation of values vs targets[:, l]."""
-    raws, scaleds = [], []
-    for l in range(targets.shape[1]):
-        col = targets[:, l]
-        raw = np.abs(values - col)
-        scaled = raw / np.maximum(1.0, np.maximum(np.abs(values), np.abs(col)))
-        raws.append(float(raw.max()))
-        scaleds.append(float(scaled.max()))
+    v = values[:, None]
+    raw = np.abs(v - targets)
+    scaled = raw / np.maximum(1.0, np.maximum(np.abs(v), np.abs(targets)))
+    raws = raw.max(axis=0).tolist()
+    scaleds = scaled.max(axis=0).tolist()
     passing = [l for l, sc in enumerate(scaleds) if sc <= ROUTE_MATCH_RTOL]
     return passing, raws, scaleds
+
+
+def _column_verdict(route, values, targets, many, none):
+    """Match ``values`` against the columns of ``targets``.
+
+    Exactly one matching column l is a yes; several raise MultipleL, whose
+    message names them and goes on with ``many``; none is a no, whose witness
+    opens with ``none`` and names the closest column.
+    """
+    passing, raws, scaleds = _match_columns(values, targets)
+    if len(passing) > 1:
+        raise MultipleL(f"columns {passing} {many}")
+    if len(passing) == 1:
+        l = passing[0]
+        return RouteVerdict(route, YES, l=l, max_residual=raws[l])
+    best = int(np.argmin(scaleds))
+    return RouteVerdict(
+        route, NO, max_residual=raws[best],
+        witness=f"{none}; closest is l={best} (scaled deviation {scaleds[best]:.3e})",
+    )
+
+
+def _tied(route, tie):
+    """The precondition-failed verdict of a column-matching route on tied theta."""
+    j1, j2 = tie
+    return RouteVerdict(
+        route, PRECONDITION_FAILED,
+        witness=f"theta values at sorted positions {j1} and {j2} coincide",
+    )
 
 
 def excess_route(sd: SpectralData) -> RouteVerdict:
@@ -244,50 +262,25 @@ def excess_route(sd: SpectralData) -> RouteVerdict:
     MultipleL.  spectral_data has already checked Q against m_i P_l(i)/k_l.
     """
     if sd.tie is not None:
-        j1, j2 = sd.tie
-        return RouteVerdict(
-            "excess", PRECONDITION_FAILED,
-            witness=f"theta values at sorted positions {j1} and {j2} coincide",
-        )
-    targets = -sd.Q[:, 1:].T  # targets[i-1, l] = -Q_i(l)
-    passing, raws, scaleds = _match_columns(sd.spectrum.kappa[1:], targets)
-    if len(passing) > 1:
-        raise MultipleL(f"columns {passing} all satisfy kappa_i = -Q_i(l)")
-    if len(passing) == 1:
-        l = passing[0]
-        return RouteVerdict("excess", YES, l=l, max_residual=raws[l])
-    best = int(np.argmin(scaleds))
-    return RouteVerdict(
-        "excess", NO, max_residual=raws[best],
-        witness=f"no column of -Q matches kappa; closest is l={best} "
-                f"(scaled deviation {scaleds[best]:.3e})",
+        return _tied("excess", sd.tie)
+    return _column_verdict(
+        "excess", sd.spectrum.kappa[1:], -sd.Q[:, 1:].T,  # targets[i-1, l] = -Q_i(l)
+        many="all satisfy kappa_i = -Q_i(l)", none="no column of -Q matches kappa",
     )
 
 
-def predistance_route(sd: SpectralData, ps: PredistanceSystem | None) -> RouteVerdict:
+def predistance_route(sd: SpectralData, values: np.ndarray | None) -> RouteVerdict:
     """Match the values p_d(theta_h) against the columns P_l(h) of the first eigenmatrix.
 
-    On tied theta the verdict is precondition-failed and ``ps`` is never read,
-    so it may be None there.
+    ``values[i, h] = p_i(theta_h)`` is the table of predistance_polynomials.
+    On tied theta the verdict is precondition-failed and ``values`` is never
+    read, so it may be None there.
     """
     if sd.tie is not None:
-        j1, j2 = sd.tie
-        return RouteVerdict(
-            "predistance", PRECONDITION_FAILED,
-            witness=f"theta values at sorted positions {j1} and {j2} coincide",
-        )
-    vals = ps.values[sd.d]  # p_d at every theta_h
-    passing, raws, scaleds = _match_columns(vals, sd.P)
-    if len(passing) > 1:
-        raise MultipleL(f"columns {passing} of P all match p_d on the spectrum")
-    if len(passing) == 1:
-        l = passing[0]
-        return RouteVerdict("predistance", YES, l=l, max_residual=raws[l])
-    best = int(np.argmin(scaleds))
-    return RouteVerdict(
-        "predistance", NO, max_residual=raws[best],
-        witness=f"p_d matches no column of P; closest is l={best} "
-                f"(scaled deviation {scaleds[best]:.3e})",
+        return _tied("predistance", sd.tie)
+    return _column_verdict(
+        "predistance", values[sd.d], sd.P,
+        many="of P all match p_d on the spectrum", none="p_d matches no column of P",
     )
 
 
@@ -344,25 +337,26 @@ class Analysis:
     report: DetectionReport
     spectral: SpectralData
     krein: KreinTensor
-    predistance_system: PredistanceSystem | None
+    predistance_values: np.ndarray | None
     mstar_max: float | None
     pq_residual: float
     multiplicity_residual: float
 
 
 def _nstar_verdict(t, sd):
-    """Yes iff some relation first appears in A_1^d, i.e. iff all d+1 levels are
-    singletons: first appearances are breadth-first distances, so none is skipped."""
+    """Yes iff some relation first appears in A_1^d, i.e. iff each of the d+1 levels
+    holds one relation: first appearances are breadth-first distances, so none is skipped."""
     try:
-        sing = nstar_sets(t, sd).singletons()
+        sets = nstar_sets(t, sd)
     except PerronNotSeparated as e:
         return RouteVerdict("nstar", PRECONDITION_FAILED, witness=str(e))
-    if sing is None:
+    if any(len(part) != 1 for part in sets):
         return RouteVerdict(
             "nstar", NO,
             witness="every relation already appears in a power A_1^h with h <= d-1",
         )
-    return RouteVerdict("nstar", YES, ordering=sing, l=sing[-1])
+    order = tuple(j for part in sets for j in part)
+    return RouteVerdict("nstar", YES, ordering=order, l=order[-1])
 
 
 def analyze(s: AssociationScheme) -> Analysis:
@@ -373,9 +367,9 @@ def analyze(s: AssociationScheme) -> Analysis:
     tri = tridiagonal_route(t)
     nstar_v = _nstar_verdict(t, sd)
 
-    ps = predistance_polynomials(sd.spectrum) if sd.spectrum is not None else None
+    values = predistance_polynomials(sd.spectrum) if sd.spectrum is not None else None
     excess_v = excess_route(sd)
-    pred_v = predistance_route(sd, ps)
+    pred_v = predistance_route(sd, values)
 
     kt = krein_parameters(sd)
     qv = q_polynomial_route(kt)
@@ -426,7 +420,7 @@ def analyze(s: AssociationScheme) -> Analysis:
         ordering=ordering, l=l,
     )
     return Analysis(
-        report=report, spectral=sd, krein=kt, predistance_system=ps, mstar_max=mstar_max,
+        report=report, spectral=sd, krein=kt, predistance_values=values, mstar_max=mstar_max,
         pq_residual=sd.pq_residual, multiplicity_residual=sd.multiplicity_residual,
     )
 

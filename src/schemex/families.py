@@ -48,6 +48,8 @@ def _require(cond, msg):
 
 def _rel_hamming(n, q):
     _require(n >= 1 and q >= 2, f"hamming needs n >= 1 and q >= 2, got ({n},{q})")
+    # q^n >= 2^n > MAX_POINTS once n reaches MAX_POINTS.bit_length(); q^n itself may not fit in memory
+    _require(n < MAX_POINTS.bit_length(), f"hamming({n},{q}) has more than {MAX_POINTS} points")
     npoints = q ** n
     _require(npoints <= MAX_POINTS, f"hamming({n},{q}) has {npoints} > {MAX_POINTS} points")
     pts = np.array(list(product(range(q), repeat=n)), dtype=np.int16)
@@ -59,6 +61,8 @@ def _rel_hamming(n, q):
 
 def _rel_johnson(v, k):
     _require(1 <= k and v >= 2 * k, f"johnson needs 1 <= k and v >= 2k, got ({v},{k})")
+    # C(v, k) >= v for 1 <= k <= v - 1; C(v, k) itself may take hours to count
+    _require(v <= MAX_POINTS, f"johnson({v},{k}) has more than {MAX_POINTS} points")
     npoints = comb(v, k)
     _require(npoints <= MAX_POINTS, f"johnson({v},{k}) has {npoints} > {MAX_POINTS} points")
     # 0/1 membership rows; M M^T counts common elements, <= k, exact in float32

@@ -181,8 +181,7 @@ def spectral_excess_report(g: Graph) -> SpectralExcessReport:
     dd = distance_data(g)
     sp = graph_spectrum(g)
     d = sp.d
-    ps = predistance_polynomials(sp)
-    pd0 = float(ps.values[d, 0])
+    pd0 = float(predistance_polynomials(sp)[d, 0])
     exc = dd.excess.astype(float)
     mean = float(exc.mean())
     harm = float(g.n / (1.0 / exc).sum())

@@ -91,24 +91,15 @@ def inner_product(p, q, sp: Spectrum) -> float:
     return float((sp.m * p(sp.theta) * q(sp.theta)).sum() / sp.n)
 
 
-@dataclass(eq=False)
-class PredistanceSystem:
+def predistance_polynomials(sp: Spectrum) -> np.ndarray:
     """The predistance polynomials p_0..p_d as their values on the spectrum.
 
-    values[i, h] = p_i(theta_h); d + 1 values fix a polynomial of degree <= d.
-    norms[i] = <p_i, p_i> = p_i(theta_0).
+    Entry [i, h] is p_i(theta_h); d + 1 values fix a polynomial of degree <= d.
     """
-
-    spectrum: Spectrum
-    values: np.ndarray
-    norms: np.ndarray
-
-
-def predistance_polynomials(sp: Spectrum) -> PredistanceSystem:
     d = sp.d
     w = sp.m / sp.n
     values = np.zeros((d + 1, d + 1))
-    norms = np.zeros(d + 1)
+    norms = np.zeros(d + 1)  # norms[i] = <p_i, p_i> = p_i(theta_0)
     values[0] = 1.0
     norms[0] = float(w.sum())
     for i in range(1, d + 1):
@@ -122,7 +113,7 @@ def predistance_polynomials(sp: Spectrum) -> PredistanceSystem:
         # rescale now (q_i(theta_0) / <q_i, q_i>): unnormalized rows overflow by degree ~300
         values[i] = v[0] / norm * v
         norms[i] = float(w @ (values[i] * values[i]))
-    return PredistanceSystem(spectrum=sp, values=values, norms=norms)
+    return values
 
 
 def lagrange_power_identity(betas, x: float, h: int) -> float:
@@ -146,9 +137,12 @@ def lagrange_power_identity(betas, x: float, h: int) -> float:
     return total
 
 
-def graph_property_residual(sp: Spectrum, ps: PredistanceSystem, i: int) -> float:
-    """kappa_i + m_i p_d(theta_i) / p_d(theta_0); about 0 for connected regular graph spectra."""
+def graph_property_residual(sp: Spectrum, values: np.ndarray, i: int) -> float:
+    """kappa_i + m_i p_d(theta_i) / p_d(theta_0); about 0 for connected regular graph spectra.
+
+    ``values`` is the table of predistance_polynomials(sp).
+    """
     if not 1 <= i <= sp.d:
         raise ValueError(f"i must be in 1..{sp.d}")
-    vd = ps.values[sp.d]
+    vd = values[sp.d]
     return float(sp.kappa[i] + sp.m[i] * vd[i] / vd[0])

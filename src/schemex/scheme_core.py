@@ -176,16 +176,13 @@ def _tensor_from_representatives(rel: np.ndarray, d: int) -> np.ndarray:
     and rel(z, y) = j.  Constancy over the class is *assumed* here; it is
     checked separately by :func:`build_scheme`.
     """
-    n = rel.shape[0]
     m = d + 1
-    p = np.zeros((m, m, m), dtype=np.int64)
     # every class occurs; the stable sort gives each one's row-major first pair
     _, first = np.unique(rel.ravel(), return_index=True)
-    for k in range(m):
-        x, y = divmod(int(first[k]), n)
-        key = rel[x, :].astype(np.int64) * m + rel[:, y]
-        p[k] = np.bincount(key, minlength=m * m).reshape(m, m)
-    return p
+    x, y = np.divmod(first, rel.shape[0])
+    # key[k, z] = (k m + rel(x_k, z)) m + rel(z, y_k), the flat index of p[k, i, j]
+    key = (np.arange(m)[:, None] * m + rel[x]) * m + rel[:, y].T
+    return np.bincount(key.ravel(), minlength=m ** 3).reshape(m, m, m)
 
 
 # float32 represents every integer of magnitude <= 2**24 exactly

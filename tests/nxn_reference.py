@@ -3,7 +3,8 @@
 These are the direct definitions: the Krein parameters as the expansion of
 every entrywise product E_i o E_j of primitive idempotents, the M* product as
 a chain of dense n x n matrix products, kappa_i as one scalar product loop,
-and the Krein-chain band check as a loop over every entry.  The first two cost O(d^3 n^2) and O(d n^3), so tests only run them on
+the Krein-chain band check as a loop over every entry, and the route column
+deviations one column at a time.  The first two cost O(d^3 n^2) and O(d n^3), so tests only run them on
 small or mid-sized schemes.
 """
 
@@ -69,3 +70,15 @@ def band_violation_loop(mat, order, thr):
             if abs(a - b) == 1 and not R[a, b] > thr:
                 return f"band entry ({order[a]},{order[b]}) = {R[a, b]} is not positive"
     return None
+
+
+def column_deviations_loop(values, targets):
+    """Raw and scaled max deviation of values vs each column targets[:, l], one column at a time."""
+    raws, scaleds = [], []
+    for l in range(targets.shape[1]):
+        col = targets[:, l]
+        raw = np.abs(values - col)
+        scaled = raw / np.maximum(1.0, np.maximum(np.abs(values), np.abs(col)))
+        raws.append(float(raw.max()))
+        scaleds.append(float(scaled.max()))
+    return raws, scaleds

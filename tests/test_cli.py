@@ -2,6 +2,10 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
+import resource
+import subprocess
+import sys
 
 import networkx as nx
 import numpy as np
@@ -336,6 +340,31 @@ class TestOutputFiles:
         rc = main(["gen", "cycle", "5", "-o", str(tmp_path / "missing" / "x")])
         assert rc == EXIT_PARSE
         assert self._assert_one_error(capsys) == ""
+
+
+class TestGenSizeBound:
+    """Parameters far past the point cap are refused before any point is counted."""
+
+    @staticmethod
+    def _limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
+
+    @pytest.mark.parametrize("params, err", [
+        (("hamming", "100000000000000000000", "2"),
+         "hamming(100000000000000000000,2) has more than 5000 points"),
+        (("johnson", "100000000", "50000000"),
+         "johnson(100000000,50000000) has more than 5000 points"),
+    ])
+    def test_huge_parameters_fail_fast(self, params, err):
+        # a subprocess, so a regression that counts the points times out instead of hanging
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
+        proc = subprocess.run(
+            [sys.executable, "-m", "schemex.cli", "gen", *params], env=env,
+            capture_output=True, text=True, timeout=10, preexec_fn=self._limit_memory,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (EXIT_PARSE, "", f"ERROR: {err}\n")
 
 
 class TestOutOfMemory:

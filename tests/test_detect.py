@@ -18,6 +18,7 @@ from schemex.detect import (
     PRECONDITION_FAILED,
     _band_violation,
     _match_columns,
+    _nstar_verdict,
     analyze,
     detect,
     excess_route,
@@ -39,7 +40,12 @@ from schemex.spectral import (
     spectral_data,
 )
 
-from nxn_reference import band_violation_loop, krein_expansion, mstar_product
+from nxn_reference import (
+    band_violation_loop,
+    column_deviations_loop,
+    krein_expansion,
+    mstar_product,
+)
 
 
 def _scheme(family, params=()):
@@ -78,7 +84,7 @@ def _assert_nstar_matches_walk_counts(s, label):
     want = tuple(
         frozenset(j for j, f in enumerate(first) if f == h) for h in range(s.d + 1)
     )
-    assert nstar_sets(s.tensor, sd).sets == want, label
+    assert nstar_sets(s.tensor, sd) == want, label
 
 
 # ---------------------------------------------------------------------------
@@ -155,23 +161,24 @@ class TestTridiagonal:
 class TestNStar:
     def test_cube_chain(self):
         s = _scheme("hamming", (3, 2))
-        chain = nstar_sets(s.tensor, spectral_data(s.tensor))
-        assert chain.sets == tuple(frozenset({h}) for h in range(4))
-        assert chain.singletons() == (0, 1, 2, 3)
+        sd = spectral_data(s.tensor)
+        assert nstar_sets(s.tensor, sd) == tuple(frozenset({h}) for h in range(4))
+        assert _nstar_verdict(s.tensor, sd).ordering == (0, 1, 2, 3)
 
     def test_cyclotomic_collapses_early(self):
         s = _scheme("cyclotomic13")
-        chain = nstar_sets(s.tensor, spectral_data(s.tensor))
-        assert chain.sets == (
+        sd = spectral_data(s.tensor)
+        chain = nstar_sets(s.tensor, sd)
+        assert chain == (
             frozenset({0}), frozenset({1}), frozenset({2, 3}), frozenset()
         )
-        assert chain.singletons() is None
-        assert frozenset().union(*chain.sets[:3]) == frozenset({0, 1, 2, 3})
+        assert _nstar_verdict(s.tensor, sd).verdict == NO
+        assert frozenset().union(*chain[:3]) == frozenset({0, 1, 2, 3})
 
     def test_swapped_cycle(self):
         s = _seven_cycle_swapped()
         chain = nstar_sets(s.tensor, spectral_data(s.tensor))
-        assert chain.singletons() == (0, 1, 3, 2)
+        assert chain == tuple(frozenset({j}) for j in (0, 1, 3, 2))
 
     def test_disconnected_first_relation(self):
         s = _scheme("disjoint_cliques", (3, 3))
@@ -228,26 +235,31 @@ class TestExcess:
         s = _scheme("complete", (2,))
         with pytest.raises(MultipleL):
             excess_route(spectral_data(s.tensor))
+        # both column-matching routes name every passing column
+        sd = spectral_data(_scheme("cycle", (5,)).tensor)
+        with pytest.raises(MultipleL) as exc:
+            excess_route(sd)
+        assert str(exc.value) == "columns [0, 1, 2] all satisfy kappa_i = -Q_i(l)"
+        with pytest.raises(MultipleL) as exc:
+            predistance_route(sd, predistance_polynomials(sd.spectrum))
+        assert str(exc.value) == "columns [0, 1, 2] of P all match p_d on the spectrum"
 
 
 class TestPredistanceRoute:
     def test_petersen(self):
         sd = spectral_data(_scheme("petersen").tensor)
-        ps = predistance_polynomials(sd.spectrum)
-        v = predistance_route(sd, ps)
+        v = predistance_route(sd, predistance_polynomials(sd.spectrum))
         assert (v.verdict, v.l) == (YES, 2)
         assert v.max_residual < 1e-9
 
     def test_cube(self):
         sd = spectral_data(_scheme("hamming", (3, 2)).tensor)
-        ps = predistance_polynomials(sd.spectrum)
-        v = predistance_route(sd, ps)
+        v = predistance_route(sd, predistance_polynomials(sd.spectrum))
         assert (v.verdict, v.l) == (YES, 3)
 
     def test_cyclotomic_no(self):
         sd = spectral_data(_scheme("cyclotomic13").tensor)
-        ps = predistance_polynomials(sd.spectrum)
-        v = predistance_route(sd, ps)
+        v = predistance_route(sd, predistance_polynomials(sd.spectrum))
         assert v.verdict == NO
 
 
@@ -412,6 +424,20 @@ class TestAnalyze:
             assert report.excess.verdict == PRECONDITION_FAILED, name
             assert report.predistance.verdict == PRECONDITION_FAILED, name
 
+    def test_column_route_witnesses(self, corpus_analyses):
+        tie = "theta values at sorted positions 0 and 1 coincide"
+        want = {
+            "cyclotomic13": (
+                "no column of -Q matches kappa; closest is l=2 (scaled deviation 1.103e+00)",
+                "p_d matches no column of P; closest is l=2 (scaled deviation 8.000e-01)",
+            ),
+            "disjoint_cliques(3,3)": (tie, tie),
+            "hamming(3,2)+A1=antipodal": (tie, tie),
+        }
+        for name, witnesses in want.items():
+            report = corpus_analyses[name].report
+            assert (report.excess.witness, report.predistance.witness) == witnesses, name
+
     def test_analysis_residual_fields(self, scheme_corpus, corpus_analyses):
         for name, s, expected in scheme_corpus:
             a = corpus_analyses[name]
@@ -476,10 +502,11 @@ class TestToleranceMargins:
                 continue  # tied theta: neither route matches columns
             checks = {
                 "excess": (sd.spectrum.kappa[1:], -sd.Q[:, 1:].T),
-                "predistance": (a.predistance_system.values[sd.d], sd.P),
+                "predistance": (a.predistance_values[sd.d], sd.P),
             }
             for route, (values, targets) in checks.items():
-                _, _, scaleds = _match_columns(values, targets)
+                _, raws, scaleds = _match_columns(values, targets)
+                assert (raws, scaleds) == column_deviations_loop(values, targets), (name, route)
                 l = a.report.routes()[route].l
                 for col, sc in enumerate(scaleds):
                     if col == l:
@@ -567,14 +594,14 @@ class TestTensorOnly:
     @staticmethod
     def _stages(t):
         sd = spectral_data(t)
-        ps = predistance_polynomials(sd.spectrum)
+        values = predistance_polynomials(sd.spectrum)
         kt = krein_parameters(sd)
         return {
             "P": sd.P, "Q": sd.Q, "m": sd.multiplicities,
             "tridiagonal": tridiagonal_route(t),
-            "nstar": nstar_sets(t, sd).sets,
+            "nstar": nstar_sets(t, sd),
             "excess": excess_route(sd),
-            "predistance": predistance_route(sd, ps),
+            "predistance": predistance_route(sd, values),
             "krein_q1": kt.q1,
             "krein_min": kt.min_value,
             "mstar": [mstar_decomposition_residual(t, sd, i) for i in (1, 2)],

@@ -1,9 +1,20 @@
 from __future__ import annotations
 
+from math import comb
+
 import numpy as np
 import pytest
 
 from schemex.families import FAMILIES, FamilySpec, ParamOutOfRange, corpus, generate
+
+SIZE_CAP_MESSAGES = [
+    ("hamming", (8, 3), "hamming(8,3) has 6561 > 5000 points"),
+    ("hamming", (12, 3), "hamming(12,3) has 531441 > 5000 points"),
+    ("hamming", (13, 2), "hamming(13,2) has more than 5000 points"),
+    ("johnson", (101, 2), "johnson(101,2) has 5050 > 5000 points"),
+    ("johnson", (5000, 2500), f"johnson(5000,2500) has {comb(5000, 2500)} > 5000 points"),
+    ("johnson", (5001, 1), "johnson(5001,1) has more than 5000 points"),
+]
 
 
 class TestFamilySpec:
@@ -49,6 +60,14 @@ class TestFamilySpec:
     def test_size_cap(self):
         with pytest.raises(ParamOutOfRange):
             generate(FamilySpec("hamming", (13, 2)))  # 8192 points > cap
+
+    @pytest.mark.parametrize("family,params,msg", SIZE_CAP_MESSAGES,
+                             ids=[f"{family}{params}" for family, params, _ in SIZE_CAP_MESSAGES])
+    def test_size_cap_messages(self, family, params, msg):
+        # 2^n and v bound q^n and C(v, k) from below, so past them nothing is counted
+        with pytest.raises(ParamOutOfRange) as exc:
+            generate(FamilySpec(family, params))
+        assert str(exc.value) == msg
 
 
 class TestGolden:
