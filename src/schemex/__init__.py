@@ -9,13 +9,7 @@ from .graph_tools import (
     scheme_from_drg,
     spectral_excess_report,
 )
-from .poly import (
-    Spectrum,
-    graph_property_residual,
-    inner_product,
-    lagrange_power_identity,
-    predistance_polynomials,
-)
+from .poly import Spectrum, predistance_polynomials
 from .scheme_core import (
     AssociationScheme,
     IntersectionTensor,
@@ -38,8 +32,7 @@ __all__ = [
     "IntersectionTensor", "KreinTensor", "RelationMatrix",
     "RouteVerdict", "SpectralData", "Spectrum",
     "analyze", "build_scheme", "corpus", "detect", "distance_data",
-    "generate", "graph_property_residual", "graph_spectrum", "inner_product",
-    "krein_parameters", "lagrange_power_identity",
-    "predistance_polynomials", "primitive_idempotents", "reorder_relations",
+    "generate", "graph_spectrum", "krein_parameters", "predistance_polynomials",
+    "primitive_idempotents", "reorder_relations",
     "scheme_from_drg", "spectral_data", "spectral_excess_report",
 ]

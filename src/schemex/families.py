@@ -48,8 +48,10 @@ def _require(cond, msg):
 
 def _rel_hamming(n, q):
     _require(n >= 1 and q >= 2, f"hamming needs n >= 1 and q >= 2, got ({n},{q})")
-    # q^n >= 2^n > MAX_POINTS once n reaches MAX_POINTS.bit_length(); q^n itself may not fit in memory
-    _require(n < MAX_POINTS.bit_length(), f"hamming({n},{q}) has more than {MAX_POINTS} points")
+    # q^n >= 2^n > MAX_POINTS once n reaches MAX_POINTS.bit_length(), and q^n >= q; past
+    # either bound q^n is never formed, as it may not fit in memory or print in 4300 digits
+    _require(n < MAX_POINTS.bit_length() and q <= MAX_POINTS,
+             f"hamming({n},{q}) has more than {MAX_POINTS} points")
     npoints = q ** n
     _require(npoints <= MAX_POINTS, f"hamming({n},{q}) has {npoints} > {MAX_POINTS} points")
     pts = np.array(list(product(range(q), repeat=n)), dtype=np.int16)
@@ -89,6 +91,8 @@ def _rel_complete(n):
 
 def _rel_disjoint_cliques(c, m):
     _require(c >= 2 and m >= 2, f"disjoint_cliques needs c, m >= 2, got ({c},{m})")
+    # c m >= 2 max(c, m); past that bound c m is never formed, as it may not print in 4300 digits
+    _require(max(c, m) <= MAX_POINTS, f"disjoint_cliques({c},{m}) has more than {MAX_POINTS} points")
     n = c * m
     _require(n <= MAX_POINTS, f"disjoint_cliques({c},{m}) has {n} > {MAX_POINTS} points")
     block = np.arange(n) // m

@@ -6,7 +6,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .poly import Spectrum, predistance_polynomials
+from .poly import (
+    Spectrum,
+    predistance_polynomials,  # noqa: F401  unused here; perfbench/spans.py traces this name
+    spectral_excess,
+)
 from .scheme_core import AssociationScheme, RelationMatrix, SchemeValidationError, build_scheme
 from .spectral import eigen_groups
 
@@ -181,7 +185,7 @@ def spectral_excess_report(g: Graph) -> SpectralExcessReport:
     dd = distance_data(g)
     sp = graph_spectrum(g)
     d = sp.d
-    pd0 = float(predistance_polynomials(sp)[d, 0])
+    pd0 = spectral_excess(sp)
     exc = dd.excess.astype(float)
     mean = float(exc.mean())
     harm = float(g.n / (1.0 / exc).sum())

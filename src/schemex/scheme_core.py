@@ -160,10 +160,6 @@ class AssociationScheme:
     rel: np.ndarray
     tensor: IntersectionTensor
 
-    def adjacency(self, i: int) -> np.ndarray:
-        """0/1 indicator matrix of relation i (int32)."""
-        return (self.rel == i).astype(np.int32)
-
     @property
     def valencies(self) -> np.ndarray:
         return self.tensor.valencies

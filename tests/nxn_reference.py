@@ -4,8 +4,14 @@ These are the direct definitions: the Krein parameters as the expansion of
 every entrywise product E_i o E_j of primitive idempotents, the M* product as
 a chain of dense n x n matrix products, kappa_i as one scalar product loop,
 the Krein-chain band check as a loop over every entry, and the route column
-deviations one column at a time.  The first two cost O(d^3 n^2) and O(d n^3), so tests only run them on
-small or mid-sized schemes.
+deviations one column at a time.  The first two cost O(d^3 n^2) and O(d n^3),
+so tests only run them on small or mid-sized schemes.
+
+Beside them sit identities no library stage reads: the 0/1 adjacency matrix
+of a relation, the spectrum-weighted inner product, the Lagrange power
+identity (with RepeatedBeta for repeated nodes) and the graph-property
+residual kappa_i + m_i p_d(theta_i) / p_d(theta_0), the identity that
+schemex.poly.spectral_excess's closed form comes from.
 """
 
 from __future__ import annotations
@@ -45,7 +51,7 @@ def kappa_scalar(theta, i: int) -> float:
 def mstar_product(s, sd, i: int) -> float:
     """Max-abs entry of prod_{j!=i}(A_1 - theta_j I)/(theta_i - theta_j) - kappa_i E_0 - E_i."""
     th = sd.theta
-    A1 = s.adjacency(1).astype(float)
+    A1 = adjacency(s, 1).astype(float)
     eye = np.eye(s.n)
     M = eye
     for j in range(1, s.d + 1):
@@ -82,3 +88,49 @@ def column_deviations_loop(values, targets):
         raws.append(float(raw.max()))
         scaleds.append(float(scaled.max()))
     return raws, scaleds
+
+
+def adjacency(s, i: int) -> np.ndarray:
+    """0/1 indicator matrix of relation i (int32)."""
+    return (s.rel == i).astype(np.int32)
+
+
+def inner_product(p, q, sp) -> float:
+    """(1/n) sum_i m_i p(theta_i) q(theta_i)."""
+    return float((sp.m * p(sp.theta) * q(sp.theta)).sum() / sp.n)
+
+
+class RepeatedBeta(ValueError):
+    """Interpolation nodes must be mutually distinct."""
+
+
+def lagrange_power_identity(betas, x: float, h: int) -> float:
+    """sum_i beta_i^h prod_{k != i} (x - beta_k)/(beta_i - beta_k).
+
+    For mutually distinct nodes and 0 <= h <= len(betas) - 1 this equals x^h
+    exactly (interpolation of t^h is exact below the node count); the function
+    computes the left-hand side so the identity stays testable.
+    """
+    b = np.asarray(betas, dtype=float)
+    if b.ndim != 1 or b.size < 1:
+        raise ValueError("betas must be a non-empty 1-d sequence")
+    if np.unique(b).size != b.size:
+        raise RepeatedBeta(f"nodes {betas} contain a repeat")
+    if not 0 <= h <= b.size - 1:
+        raise ValueError(f"h must be in 0..{b.size - 1}")
+    total = 0.0
+    for i in range(b.size):
+        others = np.delete(b, i)
+        total += b[i] ** h * float(np.prod((x - others) / (b[i] - others)))
+    return total
+
+
+def graph_property_residual(sp, values: np.ndarray, i: int) -> float:
+    """kappa_i + m_i p_d(theta_i) / p_d(theta_0); about 0 for connected regular graph spectra.
+
+    ``values`` is the table of predistance_polynomials(sp).
+    """
+    if not 1 <= i <= sp.d:
+        raise ValueError(f"i must be in 1..{sp.d}")
+    vd = values[sp.d]
+    return float(sp.kappa[i] + sp.m[i] * vd[i] / vd[0])

@@ -30,13 +30,11 @@ from schemex.graph_tools import (
     scheme_from_drg,
     spectral_excess_report,
 )
-from schemex.poly import (
-    graph_property_residual,
-    lagrange_power_identity,
-    predistance_polynomials,
-)
+from schemex.poly import predistance_polynomials
 from schemex.scheme_core import reorder_relations
 from schemex.spectral import spectral_data
+
+from nxn_reference import adjacency, graph_property_residual, lagrange_power_identity
 
 
 def _report(num: int, name: str, ok: bool, detail: str = ""):
@@ -48,7 +46,7 @@ def _report(num: int, name: str, ok: bool, detail: str = ""):
 
 
 def _graph_from_scheme_relation(s, i=1):
-    A = s.adjacency(i)
+    A = adjacency(s, i)
     edges = [(u, v) for u in range(s.n) for v in range(u + 1, s.n) if A[u, v]]
     return Graph.from_edges(s.n, edges)
 
@@ -135,10 +133,10 @@ def test_04_interpolation_identity_fuzz():
 
 
 def test_05_regular_graph_residual_fuzz():
-    # the sampler keeps n <= 12 and the distinct-eigenvalue count <= 9 so the
-    # spectra stay inside the monomial-basis conditioning envelope of the
-    # polynomial module; the envelope gate looks only at the input spectrum,
-    # never at the computed residual
+    # the sampler keeps n <= 12 and d <= 8: the residual divides by p_d(theta_0),
+    # which falls toward the recurrence's rounding as d nears n (1e-15 at n = 13,
+    # d = 12, where the residual reaches 0.16); the gate looks only at the input
+    # spectrum, never at the computed residual
     rng = np.random.default_rng(20260823)
     worst = 0.0
     built = 0
@@ -237,7 +235,7 @@ def test_09_graph_side_round_trips():
             f"petersen excess={set(rep.excess.tolist())} pd0={rep.pd_theta0}"
         )
 
-    A = pet_scheme.adjacency(1)
+    A = adjacency(pet_scheme, 1)
     edges = [(u, v) for u in range(10) for v in range(u + 1, 10) if A[u, v]]
     try:
         scheme_from_drg(Graph.from_edges(10, edges[1:]))

@@ -23,6 +23,8 @@ from schemex.cli import (
 )
 from schemex.families import FAMILIES, FamilySpec, generate
 
+from nxn_reference import adjacency
+
 
 @pytest.fixture()
 def scheme_file(tmp_path):
@@ -56,7 +58,7 @@ GEN_SPECS = [
 
 def _petersen_edges():
     s = generate(FamilySpec("petersen"))
-    A = s.adjacency(1)
+    A = adjacency(s, 1)
     return [(u, v) for u in range(10) for v in range(u + 1, 10) if A[u, v]]
 
 
@@ -273,6 +275,14 @@ class TestGraph:
         assert main(["graph", edge_file("rr4", 60, list(h.edges()))]) == EXIT_NO
         assert "drg=false" in capsys.readouterr().out
 
+    def test_top_value_below_float_range_is_zero(self, edge_file, tmp_path, capsys):
+        # d = 728 and diameter 4: p_d(theta_0) is near 1e-1060, which float64 holds as 0.0
+        h = nx.random_regular_graph(12, 729, seed=1)
+        out = tmp_path / "rr12.json"
+        assert main(["graph", edge_file("rr12", 729, list(h.edges())), "--json", str(out)]) == EXIT_NO
+        assert "p_d(theta0)=0.000000\n" in capsys.readouterr().out
+        assert json.loads(out.read_text())["pd_theta0"] == 0.0
+
     def test_every_graph_on_at_most_four_vertices(self, edge_file, capsys):
         # all 1 + 2 + 8 + 64 = 75 labelled graphs on 1..4 vertices
         count = 0
@@ -365,6 +375,16 @@ class TestGenSizeBound:
             capture_output=True, text=True, timeout=10, preexec_fn=self._limit_memory,
         )
         assert (proc.returncode, proc.stdout, proc.stderr) == (EXIT_PARSE, "", f"ERROR: {err}\n")
+
+    @pytest.mark.parametrize("params, err", [
+        (("hamming", "12", "9" * 4300), f"hamming(12,{'9' * 4300}) has more than 5000 points"),
+        (("disjoint_cliques", "9" * 4300, "9" * 4300),
+         f"disjoint_cliques({'9' * 4300},{'9' * 4300}) has more than 5000 points"),
+    ], ids=["hamming", "disjoint_cliques"])
+    def test_point_count_past_the_digit_limit(self, capsys, params, err):
+        # q^12 and c m have more digits than Python converts to a string
+        assert main(["gen", *params]) == EXIT_PARSE
+        assert capsys.readouterr() == ("", f"ERROR: {err}\n")
 
 
 class TestOutOfMemory:

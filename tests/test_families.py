@@ -7,13 +7,18 @@ import pytest
 
 from schemex.families import FAMILIES, FamilySpec, ParamOutOfRange, corpus, generate
 
+from nxn_reference import adjacency
+
 SIZE_CAP_MESSAGES = [
     ("hamming", (8, 3), "hamming(8,3) has 6561 > 5000 points"),
     ("hamming", (12, 3), "hamming(12,3) has 531441 > 5000 points"),
     ("hamming", (13, 2), "hamming(13,2) has more than 5000 points"),
+    ("hamming", (1, 5001), "hamming(1,5001) has more than 5000 points"),
     ("johnson", (101, 2), "johnson(101,2) has 5050 > 5000 points"),
     ("johnson", (5000, 2500), f"johnson(5000,2500) has {comb(5000, 2500)} > 5000 points"),
     ("johnson", (5001, 1), "johnson(5001,1) has more than 5000 points"),
+    ("disjoint_cliques", (3, 2000), "disjoint_cliques(3,2000) has 6000 > 5000 points"),
+    ("disjoint_cliques", (2, 5001), "disjoint_cliques(2,5001) has more than 5000 points"),
 ]
 
 
@@ -64,7 +69,8 @@ class TestFamilySpec:
     @pytest.mark.parametrize("family,params,msg", SIZE_CAP_MESSAGES,
                              ids=[f"{family}{params}" for family, params, _ in SIZE_CAP_MESSAGES])
     def test_size_cap_messages(self, family, params, msg):
-        # 2^n and v bound q^n and C(v, k) from below, so past them nothing is counted
+        # 2^n and q bound q^n, v bounds C(v, k) and 2 max(c, m) bounds c m from below,
+        # so past them nothing is counted
         with pytest.raises(ParamOutOfRange) as exc:
             generate(FamilySpec(family, params))
         assert str(exc.value) == msg
@@ -127,10 +133,10 @@ class TestGolden:
         s = generate(FamilySpec("petersen"))
         assert tuple(s.valencies) == (1, 3, 6)
         j = generate(FamilySpec("johnson", (5, 2)))
-        assert np.array_equal(s.adjacency(1), j.adjacency(2))
+        assert np.array_equal(adjacency(s, 1), adjacency(j, 2))
         # relation-1 graph is 3-regular on 10 points with girth-5 structure:
         # no triangles and no 4-cycles
-        A = s.adjacency(1)
+        A = adjacency(s, 1)
         assert np.trace(A @ A @ A) == 0
         A2 = A @ A
         off = A2 - np.diag(np.diag(A2))
@@ -140,7 +146,7 @@ class TestGolden:
         s = generate(FamilySpec("hypercube_reordered", (0, 3, 2, 1)))
         h = generate(FamilySpec("hamming", (3, 2)))
         assert tuple(s.valencies) == (1, 1, 3, 3)
-        assert np.array_equal(s.adjacency(1), h.adjacency(3))
+        assert np.array_equal(adjacency(s, 1), adjacency(h, 3))
 
 
 class TestCorpus:

@@ -17,6 +17,8 @@ from schemex.graph_tools import (
     spectral_excess_report,
 )
 
+from nxn_reference import adjacency
+
 
 def _cycle_graph(n):
     return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
@@ -28,7 +30,7 @@ def _path_graph(n):
 
 def _petersen_graph():
     s = generate(FamilySpec("petersen"))
-    A = s.adjacency(1)
+    A = adjacency(s, 1)
     edges = [(u, v) for u in range(10) for v in range(u + 1, 10) if A[u, v]]
     return Graph.from_edges(10, edges)
 
@@ -181,7 +183,7 @@ class TestSpectralExcess:
 
     def test_petersen_minus_edge(self):
         s = generate(FamilySpec("petersen"))
-        A = s.adjacency(1)
+        A = adjacency(s, 1)
         edges = [(u, v) for u in range(10) for v in range(u + 1, 10) if A[u, v]]
         g = Graph.from_edges(10, edges[1:])  # drop one edge: no longer regular
         with pytest.raises(NotRegular):
@@ -203,6 +205,32 @@ class TestSpectralExcess:
         assert rep.drg is True
         assert rep.pd_theta0 == pytest.approx(1.0, abs=1e-9)
         assert np.all(rep.excess == 1)
+
+
+class TestSpectralExcessClosedForm:
+    """p_d(theta_0) comes from the closed form, never from the predistance recurrence."""
+
+    @pytest.mark.parametrize("k, n, seed", [(4, 60, 1), (3, 102, 2), (5, 100, 3)])
+    def test_d_far_above_diameter(self, k, n, seed):
+        # n / sum_h kappa_h^2 / m_h is the same value by another formula; the recurrence
+        # gives only its rounding here (5.8e-35 for a true 7.0e-50 on rr(4, 60))
+        rep = spectral_excess_report(_from_networkx(nx.random_regular_graph(k, n, seed=seed)))
+        sp = rep.spectrum
+        assert rep.d > 5 * rep.diameter
+        assert rep.pd_theta0 == pytest.approx(sp.n / (sp.kappa ** 2 / sp.m).sum(), rel=1e-12, abs=0)
+
+    def test_never_calls_the_recurrence(self, monkeypatch):
+        def refuse(sp):
+            raise AssertionError("spectral_excess_report ran the predistance recurrence")
+
+        monkeypatch.setattr("schemex.graph_tools.predistance_polynomials", refuse)
+        reports = [spectral_excess_report(g) for g in (
+            _petersen_graph(), _from_networkx(nx.hypercube_graph(8)),
+            _from_networkx(nx.random_regular_graph(4, 60, seed=1)),
+        )]
+        assert [r.drg for r in reports] == [True, True, False]
+        assert reports[0].pd_theta0 == pytest.approx(6.0, rel=1e-12)
+        assert reports[1].pd_theta0 == pytest.approx(1.0, rel=1e-12)
 
 
 class TestSchemeFromDrg:

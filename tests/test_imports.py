@@ -8,9 +8,10 @@ from pathlib import Path
 import schemex
 
 PACKAGE = Path(schemex.__file__).parent
+SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
-# perfbench/spans.py traces schemex.detect.primitive_idempotents, so detect keeps the binding
-ALLOWED = {("detect.py", "primitive_idempotents")}
+# perfbench/spans.py traces these bindings by module and name, so the modules keep them
+ALLOWED = {("detect.py", "primitive_idempotents"), ("graph_tools.py", "predistance_polynomials")}
 
 
 def _unused_imports(path):
@@ -33,3 +34,19 @@ def _unused_imports(path):
 def test_every_import_is_used():
     unused = {(path.name, name) for path in PACKAGE.glob("*.py") for name in _unused_imports(path)}
     assert unused <= ALLOWED, sorted(unused - ALLOWED)
+
+
+def _traced_targets():
+    """(module, attribute) of every entry of TARGETS in perfbench/spans.py, read without importing it."""
+    tree = ast.parse(SPANS.read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["TARGETS"]:
+            return {(entry.elts[0].value, entry.elts[1].value) for entry in node.value.elts}
+    raise AssertionError(f"no TARGETS in {SPANS}")
+
+
+def test_every_allowed_import_is_still_traced():
+    # an exception outlives its reason once the benchmark stops tracing the name
+    traced = _traced_targets()
+    stale = {(f, name) for f, name in ALLOWED if (f"schemex.{f.removesuffix('.py')}", name) not in traced}
+    assert not stale, sorted(stale)

@@ -6,18 +6,16 @@ import pytest
 
 from schemex.families import FamilySpec, generate
 from schemex.graph_tools import Graph, graph_spectrum
-from schemex.poly import (
-    DegenerateSpectrum,
-    RepeatedBeta,
-    Spectrum,
-    graph_property_residual,
-    inner_product,
-    lagrange_power_identity,
-    predistance_polynomials,
-)
+from schemex.poly import DegenerateSpectrum, Spectrum, predistance_polynomials, spectral_excess
 from schemex.spectral import spectral_data
 
-from nxn_reference import kappa_scalar
+from nxn_reference import (
+    RepeatedBeta,
+    graph_property_residual,
+    inner_product,
+    kappa_scalar,
+    lagrange_power_identity,
+)
 
 
 def _spectrum_of(s):
@@ -96,36 +94,51 @@ class TestPredistance:
             assert values[:, 0].sum() == pytest.approx(sp.n, rel=1e-8), fam
 
 
-def _spectral_excess_closed_form(sp):
-    """n / sum_h pi_0^2 / (m_h pi_h^2), pi_h = prod_{j != h} |theta_h - theta_j|, in log space.
+def _kappa_form(sp):
+    """n / sum_h kappa_h^2 / m_h: kappa_h = -m_h p_d(theta_h) / p_d(theta_0) in <p_d, p_d> = p_d(theta_0)."""
+    return sp.n / float((sp.kappa ** 2 / sp.m).sum())
 
-    The spectral excess theorem's value of p_d(theta_0) (Fiol and Garriga,
-    J. Combin. Theory Ser. B 71 (1997)); it shares no arithmetic with the
-    recurrence.
-    """
-    gaps = np.abs(sp.theta[:, None] - sp.theta[None, :])
-    np.fill_diagonal(gaps, 1.0)
-    log_pi = np.log(gaps).sum(axis=1)
-    e = 2 * log_pi[0] - np.log(sp.m) - 2 * log_pi
-    top = e.max()
-    return sp.n * np.exp(-top - np.log(np.exp(e - top).sum()))
+
+def _corpus_spectra(scheme_corpus):
+    spectra = [_spectrum_of(s) for _, s, _ in scheme_corpus]
+    return [sp for sp in spectra if sp is not None]  # tied theta: no Spectrum
+
+
+def _random_regular_spectra(seed, count):
+    rng = np.random.default_rng(seed)
+    spectra = []
+    for _ in range(count):
+        k = int(rng.integers(3, 7))
+        n = int(rng.integers(8, 60)) // 2 * 2
+        h = nx.random_regular_graph(k, n, seed=int(rng.integers(2 ** 31)))
+        if nx.is_connected(h):
+            spectra.append(graph_spectrum(Graph.from_edges(n, h.edges())))
+    return spectra
 
 
 class TestTopValueClosedForm:
     def test_seeded_random_regular_spectra(self):
-        rng = np.random.default_rng(20261018)
-        checked = 0
-        for _ in range(25):
-            k = int(rng.integers(3, 7))
-            n = int(rng.integers(8, 60)) // 2 * 2
-            h = nx.random_regular_graph(k, n, seed=int(rng.integers(2 ** 31)))
-            if not nx.is_connected(h):
-                continue
-            sp = graph_spectrum(Graph.from_edges(n, h.edges()))
+        spectra = _random_regular_spectra(20261018, 25)
+        for sp in spectra:
             values = predistance_polynomials(sp)
-            assert abs(values[sp.d, 0] - _spectral_excess_closed_form(sp)) < 1e-12, (n, k)
-            checked += 1
-        assert checked >= 20
+            assert abs(values[sp.d, 0] - spectral_excess(sp)) < 1e-12, (sp.n, sp.d)
+        assert len(spectra) >= 20
+
+    def test_recurrence_where_it_resolves_the_value(self, scheme_corpus):
+        # below about 1e-12 the recurrence's top value is its rounding, so only the
+        # absolute check above applies there
+        corpus_spectra = _corpus_spectra(scheme_corpus)
+        compared = 0
+        for sp in corpus_spectra + _random_regular_spectra(20261019, 25):
+            pd0 = predistance_polynomials(sp)[sp.d, 0]
+            if pd0 > 1e-12:
+                assert spectral_excess(sp) == pytest.approx(pd0, rel=1e-9, abs=0), (sp.n, sp.d)
+                compared += 1
+        assert compared > len(corpus_spectra)
+
+    def test_kappa_form(self, scheme_corpus):
+        for sp in _corpus_spectra(scheme_corpus) + _random_regular_spectra(20261019, 25):
+            assert spectral_excess(sp) == pytest.approx(_kappa_form(sp), rel=1e-12, abs=0), (sp.n, sp.d)
 
     def test_corpus_positives_give_last_valency(self, scheme_corpus, corpus_analyses):
         for name, s, expected in scheme_corpus:
@@ -135,7 +148,7 @@ class TestTopValueClosedForm:
             pd0 = predistance_polynomials(sp)[sp.d, 0]
             k_l = s.valencies[corpus_analyses[name].report.l]
             assert pd0 == pytest.approx(k_l, rel=1e-9), name
-            assert _spectral_excess_closed_form(sp) == pytest.approx(k_l, rel=1e-9), name
+            assert spectral_excess(sp) == pytest.approx(k_l, rel=1e-9), name
 
 
 class TestKappa:

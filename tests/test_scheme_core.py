@@ -20,6 +20,8 @@ from schemex.scheme_core import (
     reorder_relations,
 )
 
+from nxn_reference import adjacency
+
 
 def _cycle_rel(n):
     i = np.arange(n)
@@ -296,7 +298,7 @@ SMALL = [
 def test_product_expansion_identity(family, params):
     # A_i A_j = sum_k p^k_{ij} A_k, checked entrywise in integers
     s = generate(FamilySpec(family, params))
-    A = [s.adjacency(i).astype(np.int64) for i in range(s.d + 1)]
+    A = [adjacency(s, i).astype(np.int64) for i in range(s.d + 1)]
     p = s.tensor.p
     for i in range(s.d + 1):
         for j in range(s.d + 1):
@@ -402,7 +404,7 @@ def test_tensor_invariants(family, params):
     assert np.array_equal(p[0], np.diag(k))
     assert np.array_equal(np.einsum("kij,k->ij", p, k), np.outer(k, k))
     # indicators partition all of X x X
-    total = sum(s.adjacency(i) for i in range(s.d + 1))
+    total = sum(adjacency(s, i) for i in range(s.d + 1))
     assert np.array_equal(total, np.ones((s.n, s.n), dtype=total.dtype))
 
 
