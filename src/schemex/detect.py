@@ -20,6 +20,7 @@ never folded into the consensus.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,11 +126,12 @@ def _greedy_chain(support, d):
     Returns (ordering, None) on success or (None, witness) when the chain
     stalls or branches.
     """
+    cols = support.T.tolist()  # cols[cur][j] = support[j, cur]
     order = [0, 1]
     used = {0, 1}
     while len(order) < d + 1:
         cur = order[-1]
-        cands = [j for j, on in enumerate(support[:, cur].tolist()) if on and j not in used]
+        cands = [j for j, on in enumerate(cols[cur]) if on and j not in used]
         if len(cands) != 1:
             return None, (
                 f"chain {tuple(order)} cannot be extended from {cur}: "
@@ -187,15 +189,15 @@ def nstar_sets(t: IntersectionTensor, sd: SpectralData) -> tuple:
     separated from the rest of the spectrum: PerronNotSeparated.
     """
     d = t.d
-    support = t.p[:, 1, :] > 0  # support[k, j]: p^k_{1j} > 0
+    out = (t.p[:, 1, :] > 0).T.tolist()  # out[j][k]: p^k_{1j} > 0
     first = [None] * (d + 1)
     first[0] = 0
     frontier = [0]
     while frontier:
         reached = []
         for j in frontier:
-            for k in np.flatnonzero(support[:, j]).tolist():
-                if first[k] is None:
+            for k, on in enumerate(out[j]):
+                if on and first[k] is None:
                     first[k] = first[j] + 1
                     reached.append(k)
         frontier = reached
@@ -284,6 +286,13 @@ def predistance_route(sd: SpectralData, values: np.ndarray | None) -> RouteVerdi
     )
 
 
+@functools.lru_cache(maxsize=64)
+def _bit_reversed(count: int) -> tuple:
+    """0..count-1 sorted by their reversed binary digits: the van der Corput order."""
+    bits = max(1, (count - 1).bit_length())
+    return tuple(sorted(range(count), key=lambda q: f"{q:0{bits}b}"[::-1]))
+
+
 def mstar_decomposition_residual(t: IntersectionTensor, sd: SpectralData, i: int) -> float:
     """Max-abs residual of prod_{j!=i}(A_1 - theta_j I)/(theta_i - theta_j) - kappa_i E_0 - E_i.
 
@@ -302,7 +311,7 @@ def mstar_decomposition_residual(t: IntersectionTensor, sd: SpectralData, i: int
         raise SpectrumNotSimple("the decomposition needs mutually distinct theta")
     if not 1 <= i <= t.d:
         raise ValueError(f"i must be in 1..{t.d}")
-    th = sd.theta
+    th = sd.theta.tolist()
     B1 = t.p[:, 1, :].astype(float)
     c = np.zeros(t.d + 1)
     c[0] = 1.0  # A_0 = I
@@ -311,8 +320,7 @@ def mstar_decomposition_residual(t: IntersectionTensor, sd: SpectralData, i: int
     # order the partial product climbs to ~2e20 on cycle(100) before cancelling
     # to O(1), losing every digit.
     js = [j for j in range(1, t.d + 1) if j != i]
-    bits = max(1, (len(js) - 1).bit_length())
-    for pos in sorted(range(len(js)), key=lambda q: f"{q:0{bits}b}"[::-1]):
+    for pos in _bit_reversed(len(js)):
         j = js[pos]
         c = (B1 @ c - th[j] * c) / (th[i] - th[j])
     return float(np.abs(c - sd.spectrum.kappa[i] / sd.n - sd.Q[:, i] / sd.n).max())

@@ -43,6 +43,9 @@ class Spectrum:
         m = np.asarray(self.m, dtype=float)
         if theta.ndim != 1 or theta.shape != m.shape or theta.size < 1:
             raise ValueError("theta and m must be 1-d arrays of equal positive length")
+        # NaN passes every comparison below as False, and inf breaks kappa
+        if not (np.isfinite(theta).all() and np.isfinite(m).all()):
+            raise ValueError("theta and m must be finite")
         gaps = np.diff(theta)
         if np.any(gaps >= 0):
             j = int(np.flatnonzero(gaps >= 0)[0])
@@ -67,15 +70,19 @@ class Spectrum:
         """kappa[i] = prod_{j=1..d, j != i} (theta_0 - theta_j) / (theta_i - theta_j); kappa[0] = 1.
 
         Each pass over j updates every i, in the order of a scalar loop over j.
-        The products leave float64's range near d = 600, so each pass moves their
-        exponents into an integer; that rescaling is exact and keeps the loop's roundings.
+        Entries 0 and j take the factor (theta_0 - theta_j) / (theta_0 - theta_j),
+        which is exactly 1, so one multiply covers the rest.  The products leave
+        float64's range near d = 600, so each pass moves their exponents into an
+        integer; that rescaling is exact and keeps the loop's roundings.
         """
         th = self.theta
         out = np.ones(th.size)
         exponent = np.zeros(th.size, dtype=np.int64)
         for j in range(1, th.size):
-            for part in (slice(1, j), slice(j + 1, None)):
-                out[part] *= (th[0] - th[j]) / (th[part] - th[j])
+            num = th[0] - th[j]
+            den = th - th[j]
+            den[j] = num
+            out *= num / den
             out, e = np.frexp(out)
             exponent += e
         out = np.ldexp(out, exponent)

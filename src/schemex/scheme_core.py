@@ -68,6 +68,15 @@ class PermMovesZero(ValueError):
 # relation indices are stored as uint16
 _MAX_INDEX = np.iinfo(np.uint16).max
 
+#: a (d+1)^3 pass handles this many entries at once: whole at small d, where the
+#: cost is one numpy call per step, and one (d+1)^2 slab per step from d = 90 on
+BLOCK_ENTRIES = 2 ** 14
+
+
+def slab_step(d: int) -> int:
+    """Number of (d+1)^2 slabs in one block of a (d+1)^3 pass; at least 1."""
+    return max(1, BLOCK_ENTRIES // (d + 1) ** 2)
+
 
 @dataclass(frozen=True, eq=False)
 class RelationMatrix:
@@ -118,22 +127,32 @@ class IntersectionTensor:
         if p.min() < 0:
             raise ValueError("intersection numbers must be non-negative")
         k = p[0].diagonal()
-        # every check works one (d+1)^2 slab at a time, so none allocates a (d+1)^3 temporary
-        if any(not np.array_equal(pk, pk.T) for pk in p):
-            raise ValueError("p^k_{ij} != p^k_{ji}; input is not a symmetric scheme")
+        # every check works one block of slab_step(d) (d+1)^2 slabs at a time, so none
+        # allocates a (d+1)^3 temporary
+        step = slab_step(self.d)
+        for a in range(0, m, step):
+            blk = p[a:a + step]
+            if not np.array_equal(blk, blk.transpose(0, 2, 1)):
+                raise ValueError("p^k_{ij} != p^k_{ji}; input is not a symmetric scheme")
         if not np.array_equal(p[0], np.diag(k)):
             raise ValueError("p^0_{ij} must equal delta_{ij} k_i; input is not a scheme")
         if not np.array_equal(p[:, 0, :], np.eye(m, dtype=np.int64)):
             raise ValueError("p^k_{0j} must equal delta_{kj}; input is not a scheme")
-        # kb[c, j] = k_c p^c_{ij}: its column sums are sum_k p^k_{ij} k_k = k_i k_j, and
-        # k_k p^k_{ij} = k_j p^j_{ik} (Bannai-Ito 1984) makes it symmetric, so
-        # diag(sqrt k) B_i diag(sqrt k)^-1 is too.
-        kb = np.empty((m, m), dtype=np.int64)
-        for i in range(m):
-            np.multiply(k[:, None], p[:, i, :], out=kb)
-            if not np.array_equal(kb.sum(axis=0), k[i] * k):
-                raise ValueError("sum_k p^k_{ij} k_k != k_i k_j; input is not a scheme")
-            if (kb != kb.T).any():
+        # kb[i, c, j] = k_c p^c_{ij}: its column sums are sum_k p^k_{ij} k_k = k_i k_j, and
+        # k_k p^k_{ij} = k_j p^j_{ik} (Bannai-Ito 1984) makes each kb[i] symmetric, so
+        # diag(sqrt k) B_i diag(sqrt k)^-1 is too.  The first failing i is reported,
+        # its row-sum identity before its symmetry.
+        kb = np.empty((min(step, m), m, m), dtype=np.int64)
+        for a in range(0, m, step):
+            blk = kb[:min(step, m - a)]
+            np.multiply(k[None, :, None], p[:, a:a + step, :].transpose(1, 0, 2), out=blk)
+            sums_bad = (blk.sum(axis=1) != k[a:a + step, None] * k).any(axis=1)
+            asym = (blk != blk.transpose(0, 2, 1)).any(axis=(1, 2))
+            bad = np.flatnonzero(sums_bad | asym)
+            if bad.size:
+                if sums_bad[bad[0]]:
+                    raise ValueError("sum_k p^k_{ij} k_k != k_i k_j; input is not a scheme")
+                i = a + int(bad[0])
                 raise ValueError(f"k_k p^k_{{{i}j}} != k_j p^j_{{{i}k}}; not a symmetric scheme")
         if k.min() < 1:
             raise ValueError(f"k_{int(np.argmin(k))} = 0: every class must be nonempty")
@@ -236,15 +255,15 @@ def _generates_algebra(p, i):
     counted at the representative pairs.  The test holds exactly when
     relation i is the distance-1 relation of a metric ordering, c_0..c_d.
     """
-    m = p.shape[0]
-    seen = np.zeros(m, dtype=bool)
+    out = (p[:, i, :] > 0).T.tolist()  # out[c][k]: the support graph has the edge c -> k
+    seen = [False] * len(out)
     seen[0] = True
     c = 0
-    for _ in range(m - 1):
-        level = np.flatnonzero((p[:, i, c] > 0) & ~seen)
-        if level.size != 1:
+    for _ in range(len(out) - 1):
+        level = [k for k, on in enumerate(out[c]) if on and not seen[k]]
+        if len(level) != 1:
             return False
-        c = int(level[0])
+        c = level[0]
         seen[c] = True
     return True
 

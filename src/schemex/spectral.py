@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .poly import Spectrum
-from .scheme_core import AssociationScheme, IntersectionTensor
+from .scheme_core import AssociationScheme, IntersectionTensor, slab_step
 
 #: two computed eigenvalues count as equal when their gap is at most this,
 #: relative to max(1, spectral radius); read only by eigen_groups
@@ -73,14 +73,21 @@ def eigen_groups(w: np.ndarray) -> list:
     return list(zip(edges[:-1], edges[1:]))
 
 
-def _split_blocks(dim, mats):
-    """Common eigenvectors of a family of commuting symmetric dim x dim matrices.
+def _split_blocks(mats):
+    """Common eigenvectors of a family of commuting symmetric (d+1) x (d+1) matrices.
 
-    ``mats`` is iterated lazily and left as soon as every block is
-    1-dimensional.  Returns a list of those blocks (unit vectors) or raises if
-    the family does not separate all eigenspaces.
+    The first matrix is diagonalized whole; only its degenerate eigenspaces
+    are refined by the next matrices, and ``mats`` is left as soon as every
+    block is 1-dimensional.  Returns the (d+1) x (d+1) matrix whose columns
+    are the common unit eigenvectors, or raises if the family does not
+    separate all eigenspaces.
     """
-    blocks = [np.eye(dim)]
+    mats = iter(mats)
+    w, V = np.linalg.eigh(next(mats))
+    groups = eigen_groups(w)
+    if len(groups) == V.shape[1]:
+        return V
+    blocks = [V[:, a:b] for a, b in groups]
     for S in mats:
         refined = []
         for V in blocks:
@@ -100,7 +107,7 @@ def _split_blocks(dim, mats):
             f"eigenspaces of dimensions {stuck} could not be split by the "
             f"intersection matrices; identical P-rows should be impossible"
         )
-    return [V[:, 0] for V in blocks]
+    return np.hstack(blocks)
 
 
 def spectral_data(t: IntersectionTensor) -> SpectralData:
@@ -118,36 +125,29 @@ def spectral_data(t: IntersectionTensor) -> SpectralData:
     # averaging S_i with its transpose only evens out rounding.  Each S_i is
     # built when _split_blocks reads it; a simple spectrum stops after S_1.
     scaled = ((sq[:, None] * t.p[:, i, :]) / sq[None, :] for i in range(1, d + 1))
-    vecs = _split_blocks(d + 1, ((S + S.T) / 2.0 for S in scaled))
-
-    rows = []
-    for v in vecs:
-        u = sq * v
-        if abs(u[0]) < 1e-12 * np.linalg.norm(u):
-            raise EigenSplitFailure("eigenvector with vanishing identity coordinate")
-        rows.append(u / u[0])
+    U = sq[:, None] * _split_blocks((S + S.T) / 2.0 for S in scaled)
+    if (np.abs(U[0]) < 1e-12 * np.linalg.norm(U, axis=0)).any():
+        raise EigenSplitFailure("eigenvector with vanishing identity coordinate")
+    rows = (U / U[0]).T
 
     # one row must be the (exactly known) valency row; pin it to index 0
-    dists = [float(np.abs(r - k).max()) for r in rows]
+    dists = np.abs(rows - k).max(axis=1)
     j0 = int(np.argmin(dists))
     if dists[j0] > 1e-6 * max(1.0, k.max()):
         raise EigenSplitFailure("no computed row matches the valency row")
-    rest = [r for j, r in enumerate(rows) if j != j0]
-
-    def mult(row):
-        return n / float((row * row / k).sum())
+    rest = rows[np.arange(d + 1) != j0]
+    mults = n / (rest * rest / k).sum(axis=1)
 
     # key every theta of a cluster by the cluster's smallest member
-    thetas = np.array([r[1] for r in rest])
+    thetas = rest[:, 1]
     order = np.argsort(thetas)
     snapped = np.empty_like(thetas)
     for a, b in eigen_groups(thetas[order]):
         snapped[order[a:b]] = thetas[order[a]]
-    keyed = sorted(
-        range(len(rest)),
-        key=lambda j: (-snapped[j], mult(rest[j]), tuple(np.round(rest[j], 9))),
-    )
-    P = np.vstack([k] + [rest[j] for j in keyed])
+    # sort by (-snapped, multiplicity, the row rounded to 9 places), stably;
+    # lexsort reads its last key first
+    keyed = np.lexsort((*np.round(rest, 9).T[::-1], mults, -snapped))
+    P = np.vstack([k, rest[keyed]])
 
     m = n / (P * P / k[None, :]).sum(axis=1)
     m_round = np.round(m)
@@ -157,8 +157,9 @@ def spectral_data(t: IntersectionTensor) -> SpectralData:
             f"multiplicities {m} do not round to positive integers summing to {n}"
         )
 
-    Q = np.linalg.solve(P, n * np.eye(d + 1))
-    pq_resid = float(np.abs(P @ Q - n * np.eye(d + 1)).max())
+    nI = n * np.eye(d + 1)
+    Q = np.linalg.solve(P, nI)
+    pq_resid = float(np.abs(P @ Q - nI).max())
     if pq_resid > 1e-7 * n:
         raise EigenSplitFailure(f"P Q = nI fails (residual {pq_resid:.3e})")
     # cross-check against Q_i(l) = m_i P_l(i) / k_l, entrywise
@@ -184,18 +185,22 @@ def primitive_idempotents(s: AssociationScheme, sd: SpectralData) -> tuple:
 
 
 def krein_slabs(sd: SpectralData):
-    """Yield the slabs q[:, i, :] of the dual intersection numbers, indexed [k, j].
+    """Yield the dual intersection numbers q[:, a:b, :], indexed [k, i, j], a block of slabs at a time.
 
     q^k_{ij} = (m_i m_j / n) sum_l P_l(i) P_l(j) P_l(k) / k_l^2
     (Bannai-Ito 1984; Brouwer-Cohen-Neumaier 1989) gives the coefficients of
     n E_i o E_j in the idempotent basis without forming any n x n matrix.
+    A block holds slab_step(d) slabs (see scheme_core.BLOCK_ENTRIES).
     """
     d, n = sd.d, sd.n
     P = sd.P
     m = sd.multiplicities
     W = P / sd.valencies  # W[i, l] = P_l(i) / k_l
-    for i in range(d + 1):
-        yield (((W[i] * W) @ P.T) * (m[i] * m / n)[:, None]).T
+    step = slab_step(d)
+    for a in range(0, d + 1, step):
+        b = min(a + step, d + 1)
+        block = ((W[a:b, None, :] * W[None]) @ P.T) * ((m[a:b, None] * m) / n)[:, :, None]
+        yield block.transpose(2, 0, 1)
 
 
 def krein_parameters(sd: SpectralData) -> KreinTensor:
@@ -206,8 +211,10 @@ def krein_parameters(sd: SpectralData) -> KreinTensor:
     only by rounding (1.8e-15 on cycle(400)).
     """
     lo = np.inf
-    for i, slab in enumerate(krein_slabs(sd)):
-        if i == 1:
-            q1 = slab
-        lo = np.minimum(lo, slab.min())
+    a = 0
+    for block in krein_slabs(sd):
+        if a <= 1 < a + block.shape[1]:
+            q1 = block[:, 1 - a, :]
+        lo = np.minimum(lo, block.min())
+        a += block.shape[1]
     return KreinTensor(d=sd.d, n=sd.n, q1=q1, min_value=float(lo))

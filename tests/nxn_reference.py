@@ -7,6 +7,13 @@ the Krein-chain band check as a loop over every entry, and the route column
 deviations one column at a time.  The first two cost O(d^3 n^2) and O(d n^3),
 so tests only run them on small or mid-sized schemes.
 
+The loop references come next: the forms the library had before it moved
+to whole (d+1)-arrays.  They are spectral_data's per-row bookkeeping with
+its Python sort key, the per-slab Krein parameters and intersection-tensor
+checks, the breadth-first walks by np.flatnonzero, and kappa's two-slice
+loop.  Tests hold the library to them bit for bit, and to the loop checks'
+failure messages.
+
 Beside them sit identities no library stage reads: the 0/1 adjacency matrix
 of a relation, the spectrum-weighted inner product, the Lagrange power
 identity (with RepeatedBeta for repeated nodes) and the graph-property
@@ -18,7 +25,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from schemex.spectral import primitive_idempotents
+from schemex.detect import PerronNotSeparated
+from schemex.poly import Spectrum
+from schemex.spectral import (
+    INTEGRALITY_TOL,
+    EigenSplitFailure,
+    SpectralData,
+    eigen_groups,
+    primitive_idempotents,
+)
 
 
 def krein_expansion(s, sd, *, residual_tol: float = 1e-8) -> np.ndarray:
@@ -134,3 +149,198 @@ def graph_property_residual(sp, values: np.ndarray, i: int) -> float:
         raise ValueError(f"i must be in 1..{sp.d}")
     vd = values[sp.d]
     return float(sp.kappa[i] + sp.m[i] * vd[i] / vd[0])
+
+
+def split_blocks_loop(dim, mats):
+    """Common eigenvectors, refined from the identity block by block; a list of unit vectors."""
+    blocks = [np.eye(dim)]
+    for S in mats:
+        refined = []
+        for V in blocks:
+            if V.shape[1] == 1:
+                refined.append(V)
+                continue
+            T = V.T @ S @ V
+            T = (T + T.T) / 2.0
+            w, U = np.linalg.eigh(T)
+            refined.extend(V @ U[:, a:b] for a, b in eigen_groups(w))
+        blocks = refined
+        if all(V.shape[1] == 1 for V in blocks):
+            break
+    stuck = [V.shape[1] for V in blocks if V.shape[1] > 1]
+    if stuck:
+        raise EigenSplitFailure(
+            f"eigenspaces of dimensions {stuck} could not be split by the "
+            f"intersection matrices; identical P-rows should be impossible"
+        )
+    return [V[:, 0] for V in blocks]
+
+
+def spectral_data_loop(t) -> SpectralData:
+    """schemex.spectral.spectral_data with one step per eigenvector row and a sorted() key."""
+    n, d = t.n, t.d
+    k = t.valencies.astype(float)
+    sq = np.sqrt(k)
+    scaled = ((sq[:, None] * t.p[:, i, :]) / sq[None, :] for i in range(1, d + 1))
+    vecs = split_blocks_loop(d + 1, ((S + S.T) / 2.0 for S in scaled))
+
+    rows = []
+    for v in vecs:
+        u = sq * v
+        if abs(u[0]) < 1e-12 * np.linalg.norm(u):
+            raise EigenSplitFailure("eigenvector with vanishing identity coordinate")
+        rows.append(u / u[0])
+    dists = [float(np.abs(r - k).max()) for r in rows]
+    j0 = int(np.argmin(dists))
+    if dists[j0] > 1e-6 * max(1.0, k.max()):
+        raise EigenSplitFailure("no computed row matches the valency row")
+    rest = [r for j, r in enumerate(rows) if j != j0]
+
+    def mult(row):
+        return n / float((row * row / k).sum())
+
+    thetas = np.array([r[1] for r in rest])
+    order = np.argsort(thetas)
+    snapped = np.empty_like(thetas)
+    for a, b in eigen_groups(thetas[order]):
+        snapped[order[a:b]] = thetas[order[a]]
+    keyed = sorted(
+        range(len(rest)),
+        key=lambda j: (-snapped[j], mult(rest[j]), tuple(np.round(rest[j], 9))),
+    )
+    P = np.vstack([k] + [rest[j] for j in keyed])
+
+    m = n / (P * P / k[None, :]).sum(axis=1)
+    m_round = np.round(m)
+    m_resid = float(np.abs(m - m_round).max())
+    if m_resid > INTEGRALITY_TOL or m_round.min() < 1 or int(m_round.sum()) != n:
+        raise EigenSplitFailure(
+            f"multiplicities {m} do not round to positive integers summing to {n}"
+        )
+    Q = np.linalg.solve(P, n * np.eye(d + 1))
+    pq_resid = float(np.abs(P @ Q - n * np.eye(d + 1)).max())
+    if pq_resid > 1e-7 * n:
+        raise EigenSplitFailure(f"P Q = nI fails (residual {pq_resid:.3e})")
+    Q_alt = (P.T * m[None, :]) / k[:, None]
+    if np.abs(Q - Q_alt).max() > 1e-6 * max(1.0, np.abs(Q).max()):
+        raise EigenSplitFailure("Q disagrees with m_i P_l(i)/k_l")
+
+    theta = P[:, 1].copy()
+    tied = [b for a, b in eigen_groups(np.sort(theta)) if b - a > 1]
+    tie = (d + 1 - tied[-1], d + 2 - tied[-1]) if tied else None
+    spectrum = Spectrum(theta=theta.copy(), m=m.copy(), n=n) if tie is None else None
+    return SpectralData(
+        n=n, d=d, valencies=t.valencies.copy(),
+        P=P, Q=Q, theta=theta, multiplicities=m, tie=tie, spectrum=spectrum,
+        pq_residual=pq_resid, multiplicity_residual=m_resid,
+    )
+
+
+def krein_slabs_loop(sd):
+    """The slabs q[:, i, :] of the dual intersection numbers, indexed [k, j], one per step."""
+    d, n = sd.d, sd.n
+    P = sd.P
+    m = sd.multiplicities
+    W = P / sd.valencies
+    for i in range(d + 1):
+        yield (((W[i] * W) @ P.T) * (m[i] * m / n)[:, None]).T
+
+
+def tensor_checks_loop(d, p) -> None:
+    """IntersectionTensor's checks on the int64 array p, one (d+1)^2 slab per step.
+
+    Raises the ValueError the library raises, with the same message, or returns None.
+    """
+    m = d + 1
+    if p.shape != (m, m, m):
+        raise ValueError(f"tensor has shape {p.shape}, expected {(m, m, m)}")
+    if p.min() < 0:
+        raise ValueError("intersection numbers must be non-negative")
+    k = p[0].diagonal()
+    if any(not np.array_equal(pk, pk.T) for pk in p):
+        raise ValueError("p^k_{ij} != p^k_{ji}; input is not a symmetric scheme")
+    if not np.array_equal(p[0], np.diag(k)):
+        raise ValueError("p^0_{ij} must equal delta_{ij} k_i; input is not a scheme")
+    if not np.array_equal(p[:, 0, :], np.eye(m, dtype=np.int64)):
+        raise ValueError("p^k_{0j} must equal delta_{kj}; input is not a scheme")
+    kb = np.empty((m, m), dtype=np.int64)
+    for i in range(m):
+        np.multiply(k[:, None], p[:, i, :], out=kb)
+        if not np.array_equal(kb.sum(axis=0), k[i] * k):
+            raise ValueError("sum_k p^k_{ij} k_k != k_i k_j; input is not a scheme")
+        if (kb != kb.T).any():
+            raise ValueError(f"k_k p^k_{{{i}j}} != k_j p^j_{{{i}k}}; not a symmetric scheme")
+    if k.min() < 1:
+        raise ValueError(f"k_{int(np.argmin(k))} = 0: every class must be nonempty")
+
+
+def generates_algebra_loop(p, i) -> bool:
+    """Breadth-first search from class 0 on the support of B_i finds one class per level."""
+    m = p.shape[0]
+    seen = np.zeros(m, dtype=bool)
+    seen[0] = True
+    c = 0
+    for _ in range(m - 1):
+        level = np.flatnonzero((p[:, i, c] > 0) & ~seen)
+        if level.size != 1:
+            return False
+        c = int(level[0])
+        seen[c] = True
+    return True
+
+
+def greedy_chain_loop(support, d):
+    """From each relation cur, step to the one unused j with support[j, cur]: (ordering, witness)."""
+    order = [0, 1]
+    used = {0, 1}
+    while len(order) < d + 1:
+        cur = order[-1]
+        cands = [j for j, on in enumerate(support[:, cur].tolist()) if on and j not in used]
+        if len(cands) != 1:
+            return None, (
+                f"chain {tuple(order)} cannot be extended from {cur}: "
+                f"{len(cands)} candidates {cands}"
+            )
+        order.append(cands[0])
+        used.add(cands[0])
+    return tuple(order), None
+
+
+def nstar_sets_loop(t, sd) -> tuple:
+    """First-appearance sets of the relations in the powers of A_1, by breadth-first search."""
+    d = t.d
+    support = t.p[:, 1, :] > 0
+    first = [None] * (d + 1)
+    first[0] = 0
+    frontier = [0]
+    while frontier:
+        reached = []
+        for j in frontier:
+            for k in np.flatnonzero(support[:, j]).tolist():
+                if first[k] is None:
+                    first[k] = first[j] + 1
+                    reached.append(k)
+        frontier = reached
+    if any(f is None for f in first):
+        unreached = [j for j, f in enumerate(first) if f is None]
+        order = np.argsort(sd.theta)
+        group = next(order[a:b] for a, b in eigen_groups(sd.theta[order]) if 0 in order[a:b])
+        near = sorted(int(j) for j in group if j != 0)
+        raise PerronNotSeparated(
+            f"relations {unreached} never appear in powers of A_1 up to d = {d}; "
+            f"theta_0 = {sd.theta[0]:g} is shared (rows {near} by the float data)"
+        )
+    return tuple(frozenset(j for j, f in enumerate(first) if f == h) for h in range(d + 1))
+
+
+def kappa_loop(theta) -> np.ndarray:
+    """Spectrum.kappa with two slices per j, around the entries 0 and j it leaves alone."""
+    th = np.asarray(theta, dtype=float)
+    out = np.ones(th.size)
+    exponent = np.zeros(th.size, dtype=np.int64)
+    for j in range(1, th.size):
+        for part in (slice(1, j), slice(j + 1, None)):
+            out[part] *= (th[0] - th[j]) / (th[part] - th[j])
+        out, e = np.frexp(out)
+        exponent += e
+    return np.ldexp(out, exponent)

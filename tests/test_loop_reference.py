@@ -1,0 +1,105 @@
+"""The whole-array forms of spectral_data, the Krein blocks, the integer walks and kappa
+against their loop references in nxn_reference, bit for bit.
+
+The inputs are the corpus under three class relabellings (classes 2..d
+permuted, 0 and 1 fixed) and eight ladder schemes: 95 analyses.  They include
+the tied corpus entries, where the eigenspace refinement runs, and cycle(100),
+whose 51 Krein slabs end in a partial block.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from schemex import corpus
+from schemex.detect import (
+    BASE_TOL,
+    PerronNotSeparated,
+    _greedy_chain,
+    krein_parameters,
+    nstar_sets,
+)
+from schemex.families import FamilySpec, generate
+from schemex.scheme_core import _generates_algebra, reorder_relations, slab_step
+from schemex.spectral import krein_slabs, spectral_data
+
+from nxn_reference import (
+    generates_algebra_loop,
+    greedy_chain_loop,
+    kappa_loop,
+    krein_slabs_loop,
+    nstar_sets_loop,
+    spectral_data_loop,
+)
+
+LADDER = [("hamming", (6, 3)), ("johnson", (12, 4)), ("cycle", (44,)), ("cycle", (45,)),
+          ("cycle", (100,)), ("cycle", (200,)), ("hamming", (4, 4)), ("johnson", (9, 3))]
+
+
+@pytest.fixture(scope="module")
+def inputs():
+    """(name, scheme, spectral data) for the 95 inputs."""
+    out = []
+    for seed in (1, 2, 3):
+        rng = np.random.default_rng(seed)
+        for name, s, _status in corpus():
+            perm = [0, 1, *(2 + rng.permutation(s.d - 1))] if s.d > 1 else [0, 1]
+            out.append((f"{name}@{seed}", reorder_relations(s, perm)))
+    out += [(f"{fam}{par}", generate(FamilySpec(fam, par))) for fam, par in LADDER]
+    return [(name, s, spectral_data(s.tensor)) for name, s in out]
+
+
+def test_the_inputs_reach_refinement_and_a_partial_krein_block(inputs):
+    assert len(inputs) == 95
+    assert sum(sd.tie is not None for _n, _s, sd in inputs) == 6
+    assert any(1 < slab_step(s.d) and (s.d + 1) % slab_step(s.d) for _n, s, _sd in inputs)
+
+
+def test_spectral_data_matches_the_row_loop(inputs):
+    for name, s, sd in inputs:
+        ref = spectral_data_loop(s.tensor)
+        for field in ("P", "Q", "theta", "multiplicities"):
+            assert getattr(sd, field).tobytes() == getattr(ref, field).tobytes(), (name, field)
+        assert sd.tie == ref.tie, name
+        assert sd.pq_residual == ref.pq_residual, name
+        assert sd.multiplicity_residual == ref.multiplicity_residual, name
+        assert (sd.spectrum is None) == (ref.spectrum is None), name
+
+
+def test_krein_blocks_match_the_slab_loop(inputs):
+    for name, _s, sd in inputs:
+        blocks = np.concatenate(list(krein_slabs(sd)), axis=1)
+        slabs = np.stack(list(krein_slabs_loop(sd)), axis=1)
+        assert blocks.tobytes() == slabs.tobytes(), name
+        kt = krein_parameters(sd)
+        assert kt.q1.tobytes() == slabs[:, 1, :].tobytes(), name
+        assert kt.min_value == float(slabs.min()), name
+
+
+def test_walks_on_lists_match_the_flatnonzero_loops(inputs):
+    for name, s, sd in inputs:
+        p, d = s.tensor.p, s.d
+        for i in range(1, d + 1):
+            assert _generates_algebra(p, i) == generates_algebra_loop(p, i), (name, i)
+        support = p[:, 1, :] > 0
+        assert _greedy_chain(support, d) == greedy_chain_loop(support, d), name
+        q1 = krein_parameters(sd).q1 > BASE_TOL * max(1.0, s.n)
+        assert _greedy_chain(q1, d) == greedy_chain_loop(q1, d), name
+        try:
+            ref = nstar_sets_loop(s.tensor, sd)
+        except PerronNotSeparated as e:
+            with pytest.raises(PerronNotSeparated) as got:
+                nstar_sets(s.tensor, sd)
+            assert str(got.value) == str(e), name
+        else:
+            assert nstar_sets(s.tensor, sd) == ref, name
+
+
+def test_kappa_matches_the_two_slice_loop(inputs):
+    checked = 0
+    for name, _s, sd in inputs:
+        if sd.spectrum is not None:
+            assert sd.spectrum.kappa.tobytes() == kappa_loop(sd.theta).tobytes(), name
+            checked += 1
+    assert checked == 89

@@ -46,6 +46,15 @@ class TestSpectrum:
         with pytest.raises(ValueError):
             Spectrum(theta=np.array([2.0, -1.0]), m=np.array([1.0, 5.0]), n=4)
 
+    @pytest.mark.parametrize("theta, m", [
+        ([3.0, np.nan, -1.0], [1.0, 2.0, 3.0]),
+        ([3.0, 1.0, -1.0], [1.0, np.nan, 3.0]),
+        ([np.inf, 1.0, -1.0], [1.0, 2.0, 3.0]),
+    ])
+    def test_rejects_non_finite(self, theta, m):
+        with pytest.raises(ValueError, match="^theta and m must be finite$"):
+            Spectrum(theta=np.array(theta), m=np.array(m), n=6)
+
     def test_d(self):
         assert PETERSEN.d == 2
 

@@ -20,7 +20,7 @@ from schemex.scheme_core import (
     reorder_relations,
 )
 
-from nxn_reference import adjacency
+from nxn_reference import adjacency, tensor_checks_loop
 
 
 def _cycle_rel(n):
@@ -351,8 +351,71 @@ def test_tensor_rejects_broken_row_sums():
         IntersectionTensor(d=1, p=p)
 
 
+def _break_row_sums(p, i):
+    """Add 1 to p^1_{ii}: the row sums of B_i fail, and for i > 1 so does its symmetry."""
+    p[1, i, i] += 1
+
+
+def _break_bannai_ito(p, i):
+    """Move one count of p^c_{id} from class c2 to class c1, in B_i and B_d alike.
+
+    All valencies of an odd cycle are equal, so every row sum holds, but
+    k_k p^k_{ij} = k_j p^j_{ik} fails for i and for d.
+    """
+    d = p.shape[0] - 1
+    c2 = next(c for c in range(1, d + 1) if p[c, i, d] >= 1)
+    c1 = next(c for c in range(1, d + 1) if c != c2)
+    for a, b in ((i, d), (d, i)):
+        p[c1, a, b] += 1
+        p[c2, a, b] -= 1
+
+
+ROW_SUMS = "sum_k p^k_{ij} k_k != k_i k_j; input is not a scheme"
+
+
+def _bannai_ito(i):
+    return f"k_k p^k_{{{i}j}} != k_j p^j_{{{i}k}}; not a symmetric scheme"
+
+
+@pytest.mark.parametrize("n, breaks, want", [
+    # cycle(13): d = 6, one block
+    (13, [("sums", 3)], ROW_SUMS),
+    (13, [("bi", 1)], _bannai_ito(1)),
+    (13, [("bi", 3)], _bannai_ito(3)),
+    (13, [("bi", 5)], _bannai_ito(5)),
+    (13, [("bi", 4), ("sums", 2)], ROW_SUMS),
+    (13, [("sums", 5), ("bi", 2)], _bannai_ito(2)),
+    # cycle(121): d = 60, 4 slabs per block; i = 4, 5, 7 are the first, a middle and
+    # the last slab of the block [4, 8).  Each case fails on a block loop that reports
+    # i without the block's offset, the last failing i, or one identity before the other.
+    (121, [("sums", 4)], ROW_SUMS),
+    (121, [("sums", 5)], ROW_SUMS),
+    (121, [("sums", 7)], ROW_SUMS),
+    (121, [("bi", 4)], _bannai_ito(4)),
+    (121, [("bi", 5)], _bannai_ito(5)),
+    (121, [("bi", 7)], _bannai_ito(7)),
+    (121, [("bi", 5), ("sums", 6)], _bannai_ito(5)),
+    (121, [("sums", 5), ("bi", 6)], ROW_SUMS),
+    (121, [("sums", 7), ("bi", 4)], _bannai_ito(4)),
+    (121, [("bi", 9), ("bi", 6)], _bannai_ito(6)),
+    (121, [("sums", 9), ("bi", 13)], ROW_SUMS),
+])
+def test_blocked_checks_report_the_slab_loop_witness(cycle_scheme, n, breaks, want):
+    p = cycle_scheme(n).tensor.p.copy()
+    d = p.shape[0] - 1
+    step = scheme_core.slab_step(d)
+    assert step > d if n == 13 else step == 4
+    for kind, i in breaks:
+        (_break_row_sums if kind == "sums" else _break_bannai_ito)(p, i)
+    with pytest.raises(ValueError) as ref:
+        tensor_checks_loop(d, p)
+    with pytest.raises(ValueError) as got:
+        IntersectionTensor(d=d, p=p)
+    assert str(got.value) == str(ref.value) == want
+
+
 def test_tensor_checks_allocate_no_cube(cycle_scheme):
-    # every check reads the tensor one (d+1)^2 slab at a time
+    # every check reads the tensor one block of slabs at a time, one slab from d = 90 on
     t = cycle_scheme(400).tensor
     one_cube = (t.d + 1) ** 3 * np.dtype(np.int64).itemsize
     tracemalloc.start()

@@ -23,8 +23,8 @@ def _sd(family, params=()):
 
 
 def _krein_cube(sd):
-    """q[k, i, j], stacked from the slabs q[:, i, :]."""
-    return np.stack(list(krein_slabs(sd)), axis=1)
+    """q[k, i, j], joined from the blocks q[:, a:b, :]."""
+    return np.concatenate(list(krein_slabs(sd)), axis=1)
 
 
 class TestEigenmatrices:
