@@ -17,19 +17,13 @@ from .scheme_core import (
     build_scheme,
     reorder_relations,
 )
-from .spectral import (
-    KreinTensor,
-    SpectralData,
-    krein_parameters,
-    primitive_idempotents,
-    spectral_data,
-)
+from .spectral import SpectralData, krein_parameters, primitive_idempotents, spectral_data
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AssociationScheme", "DetectionReport", "FamilySpec", "Graph",
-    "IntersectionTensor", "KreinTensor", "RelationMatrix",
+    "IntersectionTensor", "RelationMatrix",
     "RouteVerdict", "SpectralData", "Spectrum",
     "analyze", "build_scheme", "corpus", "detect", "distance_data",
     "generate", "graph_spectrum", "krein_parameters", "predistance_polynomials",

@@ -122,7 +122,6 @@ def _report_json(a) -> dict:
         "multiplicities": sd.multiplicities.tolist(),
         "P": sd.P.tolist(),
         "Q": sd.Q.tolist(),
-        "krein_min": a.krein.min_value,
         "routes": {name: v.to_dict() for name, v in rep.routes().items()},
         "consensus": {
             "verdict": rep.consensus,

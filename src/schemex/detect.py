@@ -14,8 +14,8 @@ Four routes are provably equivalent and are run side by side:
 
 Disagreement between routes whose preconditions hold is a bug or a tolerance
 failure and raises RouteDisagreement instead of guessing.  The greedy chain on
-the Krein tensor (``q_poly``) decides the dual property and is reported but
-never folded into the consensus.
+the Krein parameters q^k_{1j} (``q_poly``) decides the dual property and is
+reported but never folded into the consensus.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ import numpy as np
 from .poly import predistance_polynomials
 from .scheme_core import AssociationScheme, IntersectionTensor
 from .spectral import (
-    KreinTensor,
     SpectralData,
     eigen_groups,
     krein_parameters,
@@ -326,13 +325,13 @@ def mstar_decomposition_residual(t: IntersectionTensor, sd: SpectralData, i: int
     return float(np.abs(c - sd.spectrum.kappa[i] / sd.n - sd.Q[:, i] / sd.n).max())
 
 
-def q_polynomial_route(kt: KreinTensor) -> RouteVerdict:
-    """Greedy chain on the Krein tensor: the dual (cometric) analogue of tridiagonal."""
-    thr = BASE_TOL * max(1.0, kt.n)
-    order, witness = _greedy_chain(kt.q1 > thr, kt.d)
+def q_polynomial_route(q1: np.ndarray, n: int) -> RouteVerdict:
+    """Greedy chain on q1[k, j] = q^k_{1j}: the dual (cometric) analogue of tridiagonal."""
+    thr = BASE_TOL * max(1.0, n)
+    order, witness = _greedy_chain(q1 > thr, len(q1) - 1)
     if order is None:
         return RouteVerdict("q_poly", NO, witness=witness)
-    bad = _band_violation(kt.q1, order, thr)
+    bad = _band_violation(q1, order, thr)
     if bad is not None:
         return RouteVerdict("q_poly", NO, witness=bad)
     return RouteVerdict("q_poly", YES, ordering=order, l=order[-1])
@@ -344,7 +343,7 @@ class Analysis:
 
     report: DetectionReport
     spectral: SpectralData
-    krein: KreinTensor
+    krein_q1: np.ndarray
     predistance_values: np.ndarray | None
     mstar_max: float | None
     pq_residual: float
@@ -379,8 +378,8 @@ def analyze(s: AssociationScheme) -> Analysis:
     excess_v = excess_route(sd)
     pred_v = predistance_route(sd, values)
 
-    kt = krein_parameters(sd)
-    qv = q_polynomial_route(kt)
+    q1 = krein_parameters(sd)
+    qv = q_polynomial_route(q1, sd.n)
 
     principal = [tri, nstar_v, excess_v, pred_v]
     ran = [v for v in principal if v.verdict != PRECONDITION_FAILED]
@@ -428,7 +427,7 @@ def analyze(s: AssociationScheme) -> Analysis:
         ordering=ordering, l=l,
     )
     return Analysis(
-        report=report, spectral=sd, krein=kt, predistance_values=values, mstar_max=mstar_max,
+        report=report, spectral=sd, krein_q1=q1, predistance_values=values, mstar_max=mstar_max,
         pq_residual=sd.pq_residual, multiplicity_residual=sd.multiplicity_residual,
     )
 

@@ -6,6 +6,8 @@ by A_i on the (d+1)-dimensional adjacency algebra.  Conjugating B_i by
 diag(sqrt(k)) turns the whole family into commuting *symmetric* matrices, so
 everything reduces to eigh plus eigenspace refinement: diagonalize the first
 matrix, then split any degenerate eigenspace with the next one, and so on.
+Of the Krein parameters only the slab q^k_{1j} that the dual chain reads is
+computed, in closed form from P.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .poly import Spectrum
-from .scheme_core import AssociationScheme, IntersectionTensor, slab_step
+from .scheme_core import AssociationScheme, IntersectionTensor
 
 #: two computed eigenvalues count as equal when their gap is at most this,
 #: relative to max(1, spectral radius); read only by eigen_groups
@@ -49,16 +51,6 @@ class SpectralData:
     spectrum: Spectrum | None  # theta and multiplicities; None when theta are tied
     pq_residual: float  # max |P Q - n I|
     multiplicity_residual: float  # max |m - round(m)|
-
-
-@dataclass(eq=False)
-class KreinTensor:
-    """What is read of the dual intersection numbers: q1[k, j] = q^k_{1j} and min q^k_{ij}."""
-
-    d: int
-    n: int
-    q1: np.ndarray
-    min_value: float
 
 
 def eigen_groups(w: np.ndarray) -> list:
@@ -184,37 +176,18 @@ def primitive_idempotents(s: AssociationScheme, sd: SpectralData) -> tuple:
     return tuple(sd.Q[s.rel, j] / s.n for j in range(s.d + 1))
 
 
-def krein_slabs(sd: SpectralData):
-    """Yield the dual intersection numbers q[:, a:b, :], indexed [k, i, j], a block of slabs at a time.
+def krein_parameters(sd: SpectralData) -> np.ndarray:
+    """The dual intersection numbers q1[k, j] = q^k_{1j}, read-only: the one slab q_poly reads.
 
     q^k_{ij} = (m_i m_j / n) sum_l P_l(i) P_l(j) P_l(k) / k_l^2
     (Bannai-Ito 1984; Brouwer-Cohen-Neumaier 1989) gives the coefficients of
-    n E_i o E_j in the idempotent basis without forming any n x n matrix.
-    A block holds slab_step(d) slabs (see scheme_core.BLOCK_ENTRIES).
+    n E_i o E_j in the idempotent basis without forming any n x n matrix;
+    slab i = 1 is one (d+1)^2 product.  The other slabs are not computed:
+    on a validated scheme every q^k_{ij} >= 0 is a theorem (the Krein
+    conditions, Scott 1973), so their minimum would only measure rounding.
     """
-    d, n = sd.d, sd.n
-    P = sd.P
+    W = sd.P / sd.valencies  # W[i, l] = P_l(i) / k_l
     m = sd.multiplicities
-    W = P / sd.valencies  # W[i, l] = P_l(i) / k_l
-    step = slab_step(d)
-    for a in range(0, d + 1, step):
-        b = min(a + step, d + 1)
-        block = ((W[a:b, None, :] * W[None]) @ P.T) * ((m[a:b, None] * m) / n)[:, :, None]
-        yield block.transpose(2, 0, 1)
-
-
-def krein_parameters(sd: SpectralData) -> KreinTensor:
-    """One pass over krein_slabs, keeping slab 1 and the smallest q^k_{ij}.
-
-    q^k_{ij} = q^k_{ji} is not checked: both are the same products
-    W[i, l] W[j, l] summed against P_l(k), times m_i m_j / n, so they differ
-    only by rounding (1.8e-15 on cycle(400)).
-    """
-    lo = np.inf
-    a = 0
-    for block in krein_slabs(sd):
-        if a <= 1 < a + block.shape[1]:
-            q1 = block[:, 1 - a, :]
-        lo = np.minimum(lo, block.min())
-        a += block.shape[1]
-    return KreinTensor(d=sd.d, n=sd.n, q1=q1, min_value=float(lo))
+    q1 = (((W[1] * W) @ sd.P.T) * (m[1] * m / sd.n)[:, None]).T
+    q1.flags.writeable = False
+    return q1

@@ -12,7 +12,8 @@ to whole (d+1)-arrays.  They are spectral_data's per-row bookkeeping with
 its Python sort key, the per-slab Krein parameters and intersection-tensor
 checks, the breadth-first walks by np.flatnonzero, and kappa's two-slice
 loop.  Tests hold the library to them bit for bit, and to the loop checks'
-failure messages.
+failure messages.  The library computes only Krein slab 1, so the slab loop
+is also the dense q[k, i, j] on which the tests assert the Krein conditions.
 
 Beside them sit identities no library stage reads: the 0/1 adjacency matrix
 of a relation, the spectrum-weighted inner product, the Lagrange power

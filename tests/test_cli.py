@@ -181,7 +181,7 @@ class TestDetect:
         d = json.loads(out.read_text())
         assert set(d) == {
             "n", "d", "valencies", "theta", "multiplicities", "P", "Q",
-            "krein_min", "routes", "consensus", "residuals", "tol",
+            "routes", "consensus", "residuals", "tol",
         }
         assert d["n"] == 8 and d["d"] == 3
         assert d["valencies"] == [1, 3, 3, 1]
@@ -197,7 +197,6 @@ class TestDetect:
         assert all(v["verdict"] == "yes" for v in d["routes"].values())
         assert d["residuals"]["pq_identity"] < 1e-8
         assert d["residuals"]["mstar_max"] < 1e-8
-        assert d["krein_min"] >= -1e-8 * 8
         assert np.allclose(d["P"], d["Q"])  # binary Hamming is self-dual
 
     def test_json_bytes_are_stable(self, scheme_file, tmp_path):
@@ -282,6 +281,13 @@ class TestGraph:
         assert main(["graph", edge_file("rr12", 729, list(h.edges())), "--json", str(out)]) == EXIT_NO
         assert "p_d(theta0)=0.000000\n" in capsys.readouterr().out
         assert json.loads(out.read_text())["pd_theta0"] == 0.0
+
+    def test_named_drgs(self, edge_file, capsys, named_drgs):
+        for name, h, _q_poly in named_drgs:
+            h = nx.convert_node_labels_to_integers(h)
+            path = edge_file(name, h.number_of_nodes(), list(h.edges()))
+            assert main(["graph", path]) == EXIT_OK, name
+            assert "drg=true\n" in capsys.readouterr().out, name
 
     def test_every_graph_on_at_most_four_vertices(self, edge_file, capsys):
         # all 1 + 2 + 8 + 64 = 75 labelled graphs on 1..4 vertices

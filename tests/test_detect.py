@@ -34,7 +34,6 @@ from schemex.scheme_core import IntersectionTensor, reorder_relations
 from schemex.spectral import (
     EIG_GROUP_RTOL,
     INTEGRALITY_TOL,
-    KreinTensor,
     eigen_groups,
     krein_parameters,
     spectral_data,
@@ -310,25 +309,25 @@ class TestMStar:
 
 class TestQPolynomial:
     def _krein(self, s):
-        sd = spectral_data(s.tensor)
-        return krein_parameters(sd)
+        """The reference q1 of the n x n expansion, with the point count."""
+        return krein_expansion(s, spectral_data(s.tensor))[:, 1, :], s.n
 
     def test_cube_self_dual(self):
-        v = q_polynomial_route(self._krein(_scheme("hamming", (3, 2))))
+        v = q_polynomial_route(*self._krein(_scheme("hamming", (3, 2))))
         assert v.verdict == YES
         assert v.ordering == (0, 1, 2, 3)
 
     def test_petersen(self):
-        v = q_polynomial_route(self._krein(_scheme("petersen")))
+        v = q_polynomial_route(*self._krein(_scheme("petersen")))
         assert v.verdict == YES
 
     def test_matches_exhaustive_scan(self, scheme_corpus):
         for name, s, _ in scheme_corpus:
-            kt = self._krein(s)
-            thr = BASE_TOL * max(1.0, kt.n)
-            got = q_polynomial_route(kt)
+            q1, n = self._krein(s)
+            thr = BASE_TOL * max(1.0, n)
+            got = q_polynomial_route(q1, n)
             found = _oracle_chain_orders(
-                kt.q1, kt.d,
+                q1, s.d,
                 lambda v: v > thr, lambda v: abs(v) <= thr,
             )
             if got.verdict == YES:
@@ -365,7 +364,7 @@ class TestQPolynomial:
     def test_band_mask_matches_entrywise_loop_on_the_corpus(self, corpus_analyses):
         rng = np.random.default_rng(13)
         for name, a in corpus_analyses.items():
-            mat = a.krein.q1
+            mat = a.krein_q1
             thr = BASE_TOL * max(1.0, a.report.n)
             m = a.report.d + 1
             orders = [tuple(range(m))] + [tuple(rng.permutation(m).tolist()) for _ in range(5)]
@@ -380,7 +379,7 @@ class TestQPolynomial:
         verdict here would move if BASE_TOL moved a thousandfold either way."""
         for name, a in margin_analyses.items():
             thr = BASE_TOL * max(1.0, a.report.n)
-            q1 = a.krein.q1
+            q1 = a.krein_q1
             near = (np.abs(q1) > thr / 1000) & (q1 < thr * 1000)
             assert not near.any(), (name, q1[near])
 
@@ -536,9 +535,8 @@ class TestLadder:
         a = analyze(s)
         assert a.report.status == YES
         assert a.mstar_max < 1e-8
-        ref = krein_expansion(s, a.spectral)
-        ref = KreinTensor(d=s.d, n=s.n, q1=ref[:, 1, :], min_value=float(ref.min()))
-        assert a.report.q_poly.verdict == q_polynomial_route(ref).verdict
+        ref = krein_expansion(s, a.spectral)[:, 1, :]
+        assert a.report.q_poly.verdict == q_polynomial_route(ref, s.n).verdict
 
     def test_analyze_allocates_no_nxn_array(self, ladder):
         s = ladder[("hamming", (6, 3))]
@@ -564,7 +562,7 @@ class TestLargeDiameter:
         assert a.mstar_max < 1e-10
 
     def test_analyze_allocates_no_cubic_array(self, cycle_scheme):
-        # the Krein parameters stream slab by slab; p itself is built before analyze runs
+        # only the Krein slab q^k_{1j} is computed; p itself is built before analyze runs
         s = cycle_scheme(200)
         one_cube = (s.d + 1) ** 3 * np.dtype(np.float64).itemsize
         tracemalloc.start()
@@ -595,15 +593,13 @@ class TestTensorOnly:
     def _stages(t):
         sd = spectral_data(t)
         values = predistance_polynomials(sd.spectrum)
-        kt = krein_parameters(sd)
         return {
             "P": sd.P, "Q": sd.Q, "m": sd.multiplicities,
             "tridiagonal": tridiagonal_route(t),
             "nstar": nstar_sets(t, sd),
             "excess": excess_route(sd),
             "predistance": predistance_route(sd, values),
-            "krein_q1": kt.q1,
-            "krein_min": kt.min_value,
+            "krein_q1": krein_parameters(sd),
             "mstar": [mstar_decomposition_residual(t, sd, i) for i in (1, 2)],
         }
 

@@ -4,7 +4,7 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from schemex.detect import detect
+from schemex.detect import analyze, detect, q_polynomial_route
 from schemex.families import FamilySpec, generate
 from schemex.graph_tools import (
     Disconnected,
@@ -17,7 +17,7 @@ from schemex.graph_tools import (
     spectral_excess_report,
 )
 
-from nxn_reference import adjacency
+from nxn_reference import adjacency, krein_expansion
 
 
 def _cycle_graph(n):
@@ -270,3 +270,12 @@ class TestSchemeFromDrg:
             rep = detect(s)
             assert rep.status == "yes"
             assert rep.ordering == tuple(range(s.d + 1))
+
+    def test_named_drgs_are_metric_and_q_poly_follows_the_reference(self, named_drgs):
+        for name, h, q_poly in named_drgs:
+            s = scheme_from_drg(_from_networkx(h))
+            a = analyze(s)
+            assert a.report.status == "yes", name
+            assert a.report.q_poly.verdict == q_poly, name
+            ref = q_polynomial_route(krein_expansion(s, a.spectral)[:, 1, :], s.n)
+            assert a.report.q_poly == ref, name

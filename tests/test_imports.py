@@ -1,4 +1,5 @@
-"""Every module of the package uses each name it imports, or re-exports it in ``__all__``."""
+"""Every module of the package uses each name it imports, or re-exports it in ``__all__``,
+and every public name a module defines is read in the package, exported, or traced."""
 
 from __future__ import annotations
 
@@ -50,3 +51,35 @@ def test_every_allowed_import_is_still_traced():
     traced = _traced_targets()
     stale = {(f, name) for f, name in ALLOWED if (f"schemex.{f.removesuffix('.py')}", name) not in traced}
     assert not stale, sorted(stale)
+
+
+def _public_definitions(tree):
+    """Names of the module-level public functions, classes and constants."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        yield from (name for name in names if not name.startswith("_"))
+
+
+def _reads(tree):
+    """Every name the module loads, bare or as an attribute."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+
+
+def test_every_public_definition_is_read_exported_or_traced():
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in PACKAGE.glob("*.py")}
+    kept = {name for tree in trees.values() for name in _reads(tree)}
+    kept |= set(schemex.__all__) | {attr for _module, attr in _traced_targets()}
+    dead = [(f, name) for f, tree in sorted(trees.items())
+            for name in _public_definitions(tree) if name not in kept]
+    assert not dead, dead

@@ -14,7 +14,10 @@ The report gives every pair, then for each end-to-end metric of the change's
 ``BENCHMARK.json``: both medians and quartiles, the change's wins (ties count
 for neither side), the relative change of the median against the metric's
 bound, and whether a gain may be claimed: wins in at least nine tenths of the
-pairs and medians further apart than the parent's interquartile range.
+pairs and medians further apart than the parent's interquartile range.  A
+metric is reported unresolved when the parent's spread (interquartile range
+over median) is wider than its bound, unless every change run beats every
+parent run: such runs cannot tell a change within the bound from one past it.
 Standard library only.
 """
 
@@ -58,11 +61,15 @@ def summarize(metric: dict, base: list, change: list) -> str:
     rel = (cmed - bmed) / abs(bmed) if bmed else 0.0
     worse = -sign * rel
     gain = wins >= 0.9 * len(base) and sign * (cmed - bmed) > bq3 - bq1
+    spread = (bq3 - bq1) / abs(bmed) if bmed else 0.0
+    separated = all(sign * (c - b) > 0 for b in base for c in change)
+    unresolved = spread > metric["bound"] and not separated
     return (f"{metric['name']}: parent median {bmed:.6g} (q1 {bq1:.6g}, q3 {bq3:.6g}); "
             f"change median {cmed:.6g} (q1 {cq1:.6g}, q3 {cq3:.6g}); "
             f"change wins {wins}/{len(base)}; median {rel:+.2%}, bound {metric['bound']:.0%}"
             f"{' EXCEEDED' if worse > metric['bound'] else ''}; "
-            f"gain {'claimable' if gain else 'not claimable'}")
+            f"gain {'claimable' if gain else 'not claimable'}"
+            f"{f'; unresolved: parent spread {spread:.1%}' if unresolved else ''}")
 
 
 def pairs(base: Path, change: Path, args) -> None:
