@@ -81,7 +81,7 @@ def _read_edge_file(path) -> Graph:
     if body.size != 2 * m:
         raise InputError(f"{path}: expected {m} edges, got {body.size // 2}")
     try:
-        return Graph.from_edges(n, body.reshape(m, 2).tolist())
+        return Graph.from_edges(n, body.reshape(m, 2))
     except (ValueError, MemoryError) as e:  # MemoryError: no room for the n x n matrix
         raise InputError(str(e)) from None
 

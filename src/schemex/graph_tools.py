@@ -11,7 +11,13 @@ from .poly import (
     predistance_polynomials,  # noqa: F401  unused here; perfbench/spans.py traces this name
     spectral_excess,
 )
-from .scheme_core import AssociationScheme, RelationMatrix, SchemeValidationError, build_scheme
+from .scheme_core import (
+    _SEIDEL_FLOAT32_MAX_N,
+    AssociationScheme,
+    RelationMatrix,
+    SchemeValidationError,
+    build_scheme,
+)
 from .spectral import eigen_groups
 
 
@@ -42,18 +48,35 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
+        """The graph on 0..n-1 with the given (u, v) pairs as its edges.
+
+        The first offending pair in input order raises ValueError, and for
+        that pair a vertex out of range comes before a loop, and a loop before
+        a repeat of an earlier edge in either orientation.
+        """
         if n < 1:
             raise ValueError("graph needs at least one vertex")
         adj = np.zeros((n, n), dtype=bool)
-        for u, v in edges:
-            u, v = int(u), int(v)
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u},{v}) out of range 0..{n - 1}")
-            if u == v:
-                raise ValueError(f"loop at vertex {u}")
-            if adj[u, v]:
-                raise ValueError(f"duplicate edge ({u},{v})")
-            adj[u, v] = adj[v, u] = True
+        pairs = edges if isinstance(edges, np.ndarray) else list(edges)
+        raw = np.asarray(pairs)
+        if raw.dtype.kind not in "iu":  # floats, strings, ints past int64: int() of each
+            raw = np.frompyfunc(int, 1, 1)(np.asarray(pairs, dtype=object))
+        raw = raw.reshape(len(raw), 2)
+        out = ((raw < 0) | (raw >= n)).any(axis=1)
+        u, v = np.where(out[:, None], 0, raw).astype(np.int64).T
+        loop = u == v
+        _, first, which = np.unique(np.minimum(u, v) * n + np.maximum(u, v),
+                                    return_index=True, return_inverse=True)
+        bad = out | loop | (first[which] != np.arange(len(raw)))
+        if bad.any():
+            t = int(np.argmax(bad))
+            a, b = int(raw[t, 0]), int(raw[t, 1])
+            if out[t]:
+                raise ValueError(f"edge ({a},{b}) out of range 0..{n - 1}")
+            if loop[t]:
+                raise ValueError(f"loop at vertex {a}")
+            raise ValueError(f"duplicate edge ({a},{b})")
+        adj[u, v] = adj[v, u] = True
         adj.flags.writeable = False
         return cls(n=n, adj=adj)
 
@@ -85,17 +108,22 @@ def _seidel_distances(a: np.ndarray) -> np.ndarray:
     Seidel's recursion (J. Comput. Syst. Sci. 51 (1995) 400-403), unrolled:
     square the graph until it is complete, then walk back down, recovering
     each level's distances T from the level above with one product X = T A:
-    D = 2T where X >= T * deg, else 2T - 1.  That is O(log D) float64 GEMMs.
-    Every product entry is an integer <= (n - 1) * deg < 2**53, so float64
-    holds it exactly.  A level whose square adds no edge before the graph is
+    D = 2T where X >= T * deg, else 2T - 1.  That is O(log D) GEMMs.  A and
+    deg are those of the level graph, whose degree can reach n - 1 whatever
+    the input's is, and every T is at most n - 1.  So every product entry (a
+    common-neighbour count in a squaring, X, or T * deg) is an integer
+    <= (n - 1)**2, as is every partial sum: float32 holds them exactly for
+    n <= _SEIDEL_FLOAT32_MAX_N = 4097, and larger graphs run the same products
+    in float64.  A level whose square adds no edge before the graph is
     complete is the transitive closure, so the graph is disconnected and each
     component is one distinct row of (level | I).
     """
     n = a.shape[0]
+    ftype = np.float32 if n <= _SEIDEL_FLOAT32_MAX_N else np.float64
     off_diagonal = ~np.eye(n, dtype=bool)
     levels = [a]
     while True:
-        f = levels[-1].astype(np.float64)
+        f = levels[-1].astype(ftype)
         square = (levels[-1] | (f @ f > 0)) & off_diagonal
         if square.sum() == n * (n - 1):
             break
@@ -103,10 +131,12 @@ def _seidel_distances(a: np.ndarray) -> np.ndarray:
             reach = square | ~off_diagonal
             raise Disconnected(int(np.unique(reach, axis=0).shape[0]))
         levels.append(square)
-    dist = 2 * off_diagonal.astype(np.float64) - levels[-1]
+    dist = 2 * off_diagonal.astype(ftype) - levels[-1]
     for level in reversed(levels[:-1]):
-        f = level.astype(np.float64)
-        dist = 2 * dist - ((dist @ f) < dist * f.sum(axis=0))
+        f = level.astype(ftype)
+        odd = dist @ f < dist * f.sum(axis=0)
+        dist *= 2
+        dist -= odd
     return dist.astype(np.int32)
 
 

@@ -192,9 +192,12 @@ def _tensor_from_representatives(rel: np.ndarray, d: int) -> np.ndarray:
     checked separately by :func:`build_scheme`.
     """
     m = d + 1
-    # every class occurs; the stable sort gives each one's row-major first pair
-    _, first = np.unique(rel.ravel(), return_index=True)
-    x, y = np.divmod(first, rel.shape[0])
+    # each class's row-major first pair: in a scheme every class occurs in
+    # every row, so row 0 holds them all; else a stable sort of all n^2 entries
+    _, y = np.unique(rel[0], return_index=True)
+    x = np.zeros_like(y)
+    if y.size < m:
+        x, y = np.divmod(np.unique(rel.ravel(), return_index=True)[1], rel.shape[0])
     # key[k, z] = (k m + rel(x_k, z)) m + rel(z, y_k), the flat index of p[k, i, j]
     key = (np.arange(m)[:, None] * m + rel[x]) * m + rel[:, y].T
     return np.bincount(key.ravel(), minlength=m ** 3).reshape(m, m, m)
@@ -202,6 +205,8 @@ def _tensor_from_representatives(rel: np.ndarray, d: int) -> np.ndarray:
 
 # float32 represents every integer of magnitude <= 2**24 exactly
 _FLOAT32_EXACT = 2 ** 24
+# graph_tools' Seidel products are counts <= (n - 1)**2 <= _FLOAT32_EXACT up to this n
+_SEIDEL_FLOAT32_MAX_N = 1 + 2 ** 12
 
 
 def _check_products_constant(rel, p, a_i, a_j, i, j):
@@ -217,10 +222,11 @@ def _check_products_constant(rel, p, a_i, a_j, i, j):
     if np.array_equal(M, p[:, i, j].astype(np.float32)[rel]):
         return
     m = p.shape[0]
-    flat_rel = rel.ravel().astype(np.intp)
-    flat_m = M.ravel().astype(np.int32)
-    mins = np.full(m, np.iinfo(np.int32).max, dtype=np.int32)
-    maxs = np.full(m, -1, dtype=np.int32)
+    # M's exact float32 counts and rel's indices as they are: no n^2 copy
+    flat_rel = rel.ravel()
+    flat_m = M.ravel()
+    mins = np.full(m, np.inf, dtype=np.float32)
+    maxs = np.full(m, -1, dtype=np.float32)
     np.minimum.at(mins, flat_rel, flat_m)
     np.maximum.at(maxs, flat_rel, flat_m)
     k = int(np.flatnonzero(mins != maxs)[0])

@@ -14,6 +14,9 @@ checks, the breadth-first walks by np.flatnonzero, and kappa's two-slice
 loop.  Tests hold the library to them bit for bit, and to the loop checks'
 failure messages.  The library computes only Krein slab 1, so the slab loop
 is also the dense q[k, i, j] on which the tests assert the Krein conditions.
+Two more are the forms the library had before it stopped scanning every
+entry: the intersection tensor counted at representatives found by sorting
+all n^2 relation entries, and Graph.from_edges one pair at a time.
 
 Beside them sit identities no library stage reads: the 0/1 adjacency matrix
 of a relation, the spectrum-weighted inner product, the Lagrange power
@@ -345,3 +348,30 @@ def kappa_loop(theta) -> np.ndarray:
         out, e = np.frexp(out)
         exponent += e
     return np.ldexp(out, exponent)
+
+
+def tensor_from_representatives_full(rel, d) -> np.ndarray:
+    """p[k, i, j] counted at each class's row-major first pair, found by a stable sort of all n^2 entries."""
+    m = d + 1
+    _, first = np.unique(rel.ravel(), return_index=True)
+    x, y = np.divmod(first, rel.shape[0])
+    key = (np.arange(m)[:, None] * m + rel[x]) * m + rel[:, y].T
+    return np.bincount(key.ravel(), minlength=m ** 3).reshape(m, m, m)
+
+
+def from_edges_loop(n: int, edges) -> np.ndarray:
+    """Graph.from_edges one pair at a time: the read-only bool adjacency matrix, or its ValueError."""
+    if n < 1:
+        raise ValueError("graph needs at least one vertex")
+    adj = np.zeros((n, n), dtype=bool)
+    for u, v in edges:
+        u, v = int(u), int(v)
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u},{v}) out of range 0..{n - 1}")
+        if u == v:
+            raise ValueError(f"loop at vertex {u}")
+        if adj[u, v]:
+            raise ValueError(f"duplicate edge ({u},{v})")
+        adj[u, v] = adj[v, u] = True
+    adj.flags.writeable = False
+    return adj

@@ -257,6 +257,14 @@ class TestGraph:
         assert " 0^252 " in out
         assert "drg=true" in out
 
+    @pytest.mark.slow
+    def test_eleven_cube(self, edge_file, capsys):
+        # n = 2048, below the 4097 vertices up to which Seidel's products run in float32
+        assert main(["graph", edge_file("cube11", 2048, _cube_edges(11))]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "d=11 D=11" in out
+        assert "drg=true" in out
+
     def test_star_is_not_regular(self, edge_file, capsys):
         edges = [(0, 1), (0, 2), (0, 3)]
         assert main(["graph", edge_file("star", 4, edges)]) == EXIT_PRECONDITION

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import networkx as nx
 import numpy as np
 import pytest
 
+from schemex import graph_tools
 from schemex.detect import analyze, detect, q_polynomial_route
 from schemex.families import FamilySpec, generate
 from schemex.graph_tools import (
@@ -16,8 +19,9 @@ from schemex.graph_tools import (
     scheme_from_drg,
     spectral_excess_report,
 )
+from schemex.scheme_core import _FLOAT32_EXACT
 
-from nxn_reference import adjacency, krein_expansion
+from nxn_reference import adjacency, from_edges_loop, krein_expansion
 
 
 def _cycle_graph(n):
@@ -58,6 +62,87 @@ class TestGraph:
             Graph.from_edges(2, [(0, 1), (1, 0)])
         with pytest.raises(ValueError):
             Graph.from_edges(2, [(0, 2)])
+
+
+def _edges_outcome(build, n, edges):
+    """The adjacency matrix build makes, or the message of the ValueError it raises."""
+    try:
+        return build(n, edges)
+    except ValueError as e:
+        return str(e)
+
+
+def _seeded_edge_list(rng):
+    """(n, pairs): a random simple graph's edges in random order and orientation, with 0-3
+    faults (a vertex out of range, a loop, a repeat in either orientation) put in."""
+    n = int(rng.integers(1, 12))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    pairs = [pairs[i] for i in rng.permutation(len(pairs))[:int(rng.integers(0, len(pairs) + 1))]]
+    pairs = [(v, u) if rng.integers(2) else (u, v) for u, v in pairs]
+    for _ in range(int(rng.integers(0, 4))):
+        kind = int(rng.integers(3))
+        if kind == 0:
+            w = int(rng.choice([-1, n, n + 5]))
+            fault = (w, int(rng.integers(n))) if rng.integers(2) else (int(rng.integers(-1, n + 1)), w)
+        elif kind == 1:
+            w = int(rng.integers(-1, n + 1))
+            fault = (w, w)
+        elif pairs:
+            u, v = pairs[int(rng.integers(len(pairs)))]
+            fault = (v, u) if rng.integers(2) else (u, v)
+        else:
+            continue
+        pairs.insert(int(rng.integers(len(pairs) + 1)), fault)
+    return n, pairs
+
+
+class TestFromEdgesAgainstLoop:
+    """Graph.from_edges against the pair-at-a-time loop: the same matrix or the same first error."""
+
+    def test_seeded_edge_lists_with_mixed_errors(self):
+        rng = np.random.default_rng(20261019)
+        seen = set()
+        forms = [list, lambda ps: (p for p in ps), lambda ps: np.array(ps, dtype=np.int64).reshape(-1, 2),
+                 lambda ps: [list(p) for p in ps]]
+        for trial in range(400):
+            n, pairs = _seeded_edge_list(rng)
+            want = _edges_outcome(from_edges_loop, n, pairs)
+            got = _edges_outcome(lambda n, e: Graph.from_edges(n, e).adj, n, forms[trial % 4](pairs))
+            if isinstance(want, str):
+                assert got == want, (n, pairs)
+                seen.add(want.split(" ")[0] if "range" not in want else "range")
+            else:
+                assert isinstance(got, np.ndarray) and not got.flags.writeable, (n, pairs)
+                assert np.array_equal(got, want), (n, pairs)
+                seen.add("graph")
+        assert seen == {"graph", "range", "loop", "duplicate"}
+
+    @pytest.mark.parametrize("n, edges, message", [
+        (3, [(0, 1), (5, 5)], "edge (5,5) out of range 0..2"),
+        (3, [(0, 1), (2, 2), (1, 0)], "loop at vertex 2"),
+        (3, [(0, 1), (1, 0), (2, 2)], "duplicate edge (1,0)"),
+        (3, [(0, 1), (1, 2), (1, 2)], "duplicate edge (1,2)"),
+        (3, [(-1, 0)], "edge (-1,0) out of range 0..2"),
+        (3, [(0, 10 ** 30)], f"edge (0,{10 ** 30}) out of range 0..2"),
+        (3, [(1, 1), (0, 7)], "loop at vertex 1"),
+    ])
+    def test_first_offender_and_message(self, n, edges, message):
+        assert _edges_outcome(from_edges_loop, n, edges) == message
+        with pytest.raises(ValueError) as exc:
+            Graph.from_edges(n, edges)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("edges", [
+        nx.petersen_graph().edges(),
+        [(np.int32(0), np.uint8(1)), (2, 1)],
+        [(0.0, 1.0), ("2", "1")],
+        np.array([[0, 1], [1, 2]], dtype=np.uint16),
+        iter([]),
+    ], ids=["EdgeView", "numpy-scalars", "float-and-str", "uint16-array", "empty-iterator"])
+    def test_any_iterable_of_pairs(self, edges):
+        n = 10
+        ref = from_edges_loop(n, edges)  # an EdgeView or an array iterates again; iter([]) is empty
+        assert np.array_equal(Graph.from_edges(n, edges).adj, ref)
 
 
 class TestDistances:
@@ -104,19 +189,32 @@ def _assert_networkx_distances(h):
         assert np.array_equal(dd.gamma_counts[x], np.bincount(ref[x], minlength=dd.diameter + 1))
 
 
+NETWORKX_GRAPHS = {
+    "cycle301": nx.cycle_graph(301),
+    "cycle8": nx.cycle_graph(8),
+    "path2": nx.path_graph(2),
+    "path57": nx.path_graph(57),
+    "petersen": nx.petersen_graph(),
+    "6-cube": nx.hypercube_graph(6),
+    "K1": nx.complete_graph(1),
+    "K2": nx.complete_graph(2),
+    "K9": nx.complete_graph(9),
+    # a clique's degree times a path's distances: Seidel's products reach 5099, past
+    # float16's 2048, an eighth of the (n - 1)**2 bound
+    "lollipop100": nx.lollipop_graph(100, 100),
+}
+
+
+def _seeded_gnp_graphs():
+    """60 seeded random graphs on 2..39 vertices, between 10 and 50 of them disconnected."""
+    rng = np.random.default_rng(20261017)
+    for _ in range(60):
+        n = int(rng.integers(2, 40))
+        yield nx.gnp_random_graph(n, float(rng.uniform(0.02, 0.5)), seed=int(rng.integers(2 ** 31)))
+
+
 class TestDistancesAgainstNetworkx:
-    @pytest.mark.parametrize("h", [
-        nx.cycle_graph(301),
-        nx.cycle_graph(8),
-        nx.path_graph(2),
-        nx.path_graph(57),
-        nx.petersen_graph(),
-        nx.hypercube_graph(6),
-        nx.complete_graph(1),
-        nx.complete_graph(2),
-        nx.complete_graph(9),
-    ], ids=["cycle301", "cycle8", "path2", "path57", "petersen", "6-cube",
-            "K1", "K2", "K9"])
+    @pytest.mark.parametrize("h", list(NETWORKX_GRAPHS.values()), ids=list(NETWORKX_GRAPHS))
     def test_named_graphs(self, h):
         _assert_networkx_distances(h)
 
@@ -126,12 +224,8 @@ class TestDistancesAgainstNetworkx:
         assert exc.value.components == 2
 
     def test_seeded_random_graphs(self):
-        rng = np.random.default_rng(20261017)
         disconnected = 0
-        for _ in range(60):
-            n = int(rng.integers(2, 40))
-            h = nx.gnp_random_graph(n, float(rng.uniform(0.02, 0.5)),
-                                    seed=int(rng.integers(2 ** 31)))
+        for h in _seeded_gnp_graphs():
             comps = nx.number_connected_components(h)
             if comps == 1:
                 _assert_networkx_distances(h)
@@ -141,6 +235,62 @@ class TestDistancesAgainstNetworkx:
                 distance_data(_from_networkx(h))
             assert exc.value.components == comps
         assert 10 <= disconnected <= 50
+
+
+def _distance_peak(g) -> float:
+    """tracemalloc peak of distance_data(g), in n x n float64 arrays."""
+    tracemalloc.start()
+    try:
+        distance_data(g)
+        return tracemalloc.get_traced_memory()[1] / (8 * g.n * g.n)
+    finally:
+        tracemalloc.stop()
+
+
+def _relation_graph(family, params):
+    s = generate(FamilySpec(family, params))
+    return Graph.from_edges(s.n, np.argwhere(np.triu(np.asarray(s.rel) == 1)))
+
+
+@pytest.fixture(params=["float32", "float64"])
+def seidel_dtype(request, monkeypatch):
+    """Seidel's products in float32 (the default below 4098 vertices) or, with the bound lowered, float64."""
+    if request.param == "float64":
+        monkeypatch.setattr(graph_tools, "_SEIDEL_FLOAT32_MAX_N", 1)
+    return request.param
+
+
+class TestSeidelDtypes:
+    def test_networkx_distances(self, seidel_dtype, named_drgs):
+        for h in [*NETWORKX_GRAPHS.values(), *(g for _name, g, _q in named_drgs)]:
+            _assert_networkx_distances(h)
+
+    def test_component_counts(self, seidel_dtype):
+        counts = []
+        for h in _seeded_gnp_graphs():
+            try:
+                distance_data(_from_networkx(h))
+                counts.append(1)
+            except Disconnected as exc:
+                counts.append(exc.components)
+            assert counts[-1] == nx.number_connected_components(h)
+        assert 10 <= sum(c > 1 for c in counts) <= 50
+
+    def test_the_bound_selects_the_dtype(self, monkeypatch):
+        g = _from_networkx(nx.hypercube_graph(6))
+        small = _distance_peak(g)
+        monkeypatch.setattr(graph_tools, "_SEIDEL_FLOAT32_MAX_N", g.n - 1)
+        assert _distance_peak(g) > 1.5 * small
+
+    def test_the_bound_is_exact_in_float32(self):
+        # every product entry is a count <= (n - 1)**2, which float32 holds up to 2**24
+        n = graph_tools._SEIDEL_FLOAT32_MAX_N
+        assert (n - 1) ** 2 <= _FLOAT32_EXACT < n ** 2
+
+    @pytest.mark.parametrize("family, params", [("hamming", (8, 2)), ("johnson", (12, 4))])
+    def test_distance_data_peak(self, family, params):
+        # float32 products updated in place: 5.63 and 5.50 n^2 float64s with float64 products
+        assert _distance_peak(_relation_graph(family, params)) <= 3.25
 
 
 class TestSpectrum:

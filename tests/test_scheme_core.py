@@ -1,12 +1,15 @@
 from __future__ import annotations
 
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from schemex import scheme_core
 from schemex.families import FamilySpec, generate
+from schemex.graph_tools import Graph, distance_data
 from schemex.scheme_core import (
     DiagonalNotZero,
     IntersectionTensor,
@@ -15,12 +18,13 @@ from schemex.scheme_core import (
     NotSymmetric,
     PermMovesZero,
     RelationMatrix,
+    SchemeValidationError,
     ZeroOffDiagonal,
     build_scheme,
     reorder_relations,
 )
 
-from nxn_reference import adjacency, tensor_checks_loop
+from nxn_reference import adjacency, tensor_checks_loop, tensor_from_representatives_full
 
 
 def _cycle_rel(n):
@@ -280,6 +284,58 @@ def test_corpus_tensors_match_integer_reference(scheme_corpus):
         assert witness is None, name
         rebuilt = build_scheme(RelationMatrix(n=s.n, d=s.d, rel=rel))
         assert np.array_equal(rebuilt.tensor.p, tensor), name
+
+
+def _benchmark_matrices():
+    """(name, rel, d) of the benchmark's cli ladder schemes and its four graphs' distance matrices."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import inputs
+
+    for case in inputs.ladder_cases(1):
+        yield case.name, case.rel, case.d
+    for case in inputs.graph_cases(1):
+        dd = distance_data(Graph.from_edges(case.n, case.edge_array))
+        yield case.name, dd.dist, dd.diameter
+
+
+def test_representatives_from_row_zero_match_the_full_scan(scheme_corpus):
+    mats = [(name, s.rel, s.d) for name, s, _expected in scheme_corpus]
+    for name, rel, d in [*mats, *_benchmark_matrices()]:
+        rel = RelationMatrix(n=rel.shape[0], d=d, rel=rel).rel
+        assert np.array_equal(scheme_core._tensor_from_representatives(rel, d),
+                              tensor_from_representatives_full(rel, d)), name
+
+
+def test_representatives_when_row_zero_lacks_a_class(monkeypatch):
+    # such a matrix is no scheme, so the full scan runs; validation then fails as with
+    # the full scan's tensor, with the same witness
+    rng = np.random.default_rng(20261019)
+    outcomes = []
+    for _ in range(100):
+        n, d = int(rng.integers(4, 16)), int(rng.integers(2, 5))
+        rel = _random_relation_matrix(rng, n, d)
+        gone = int(rng.integers(1, d + 1))
+        row = np.where(rel[0] == gone, 1 + gone % d, rel[0])
+        rel[0], rel[:, 0] = row, row
+        if np.unique(rel).size != d + 1:
+            continue
+        rel = RelationMatrix(n=n, d=d, rel=rel).rel
+        assert np.unique(rel[0]).size < d + 1
+        assert np.array_equal(scheme_core._tensor_from_representatives(rel, d),
+                              tensor_from_representatives_full(rel, d))
+        outcomes.append(_build_outcome(rel, d))
+        monkeypatch.setattr(scheme_core, "_tensor_from_representatives",
+                            tensor_from_representatives_full)
+        assert _build_outcome(rel, d) == outcomes[-1]
+        monkeypatch.undo()
+    assert len(outcomes) >= 50 and all(isinstance(o, str) for o in outcomes)
+
+
+def _build_outcome(rel, d):
+    try:
+        return build_scheme(RelationMatrix(n=rel.shape[0], d=d, rel=rel)).tensor.p
+    except SchemeValidationError as e:
+        return f"{type(e).__name__}: {e}"
 
 
 SMALL = [
