@@ -41,13 +41,43 @@ class InputError(ValueError):
     """An input file or the command line could not be read or parsed."""
 
 
+_CANONICAL_BYTES = b"0123456789 \t\n\r\v\f"
+
+
+def _canonical(data: bytes) -> bool:
+    """Only ASCII digits and ASCII whitespace, and no token past 14 digits.
+
+    Whitespace sorts below "0".  Each aligned 8-byte window holds a whitespace
+    byte, checked 8 flags to a word, and a run of 15 digits would cover one.
+    """
+    if data.translate(None, _CANONICAL_BYTES):
+        return False
+    space = np.frombuffer(data, dtype=np.uint8) < ord("0")
+    return bool(space[:space.size // 8 * 8].view(np.uint64).all())
+
+
 def _read_ints(path, header: str):
     """A file of integers: the two header values by int(), whatever their size, then the
-    rest as int64 (numpy accepts the tokens int() accepts, and overflows past int64)."""
+    rest as int64 (numpy accepts the tokens int() accepts, and overflows past int64).
+
+    A canonical file (:func:`_canonical`) is parsed in C by np.fromstring: its
+    values are below 10**14, so np.fromstring never clamps one to int64 and int()
+    never refuses one for its length.  Any other file is read token by token, the
+    only way that reads the rest of int()'s syntax and words every error.
+    """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            tokens = fh.read().split()
-    except (OSError, ValueError) as e:  # ValueError: a UnicodeDecodeError
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as e:
+        raise InputError(str(e)) from None
+    if _canonical(data):
+        tokens = data.split(maxsplit=2)
+        if len(tokens) >= 2:
+            body = tokens[2] if len(tokens) == 3 else b""
+            return int(tokens[0]), int(tokens[1]), np.fromstring(body, dtype=np.int64, sep=" ")
+    try:
+        tokens = data.decode("utf-8").split()
+    except ValueError as e:  # a UnicodeDecodeError
         raise InputError(str(e)) from None
     if len(tokens) < 2:
         raise InputError(f"{path}: missing '{header}' header")

@@ -3,7 +3,8 @@
 A scheme on n points with d classes is stored as an n x n matrix of relation
 indices.  Every count is exact: the intersection tensor is counted in
 integers, and the validation products run as float32 GEMMs whose entries are
-integers small enough for float32 to hold exactly (see :func:`build_scheme`).
+integers small enough for float32 to hold exactly, several products packed
+into one GEMM as the digits of one count (see :func:`_check_product_group`).
 Validation checks the products A_i A_j row by row and stops once a verified
 relation generates the Bose-Mesner algebra, which proves the unchecked
 products constant (see :func:`_generates_algebra`).
@@ -69,7 +70,8 @@ class PermMovesZero(ValueError):
 _MAX_INDEX = np.iinfo(np.uint16).max
 
 #: a (d+1)^3 pass handles this many entries at once: whole at small d, where the
-#: cost is one numpy call per step, and one (d+1)^2 slab per step from d = 90 on
+#: cost is one numpy call per step, and one (d+1)^2 slab per step from d = 90 on;
+#: validation gathers from the n x n relation matrix this many entries' rows at once
 BLOCK_ENTRIES = 2 ** 14
 
 
@@ -205,40 +207,94 @@ def _tensor_from_representatives(rel: np.ndarray, d: int) -> np.ndarray:
 
 # float32 represents every integer of magnitude <= 2**24 exactly
 _FLOAT32_EXACT = 2 ** 24
+# a validation GEMM packs the g products of base**g <= _PACKED_MAX, at least one
+_PACKED_MAX = _FLOAT32_EXACT
 # graph_tools' Seidel products are counts <= (n - 1)**2 <= _FLOAT32_EXACT up to this n
 _SEIDEL_FLOAT32_MAX_N = 1 + 2 ** 12
 
 
-def _check_products_constant(rel, p, a_i, a_j, i, j):
-    """Verify that A_i A_j is constant on every relation class.
+def _row_blocks(n: int):
+    """Row slices of an n x n array, each of at most BLOCK_ENTRIES entries (one row at least)."""
+    step = max(1, BLOCK_ENTRIES // n)
+    return [slice(a, a + step) for a in range(0, n, step)]
 
-    The product is a float32 GEMM.  Its entries are counts <= n < 2**24, so
-    every partial sum is an integer float32 holds exactly.  A_i A_j is constant
-    on class k exactly when it equals p[k, i, j], counted at k's representative
-    pair, on all of class k; the min/max scan that names a witness runs only
-    when that comparison fails.
+
+def _check_product_group(rel, p, a_i, i, j0, j1, base):
+    """Verify, with one float32 GEMM, that A_i A_j is constant on every class for j0 <= j < j1.
+
+    The GEMM is M = A_i W with W = sum_j base**(j - j0) A_j, so M(x, y) is
+    sum_j c_j(x, y) base**(j - j0), where c_j(x, y) counts the z with
+    rel(x, z) = i and rel(z, y) = j.
+
+    Exactness: every c_j(x, y) <= deg_i(x) < base, so M <= base**(j1 - j0) - 1,
+    which is below 2**24: base**(j1 - j0) <= _PACKED_MAX = 2**24, or j1 - j0 = 1
+    and base <= n < 2**24.  Every partial sum of the GEMM is a sum of non-negative
+    integer terms no larger than M, so float32 holds each one exactly.  Base-base
+    digits are unique, so M equals sum_j p[rel, i, j] base**(j - j0) on every
+    pair exactly when each A_i A_j is constant on every class with its
+    representative count (the representative pair of class k sees
+    p[k, i, j] <= deg_i < base).  Only on a mismatch are the digits decoded, for
+    the witness (:func:`_raise_group_witness`).
     """
-    M = a_i @ a_j
-    if np.array_equal(M, p[:, i, j].astype(np.float32)[rel]):
-        return
-    m = p.shape[0]
-    # M's exact float32 counts and rel's indices as they are: no n^2 copy
-    flat_rel = rel.ravel()
-    flat_m = M.ravel()
-    mins = np.full(m, np.inf, dtype=np.float32)
-    maxs = np.full(m, -1, dtype=np.float32)
-    np.minimum.at(mins, flat_rel, flat_m)
-    np.maximum.at(maxs, flat_rel, flat_m)
-    k = int(np.flatnonzero(mins != maxs)[0])
+    powers = base ** np.arange(j1 - j0, dtype=np.int64)
+    weights = np.zeros(p.shape[0], dtype=np.float32)
+    weights[j0:j1] = powers
+    expected = (p[:, i, j0:j1] @ powers).astype(np.float32)
     n = rel.shape[0]
-    in_k = flat_rel == k
-    lo = int(np.flatnonzero(in_k & (flat_m == mins[k]))[0])
-    hi = int(np.flatnonzero(in_k & (flat_m == maxs[k]))[0])
-    raise NotConstant(
-        i, j, k,
-        (*divmod(lo, n), int(mins[k])),
-        (*divmod(hi, n), int(maxs[k])),
-    )
+    blocks = _row_blocks(n)
+    # W and the expected values are gathered a block of rows at a time: np.take casts
+    # its indices to intp, which for all of rel at once is two more n^2 arrays
+    w = np.empty((n, n), dtype=np.float32)
+    for b in blocks:
+        np.take(weights, rel[b], out=w[b], mode="clip")
+    M = a_i @ w
+    del w
+    for b in blocks:
+        if not (M[b] == np.take(expected, rel[b], mode="clip")).all():
+            _raise_group_witness(rel, p, M, i, j0, j1, base)
+
+
+def _raise_group_witness(rel, p, M, i, j0, j1, base):
+    """Raise the NotConstant that a scan of the single products A_i A_j, j0 <= j < j1, raises.
+
+    Digit j - j0 of M in base ``base`` is the exact count c_j (see
+    :func:`_check_product_group`), decoded by integer division a block of rows at
+    a time.  The first j whose digits differ from their class's representative
+    count somewhere is the first product that is not constant, and on it the first
+    class in index order with a mismatch is the first class that is not constant.
+    Its minimum and maximum count and their first row-major positions are taken
+    over that class alone, as the min/max scan of A_i A_j would find them.
+    """
+    n, m = rel.shape[0], p.shape[0]
+    blocks = _row_blocks(n)
+
+    def counts(x, j):  # digit j - j0 of x, entries of M: integers below 2**24
+        q = x.astype(np.int32)
+        return (q // base ** (j - j0) if j > j0 else q) % base
+
+    k = m
+    for j in range(j0, j1):
+        expected = p[:, i, j].astype(np.int32)
+        for b in blocks:
+            r = rel[b]
+            off = r[counts(M[b], j) != np.take(expected, r, mode="clip")]
+            if off.size:
+                k = min(k, int(off.min()))
+        if k < m:
+            break
+    lo = hi = None
+    for b in blocks:
+        in_k = rel[b] == k
+        c = counts(M[b][in_k], j)
+        if not c.size:
+            continue
+        pos = np.flatnonzero(in_k) + b.start * n
+        a, z = int(np.argmin(c)), int(np.argmax(c))
+        if lo is None or c[a] < lo[1]:
+            lo = (int(pos[a]), int(c[a]))
+        if hi is None or c[z] > hi[1]:
+            hi = (int(pos[z]), int(c[z]))
+    raise NotConstant(i, j, k, (*divmod(lo[0], n), lo[1]), (*divmod(hi[0], n), hi[1]))
 
 
 def _generates_algebra(p, i):
@@ -286,8 +342,12 @@ def build_scheme(rm: RelationMatrix) -> AssociationScheme:
     failure after the stopping point is impossible, so every input gets the
     same verdict and the same :class:`NotConstant` witness as the full scan.
 
-    The products are float32 GEMMs, exact for n < 2**24; at most two class
-    indicators are held at a time, so memory stays O(n^2) whatever d is.
+    Row i packs the g products A_i A_j, j = j0 .. j0 + g - 1, into one float32
+    GEMM, with g the largest for which base**g <= 2**24, and base one more than
+    the largest i-degree of a row (:func:`_check_product_group`): one GEMM on
+    hamming(6,3), 34 for the 500 products of cycle(1000).  Exact for n < 2**24.
+    It holds A_i, the packed class indicator W and the product, and gathers from
+    rel a block of rows at a time, so it peaks near 3 n^2 float32s whatever d is.
     """
     rel, n, d = rm.rel, rm.n, rm.d
     if n >= _FLOAT32_EXACT:
@@ -311,9 +371,14 @@ def build_scheme(rm: RelationMatrix) -> AssociationScheme:
 
     for i in range(1, d + 1):
         a_i = (rel == i).astype(np.float32)
-        for j in range(i, d + 1):
-            a_j = a_i if j == i else (rel == j).astype(np.float32)
-            _check_products_constant(rel, p, a_i, a_j, i, j)
+        # the base is the largest i-degree of any row, not of row 0: on a non-scheme a
+        # smaller base could carry one digit into the next and alias two counts
+        base = int(a_i.sum(axis=1).max()) + 1
+        g = 1  # products per GEMM: base**g <= _PACKED_MAX, and no more than the row has
+        while g <= d - i and base ** (g + 1) <= _PACKED_MAX:
+            g += 1
+        for j0 in range(i, d + 1, g):
+            _check_product_group(rel, p, a_i, i, j0, min(j0 + g, d + 1), base)
         if _generates_algebra(p, i):
             break
     # last, so every other failure keeps its witness (the early stop assumed A_0 = I)

@@ -14,9 +14,10 @@ checks, the breadth-first walks by np.flatnonzero, and kappa's two-slice
 loop.  Tests hold the library to them bit for bit, and to the loop checks'
 failure messages.  The library computes only Krein slab 1, so the slab loop
 is also the dense q[k, i, j] on which the tests assert the Krein conditions.
-Two more are the forms the library had before it stopped scanning every
-entry: the intersection tensor counted at representatives found by sorting
-all n^2 relation entries, and Graph.from_edges one pair at a time.
+Three more are forms the library had before: the intersection tensor
+counted at representatives found by sorting all n^2 relation entries,
+Graph.from_edges one pair at a time, and the file reader that turned every
+token into a Python string.
 
 Beside them sit identities no library stage reads: the 0/1 adjacency matrix
 of a relation, the spectrum-weighted inner product, the Lagrange power
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from schemex.cli import InputError
 from schemex.detect import PerronNotSeparated
 from schemex.poly import Spectrum
 from schemex.spectral import (
@@ -375,3 +377,24 @@ def from_edges_loop(n: int, edges) -> np.ndarray:
         adj[u, v] = adj[v, u] = True
     adj.flags.writeable = False
     return adj
+
+
+def read_ints_general(path, header: str):
+    """cli._read_ints before its canonical-file fast path: every token a Python string.
+
+    The file is decoded as UTF-8 text, the header read by int() and the body by
+    np.array(tokens, dtype=np.int64); every failure is an InputError.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            tokens = fh.read().split()
+    except (OSError, ValueError) as e:  # ValueError: a UnicodeDecodeError
+        raise InputError(str(e)) from None
+    if len(tokens) < 2:
+        raise InputError(f"{path}: missing '{header}' header")
+    try:
+        return int(tokens[0]), int(tokens[1]), np.array(tokens[2:], dtype=np.int64)
+    except ValueError as e:
+        raise InputError(f"{path}: non-integer token ({e})") from None
+    except OverflowError:
+        raise InputError(f"{path}: integer token out of int64 range") from None

@@ -239,22 +239,100 @@ PRODUCT_CHECKS = [
     ("cyclotomic13", (), 6),                      # not metric: full scan
     ("disjoint_cliques", (4, 3), 3),
 ]
+# the GEMMs that check them: base 3 packs 15 products of cycle(100)'s row 1, base 13 all 6
+# of hamming(6,3)'s; one per row where a row's products fit one GEMM
+PRODUCT_GEMMS = {"cycle": 4, "hamming": 1, "johnson": 1, "hypercube_reordered": 2,
+                 "cyclotomic13": 3, "disjoint_cliques": 2}
 
 
 @pytest.mark.parametrize("family,params,checks", PRODUCT_CHECKS)
 def test_validation_stops_once_a_relation_generates(monkeypatch, family, params, checks):
     s = generate(FamilySpec(family, params))
-    calls = []
-    check = scheme_core._check_products_constant
+    groups = []
+    check = scheme_core._check_product_group
 
-    def spy(rel, p, a_i, a_j, i, j):
-        calls.append((i, j))
-        return check(rel, p, a_i, a_j, i, j)
+    def spy(rel, p, a_i, i, j0, j1, base):
+        groups.append(range(j0, j1))
+        return check(rel, p, a_i, i, j0, j1, base)
 
-    monkeypatch.setattr(scheme_core, "_check_products_constant", spy)
+    monkeypatch.setattr(scheme_core, "_check_product_group", spy)
     rebuilt = build_scheme(RelationMatrix(n=s.n, d=s.d, rel=np.asarray(s.rel)))
-    assert len(calls) == checks
+    assert sum(len(js) for js in groups) == checks
+    assert len(groups) == PRODUCT_GEMMS[family]
     assert np.array_equal(rebuilt.tensor.p, s.tensor.p)
+
+
+def _packed_outcome(rel, d):
+    """build_scheme's tensor, or its NotConstant witness (i, j, k, lo, hi)."""
+    try:
+        return build_scheme(RelationMatrix(n=rel.shape[0], d=d, rel=rel)).tensor.p
+    except NotConstant as e:
+        return e.i, e.j, e.k, e.witness_lo, e.witness_hi
+
+
+def _same_outcome(a, b):
+    return np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+
+
+def _packing_inputs(scheme_corpus):
+    """(name, rel, d): the corpus, perturbed schemes and blow-ups, and the benchmark's matrices."""
+    rng = np.random.default_rng(20261020)
+    sources = [generate(FamilySpec(f, params)) for f, params in SMALL_SOURCES + METRIC_SOURCES]
+    for name, s, _expected in scheme_corpus:
+        yield name, np.asarray(s.rel), s.d
+    for t in range(60):
+        src = sources[int(rng.integers(len(sources)))]
+        yield f"perturbed {t}", _perturbed_scheme(rng, src), src.d
+    for t in range(20):
+        src = sources[int(rng.integers(len(SMALL_SOURCES)))]
+        yield f"blow-up {t}", _blow_up(_perturbed_scheme(rng, src), int(rng.integers(2, 4))), src.d + 1
+    for t in range(40):
+        n = int(rng.integers(3, 13))
+        d = int(rng.integers(1, min(4, n * (n - 1) // 2) + 1))
+        yield f"random {t}", _random_relation_matrix(rng, n, d), d
+    yield from _benchmark_matrices()
+
+
+def test_one_product_per_gemm_gives_the_same_outcomes(monkeypatch, scheme_corpus):
+    # _PACKED_MAX = 1 leaves one digit per GEMM, and BLOCK_ENTRIES = 1 one row per block:
+    # the same tensors and witnesses must come out, and on every input small enough,
+    # those of the integer reference
+    rejected = 0
+    for name, rel, d in _packing_inputs(scheme_corpus):
+        packed = _packed_outcome(rel, d)
+        for constant in ("_PACKED_MAX", "BLOCK_ENTRIES"):
+            monkeypatch.setattr(scheme_core, constant, 1)
+            assert _same_outcome(packed, _packed_outcome(rel, d)), (name, constant)
+            monkeypatch.undo()
+        rejected += not isinstance(packed, np.ndarray)
+        if rel.shape[0] <= 100:
+            tensor, witness = _reference_validation(np.asarray(rel, dtype=np.int64), d)
+            assert _same_outcome(packed, tensor if witness is None else witness), name
+    assert rejected >= 60
+
+
+def test_the_base_is_the_largest_row_degree():
+    # path 0-1-2-3: row 0 has one 1-neighbour, rows 1 and 2 have two.  A base of
+    # deg_1(0) + 1 = 2 would read M(1, 1) = 2 as the digits (0, 1), a count of 0
+    rel = _path_rel(4)
+    tensor, witness = _reference_validation(rel, 3)
+    assert witness == (1, 1, 0, (0, 0, 1), (1, 1, 2))
+    assert _packed_outcome(rel, 3) == witness
+
+
+@pytest.mark.parametrize("name", ["johnson(12,4)-graph", "8-cube"])
+def test_validation_holds_a_bounded_number_of_matrices(name):
+    # A_i, the packed W and the product M, with the gathers a block of rows at a time
+    rel, d = next((r, d) for case, r, d in _benchmark_matrices() if case == name)
+    rm = RelationMatrix(n=rel.shape[0], d=d, rel=rel)
+    one = rm.n ** 2 * np.dtype(np.float32).itemsize
+    tracemalloc.start()
+    try:
+        build_scheme(rm)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * one, f"validation peaked at {peak / one:.2f} n^2 float32 arrays"
 
 
 def _cycle_band(d):
