@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .poly import predistance_polynomials
-from .scheme_core import AssociationScheme, IntersectionTensor
+from .scheme_core import AssociationScheme, IntersectionTensor, greedy_chain
 from .spectral import (
     SpectralData,
     eigen_groups,
@@ -119,28 +119,6 @@ class DetectionReport:
         }
 
 
-def _greedy_chain(support, d):
-    """Shared chain builder: from each relation cur, step to the one unused j with support[j, cur].
-
-    Returns (ordering, None) on success or (None, witness) when the chain
-    stalls or branches.
-    """
-    cols = support.T.tolist()  # cols[cur][j] = support[j, cur]
-    order = [0, 1]
-    used = {0, 1}
-    while len(order) < d + 1:
-        cur = order[-1]
-        cands = [j for j, on in enumerate(cols[cur]) if on and j not in used]
-        if len(cands) != 1:
-            return None, (
-                f"chain {tuple(order)} cannot be extended from {cur}: "
-                f"{len(cands)} candidates {cands}"
-            )
-        order.append(cands[0])
-        used.add(cands[0])
-    return tuple(order), None
-
-
 def _band_violation(mat, order, thr):
     """The first entry, row-major in ``order``, off the band pattern; NaN is always off."""
     m = len(order)
@@ -157,7 +135,8 @@ def _band_violation(mat, order, thr):
 
 
 def tridiagonal_route(t: IntersectionTensor) -> RouteVerdict:
-    """Greedy relation chain on p^j_{1,i}; exact integers, total (no preconditions).
+    """Greedy relation chain from [0, 1] on p^j_{1,i} (:func:`greedy_chain`); exact
+    integers, total (no preconditions).
 
     A completed chain is already an irreducible tridiagonal band, so no band
     check follows it.  Below the diagonal: order[b+1] was the only unused j
@@ -166,7 +145,7 @@ def tridiagonal_route(t: IntersectionTensor) -> RouteVerdict:
     IntersectionTensor, copies that zero/positive pattern.  q_polynomial_route
     keeps its band check, since its float thresholds break this argument.
     """
-    order, witness = _greedy_chain(t.p[:, 1, :] > 0, t.d)
+    order, witness = greedy_chain(t.p[:, 1, :] > 0, 1)
     if order is None:
         return RouteVerdict("tridiagonal", NO, witness=witness)
     return RouteVerdict("tridiagonal", YES, ordering=order, l=order[-1])
@@ -328,7 +307,7 @@ def mstar_decomposition_residual(t: IntersectionTensor, sd: SpectralData, i: int
 def q_polynomial_route(q1: np.ndarray, n: int) -> RouteVerdict:
     """Greedy chain on q1[k, j] = q^k_{1j}: the dual (cometric) analogue of tridiagonal."""
     thr = BASE_TOL * max(1.0, n)
-    order, witness = _greedy_chain(q1 > thr, len(q1) - 1)
+    order, witness = greedy_chain(q1 > thr, 1)
     if order is None:
         return RouteVerdict("q_poly", NO, witness=witness)
     bad = _band_violation(q1, order, thr)

@@ -17,11 +17,6 @@ from .scheme_core import AssociationScheme, RelationMatrix, build_scheme, reorde
 
 MAX_POINTS = 5000
 
-FAMILIES = (
-    "hamming", "johnson", "cycle", "complete",
-    "disjoint_cliques", "cyclotomic13", "petersen", "hypercube_reordered",
-)
-
 # connection classes of the index-3 cyclotomic scheme on 13 points
 _CYCLO13 = {1: (1, 5, 8, 12), 2: (2, 3, 10, 11), 3: (4, 6, 7, 9)}
 
@@ -111,6 +106,19 @@ def _rel_cyclotomic13():
     return lut[(i[None, :] - i[:, None]) % 13], 3
 
 
+# family -> (relation-matrix builder, parameter count, usage error)
+_BUILDERS = {
+    "hamming": (_rel_hamming, 2, "hamming takes (n, q)"),
+    "johnson": (_rel_johnson, 2, "johnson takes (v, k)"),
+    "cycle": (_rel_cycle, 1, "cycle takes (n,)"),
+    "complete": (_rel_complete, 1, "complete takes (n,)"),
+    "disjoint_cliques": (_rel_disjoint_cliques, 2, "disjoint_cliques takes (c, m)"),
+    "cyclotomic13": (_rel_cyclotomic13, 0, "cyclotomic13 takes no parameters"),
+}
+
+FAMILIES = (*_BUILDERS, "petersen", "hypercube_reordered")
+
+
 def generate(spec: FamilySpec) -> AssociationScheme:
     """Build and fully validate the requested family member."""
     fam, par = spec.family, spec.params
@@ -125,25 +133,9 @@ def generate(spec: FamilySpec) -> AssociationScheme:
                  f"hypercube_reordered takes a permutation of 0..3 fixing 0, got {par}")
         return reorder_relations(generate(FamilySpec("hamming", (3, 2))), par)
 
-    if fam == "hamming":
-        _require(len(par) == 2, "hamming takes (n, q)")
-        rel, d = _rel_hamming(*par)
-    elif fam == "johnson":
-        _require(len(par) == 2, "johnson takes (v, k)")
-        rel, d = _rel_johnson(*par)
-    elif fam == "cycle":
-        _require(len(par) == 1, "cycle takes (n,)")
-        rel, d = _rel_cycle(*par)
-    elif fam == "complete":
-        _require(len(par) == 1, "complete takes (n,)")
-        rel, d = _rel_complete(*par)
-    elif fam == "disjoint_cliques":
-        _require(len(par) == 2, "disjoint_cliques takes (c, m)")
-        rel, d = _rel_disjoint_cliques(*par)
-    else:  # cyclotomic13
-        _require(par == (), "cyclotomic13 takes no parameters")
-        rel, d = _rel_cyclotomic13()
-
+    build, count, usage = _BUILDERS[fam]
+    _require(len(par) == count, usage)
+    rel, d = build(*par)
     return build_scheme(RelationMatrix(n=rel.shape[0], d=d, rel=rel))
 
 

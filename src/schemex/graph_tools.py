@@ -11,14 +11,11 @@ from .poly import (
     predistance_polynomials,  # noqa: F401  unused here; perfbench/spans.py traces this name
     spectral_excess,
 )
-from .scheme_core import (
-    _SEIDEL_FLOAT32_MAX_N,
-    AssociationScheme,
-    RelationMatrix,
-    SchemeValidationError,
-    build_scheme,
-)
+from .scheme_core import AssociationScheme, RelationMatrix, SchemeValidationError, build_scheme
 from .spectral import eigen_groups
+
+# Seidel's products are counts <= (n - 1)**2, which float32 holds exactly (<= 2**24) up to this n
+_SEIDEL_FLOAT32_MAX_N = 1 + 2 ** 12
 
 
 class Disconnected(ValueError):

@@ -7,7 +7,7 @@ integers small enough for float32 to hold exactly, several products packed
 into one GEMM as the digits of one count (see :func:`_check_product_group`).
 Validation checks the products A_i A_j row by row and stops once a verified
 relation generates the Bose-Mesner algebra, which proves the unchecked
-products constant (see :func:`_generates_algebra`).
+products constant (see :func:`greedy_chain`).
 """
 
 from __future__ import annotations
@@ -103,12 +103,11 @@ class RelationMatrix:
             raise ValueError(f"relation matrix has shape {rel.shape}, expected {(self.n, self.n)}")
         if not np.issubdtype(rel.dtype, np.integer):
             raise ValueError("relation matrix must be integer valued")
-        if rel.size:
-            lo, hi = int(rel.min()), int(rel.max())
-            if lo < 0 or hi > self.d:
-                raise ValueError(f"relation indices must lie in 0..{self.d}")
-            if hi > _MAX_INDEX:
-                raise ValueError(f"relation index {hi} exceeds {_MAX_INDEX}, the largest index stored")
+        lo, hi = int(rel.min()), int(rel.max())
+        if lo < 0 or hi > self.d:
+            raise ValueError(f"relation indices must lie in 0..{self.d}")
+        if hi > _MAX_INDEX:
+            raise ValueError(f"relation index {hi} exceeds {_MAX_INDEX}, the largest index stored")
         rel = np.ascontiguousarray(rel.astype(np.uint16))
         rel.flags.writeable = False
         object.__setattr__(self, "rel", rel)
@@ -209,8 +208,6 @@ def _tensor_from_representatives(rel: np.ndarray, d: int) -> np.ndarray:
 _FLOAT32_EXACT = 2 ** 24
 # a validation GEMM packs the g products of base**g <= _PACKED_MAX, at least one
 _PACKED_MAX = _FLOAT32_EXACT
-# graph_tools' Seidel products are counts <= (n - 1)**2 <= _FLOAT32_EXACT up to this n
-_SEIDEL_FLOAT32_MAX_N = 1 + 2 ** 12
 
 
 def _row_blocks(n: int):
@@ -297,37 +294,50 @@ def _raise_group_witness(rel, p, M, i, j0, j1, base):
     raise NotConstant(i, j, k, (*divmod(lo[0], n), lo[1]), (*divmod(hi[0], n), hi[1]))
 
 
-def _generates_algebra(p, i):
-    """True if A_i provably generates the span V of A_0..A_d.
+def greedy_chain(support, start):
+    """The chain 0, start, c_2, .., c_d: from each c_h, step to the one unused
+    class k with support[k, c_h].  Returns (ordering, None) once all
+    len(support) classes are on it, or (None, witness) where a step finds no
+    candidate or several.
 
-    Call it only once every product A_i A_j, j = 0..d, is verified constant on
-    the classes.  Then A_i A_j = sum_k p[k, i, j] A_k, so multiplication by
-    A_i maps V into V with matrix B_i = p[:, i, :] in the basis A_0..A_d, and
-    A_i^h = sum_k (B_i^h e_0)_k A_k.  B_i is non-negative, so (B_i^h e_0)_k > 0
-    exactly when the support graph of B_i (j -> k when p[k, i, j] > 0) has a
-    walk of length h from class 0 to class k.
+    On B_i = p[:, i, :] of an exactly counted tensor, with start = i, the chain
+    completes exactly when A_i generates the span V of A_0..A_d, once every
+    product A_i A_j, j = 0..d, is verified constant on the classes.  Then
+    A_i A_j = sum_k p[k, i, j] A_k, so multiplication by A_i maps V into V with
+    matrix B_i in the basis A_0..A_d, and A_i^h = sum_k (B_i^h e_0)_k A_k.
+    B_i is non-negative, so (B_i^h e_0)_k > 0 exactly when the support graph of
+    B_i (c -> k when p[k, i, c] > 0) has a walk of length h from class 0 to k.
 
-    The test: breadth-first search from class 0 puts exactly one class c_h on
-    each level h = 0..d.  Then B_i^h e_0 is positive on c_h and zero on
-    c_{h+1}..c_d, so the d+1 vectors B_i^h e_0 are triangular with positive
-    pivots and I, A_i, ..., A_i^d span V.  With A_i V in V this gives
-    V = C[A_i], a commutative algebra (Bannai-Ito 1984, III.1;
-    Brouwer-Cohen-Neumaier 1989, 2.1).  So every product A_a A_b lies in V,
-    that is, it is constant on each class, with the coefficients p[:, a, b]
-    counted at the representative pairs.  The test holds exactly when
-    relation i is the distance-1 relation of a metric ordering, c_0..c_d.
+    The chain may start at [0, i] because column 0 of the support is {i}: a
+    counted tensor has p[k, i, 0] = delta_ki, since p[k, i, 0] counts the z
+    with rel(x_k, z) = i and rel(z, y_k) = 0 at the representative pair
+    (x_k, y_k) of class k.  (Should relation 0 hold an off-diagonal pair, which
+    build_scheme reports last, a verified A_i A_i still gives such a z the k_i
+    i-neighbours of y_k, x_k among them, so k = i.)  A completed chain then
+    puts exactly one class c_h on each breadth-first level h = 0..d: B_i^h e_0
+    is positive on c_h and zero on c_{h+1}..c_d, so the d+1 vectors B_i^h e_0
+    are triangular with positive pivots and I, A_i, ..., A_i^d span V.  With
+    A_i V in V this gives V = C[A_i], a commutative algebra (Bannai-Ito 1984,
+    III.1; Brouwer-Cohen-Neumaier 1989, 2.1).  So every product A_a A_b lies
+    in V, that is, it is constant on each class, with the coefficients
+    p[:, a, b] counted at the representative pairs.  The chain completes
+    exactly when relation i is the distance-1 relation of a metric ordering,
+    c_0..c_d.
     """
-    out = (p[:, i, :] > 0).T.tolist()  # out[c][k]: the support graph has the edge c -> k
-    seen = [False] * len(out)
-    seen[0] = True
-    c = 0
-    for _ in range(len(out) - 1):
-        level = [k for k, on in enumerate(out[c]) if on and not seen[k]]
-        if len(level) != 1:
-            return False
-        c = level[0]
-        seen[c] = True
-    return True
+    cols = support.T.tolist()  # cols[c][k] = support[k, c]
+    order = [0, start]
+    used = {0, start}
+    while len(order) < len(cols):
+        cur = order[-1]
+        cands = [k for k, on in enumerate(cols[cur]) if on and k not in used]
+        if len(cands) != 1:
+            return None, (
+                f"chain {tuple(order)} cannot be extended from {cur}: "
+                f"{len(cands)} candidates {cands}"
+            )
+        order.append(cands[0])
+        used.add(cands[0])
+    return tuple(order), None
 
 
 def build_scheme(rm: RelationMatrix) -> AssociationScheme:
@@ -336,7 +346,7 @@ def build_scheme(rm: RelationMatrix) -> AssociationScheme:
     The products A_i A_j, 1 <= i <= j <= d, are checked to be constant on
     each class, row by row in i.  Once row i has passed, every A_i A_j is
     verified (rows before i covered j < i, as A_i A_j = (A_j A_i)^T); if then
-    A_i generates the algebra (:func:`_generates_algebra`), every unchecked
+    A_i generates the algebra (:func:`greedy_chain` from [0, i]), every unchecked
     product is constant by proof and validation stops.  On a metric scheme
     ordered by distance that is after row 1: d products, not d(d+1)/2.  A
     failure after the stopping point is impossible, so every input gets the
@@ -379,7 +389,7 @@ def build_scheme(rm: RelationMatrix) -> AssociationScheme:
             g += 1
         for j0 in range(i, d + 1, g):
             _check_product_group(rel, p, a_i, i, j0, min(j0 + g, d + 1), base)
-        if _generates_algebra(p, i):
+        if greedy_chain(p[:, i, :] > 0, i)[0] is not None:
             break
     # last, so every other failure keeps its witness (the early stop assumed A_0 = I)
     if counts[0] != n:

@@ -140,8 +140,7 @@ def spectral_data(t: IntersectionTensor) -> SpectralData:
     # lexsort reads its last key first
     keyed = np.lexsort((*np.round(rest, 9).T[::-1], mults, -snapped))
     P = np.vstack([k, rest[keyed]])
-
-    m = n / (P * P / k[None, :]).sum(axis=1)
+    m = np.concatenate(([n / k.sum()], mults[keyed]))
     m_round = np.round(m)
     m_resid = float(np.abs(m - m_round).max())
     if m_resid > INTEGRALITY_TOL or m_round.min() < 1 or int(m_round.sum()) != n:

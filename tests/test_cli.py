@@ -21,6 +21,7 @@ from schemex.cli import (
     EXIT_PRECONDITION,
     main,
 )
+from schemex.detect import RouteDisagreement
 from schemex.families import FAMILIES, FamilySpec, generate
 
 from nxn_reference import adjacency
@@ -457,6 +458,17 @@ class TestUsageErrors:
 
 
 class TestExitCodes:
+    def test_route_disagreement(self, monkeypatch, capsys, scheme_file):
+        path = scheme_file("cycle", (6,))
+
+        def disagree(_scheme):
+            raise RouteDisagreement("routes disagree: tridiagonal=yes, nstar=no")
+
+        monkeypatch.setattr(cli, "analyze", disagree)
+        assert main(["detect", path]) == EXIT_DISAGREE
+        out = capsys.readouterr().out
+        assert out == "ROUTE DISAGREEMENT: routes disagree: tridiagonal=yes, nstar=no\n"
+
     def test_distinct(self):
         codes = [EXIT_OK, EXIT_PARSE, EXIT_INVALID, EXIT_NO,
                  EXIT_PRECONDITION, EXIT_DISAGREE]

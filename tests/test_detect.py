@@ -321,6 +321,18 @@ class TestQPolynomial:
         v = q_polynomial_route(*self._krein(_scheme("petersen")))
         assert v.verdict == YES
 
+    @pytest.mark.parametrize("entry, value, witness", [
+        ((0, 3), 0.5, "entry (0,3) = 0.5 lies outside the band"),
+        ((0, 1), 0.0, "band entry (0,1) = 0.0 is not positive"),
+    ])
+    def test_a_completed_chain_still_meets_the_band_check(self, entry, value, witness):
+        # the 3-cube's q1 = B_1 with one entry changed that the chain never reads: it
+        # steps through the unused rows of columns 1 and 2 only, and ends at (0, 1, 2, 3)
+        q1 = np.array([[0, 3, 0, 0], [1, 0, 2, 0], [0, 2, 0, 3], [0, 0, 1, 0]], dtype=float)
+        q1[entry] = value
+        v = q_polynomial_route(q1, 8)
+        assert (v.verdict, v.ordering, v.witness) == (NO, None, witness)
+
     def test_matches_exhaustive_scan(self, scheme_corpus):
         for name, s, _ in scheme_corpus:
             q1, n = self._krein(s)

@@ -1,5 +1,6 @@
 """Every module of the package uses each name it imports, or re-exports it in ``__all__``,
-and every public name a module defines is read in the package, exported, or traced."""
+every public name a module defines is read in the package, exported, or traced, and no
+module imports another's underscore names."""
 
 from __future__ import annotations
 
@@ -83,3 +84,17 @@ def test_every_public_definition_is_read_exported_or_traced():
     dead = [(f, name) for f, tree in sorted(trees.items())
             for name in _public_definitions(tree) if name not in kept]
     assert not dead, dead
+
+
+def _private_imports(tree):
+    """Underscore names the module imports from another module of the package."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("schemex")):
+            yield from (a.name for a in node.names if a.name.startswith("_"))
+
+
+def test_no_module_imports_a_private_name_of_another():
+    # a constant or helper read by two modules belongs, public, to one of them
+    private = [(path.name, name) for path in sorted(PACKAGE.glob("*.py"))
+               for name in _private_imports(ast.parse(path.read_text(encoding="utf-8")))]
+    assert not private, private

@@ -16,12 +16,11 @@ from schemex import corpus
 from schemex.detect import (
     BASE_TOL,
     PerronNotSeparated,
-    _greedy_chain,
     krein_parameters,
     nstar_sets,
 )
 from schemex.families import FamilySpec, generate
-from schemex.scheme_core import _generates_algebra, reorder_relations, slab_step
+from schemex.scheme_core import greedy_chain, reorder_relations, slab_step
 from schemex.spectral import spectral_data
 
 from nxn_reference import (
@@ -78,11 +77,12 @@ def test_walks_on_lists_match_the_flatnonzero_loops(inputs):
     for name, s, sd in inputs:
         p, d = s.tensor.p, s.d
         for i in range(1, d + 1):
-            assert _generates_algebra(p, i) == generates_algebra_loop(p, i), (name, i)
+            chain, _witness = greedy_chain(p[:, i, :] > 0, i)
+            assert (chain is not None) == generates_algebra_loop(p, i), (name, i)
         support = p[:, 1, :] > 0
-        assert _greedy_chain(support, d) == greedy_chain_loop(support, d), name
+        assert greedy_chain(support, 1) == greedy_chain_loop(support, d), name
         q1 = krein_parameters(sd) > BASE_TOL * max(1.0, s.n)
-        assert _greedy_chain(q1, d) == greedy_chain_loop(q1, d), name
+        assert greedy_chain(q1, 1) == greedy_chain_loop(q1, d), name
         try:
             ref = nstar_sets_loop(s.tensor, sd)
         except PerronNotSeparated as e:

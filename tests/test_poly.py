@@ -42,6 +42,18 @@ class TestSpectrum:
             Spectrum(theta=np.array([2.0, 1.0, 1.0]), m=np.array([1.0, 1.0, 2.0]), n=4)
         assert "1" in str(exc.value)
 
+    def test_rejects_unequal_shapes(self):
+        with pytest.raises(ValueError, match="^theta and m must be 1-d arrays of equal"):
+            Spectrum(theta=np.array([3.0, 1.0, -2.0]), m=np.array([1.0, 9.0]), n=10)
+
+    @pytest.mark.parametrize("m, message", [
+        ([1.0, 9.0, 0.0], "^multiplicities must be positive$"),
+        ([2.0, 4.0, 4.0], "^m_0 = 2.0 but the top eigenvalue must be simple$"),
+    ])
+    def test_rejects_bad_multiplicities(self, m, message):
+        with pytest.raises(ValueError, match=message):
+            Spectrum(theta=np.array([3.0, 1.0, -2.0]), m=np.array(m), n=10)
+
     def test_rejects_bad_mass(self):
         with pytest.raises(ValueError):
             Spectrum(theta=np.array([2.0, -1.0]), m=np.array([1.0, 5.0]), n=4)

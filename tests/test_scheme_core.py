@@ -52,6 +52,14 @@ class TestRelationMatrix:
         with pytest.raises(ValueError):
             RelationMatrix(n=2, d=1, rel=np.array([[0.0, 1.0], [1.0, 0.0]]))
 
+    @pytest.mark.parametrize("n, d, message", [
+        (1, 1, "a scheme needs at least 2 points"),
+        (2, 0, "a scheme needs at least 1 non-identity relation"),
+    ])
+    def test_rejects_too_few_points_or_classes(self, n, d, message):
+        with pytest.raises(ValueError, match=message):
+            RelationMatrix(n=n, d=d, rel=np.zeros((n, n), dtype=int))
+
     def test_rejects_index_past_uint16(self):
         # indices are stored as uint16; 65537 must not wrap to 1
         with pytest.raises(ValueError, match="relation index 65537 exceeds 65535"):
@@ -320,6 +328,52 @@ def test_the_base_is_the_largest_row_degree():
     assert _packed_outcome(rel, 3) == witness
 
 
+def test_a_row_block_without_the_failing_class_adds_no_count(monkeypatch):
+    # one row per block: the witness scan skips the rows that hold no pair of class k.
+    # A_1 A_2 fails on class 2 here, which row 3 does not hold
+    monkeypatch.setattr(scheme_core, "BLOCK_ENTRIES", 1)
+    rel = np.array([[0, 2, 1, 3], [2, 0, 2, 1], [1, 2, 0, 3], [3, 1, 3, 0]])
+    assert _reference_validation(rel, 3)[1] == (1, 2, 2, (1, 0, 0), (0, 1, 1))
+    inputs = [(rel, 3)]
+    rng = np.random.default_rng(7)
+    for _ in range(3000):
+        n, d = int(rng.integers(4, 10)), int(rng.integers(2, 5))
+        inputs.append((_random_relation_matrix(rng, n, d), d))
+    hits = 0
+    for rel, d in inputs:
+        _tensor, witness = _reference_validation(rel, d)
+        if witness is None or (rel == witness[2]).any(axis=1).all():
+            continue
+        hits += 1
+        assert _packed_outcome(rel, d) == witness
+    assert hits >= 10
+
+
+def test_a_verified_square_leaves_class_i_alone_in_column_0():
+    # greedy_chain starts at [0, i] because column 0 of B_i's support is {i}; once
+    # A_i A_i is constant on the classes that holds even where relation 0 has
+    # off-diagonal pairs, which give p[i, i, 0] > 1
+    rng = np.random.default_rng(11)
+    checked = wide = 0
+    for _ in range(3000):
+        n, d = int(rng.integers(4, 8)), int(rng.integers(1, 4))
+        rel = np.zeros((n, n), dtype=np.int64)
+        iu = np.triu_indices(n, 1)
+        rel[iu] = rng.choice(d + 1, size=iu[0].size, p=[0.3] + [0.7 / d] * d)
+        rel = rel + rel.T
+        if np.unique(rel).size != d + 1:
+            continue
+        p = scheme_core._tensor_from_representatives(rel.astype(np.uint16), d)
+        for i in range(1, d + 1):
+            a_i = (rel == i).astype(np.int64)
+            square = a_i @ a_i
+            if all(np.unique(square[rel == k]).size == 1 for k in range(d + 1)):
+                assert np.flatnonzero(p[:, i, 0]).tolist() == [i]
+                checked += 1
+                wide += p[i, i, 0] > 1
+    assert wide >= 20 and checked >= 25
+
+
 @pytest.mark.parametrize("name", ["johnson(12,4)-graph", "8-cube"])
 def test_validation_holds_a_bounded_number_of_matrices(name):
     # A_i, the packed W and the product M, with the gathers a block of rows at a time
@@ -451,6 +505,12 @@ def test_tensor_rejects_unsymmetrizable_counts():
     p[2, 2, 1] -= 1
     with pytest.raises(ValueError, match=r"k_k p\^k_\{1j\} != k_j p\^j_\{1k\}"):
         IntersectionTensor(d=2, p=p)
+
+
+def test_tensor_rejects_wrong_shape():
+    p = generate(FamilySpec("cycle", (5,))).tensor.p
+    with pytest.raises(ValueError, match=r"tensor has shape \(3, 3, 3\), expected \(4, 4, 4\)"):
+        IntersectionTensor(d=3, p=p)
 
 
 def test_tensor_rejects_asymmetric_lower_indices():
