@@ -15,7 +15,6 @@ from .scheme_core import (
     IntersectionTensor,
     RelationMatrix,
     build_scheme,
-    reorder_relations,
 )
 from .spectral import SpectralData, krein_parameters, primitive_idempotents, spectral_data
 
@@ -27,6 +26,6 @@ __all__ = [
     "RouteVerdict", "SpectralData", "Spectrum",
     "analyze", "build_scheme", "corpus", "detect", "distance_data",
     "generate", "graph_spectrum", "krein_parameters", "predistance_polynomials",
-    "primitive_idempotents", "reorder_relations",
+    "primitive_idempotents",
     "scheme_from_drg", "spectral_data", "spectral_excess_report",
 ]

@@ -326,7 +326,6 @@ class Analysis:
     predistance_values: np.ndarray | None
     mstar_max: float | None
     pq_residual: float
-    multiplicity_residual: float
 
 
 def _nstar_verdict(t, sd):
@@ -407,7 +406,7 @@ def analyze(s: AssociationScheme) -> Analysis:
     )
     return Analysis(
         report=report, spectral=sd, krein_q1=q1, predistance_values=values, mstar_max=mstar_max,
-        pq_residual=sd.pq_residual, multiplicity_residual=sd.multiplicity_residual,
+        pq_residual=sd.pq_residual,
     )
 
 

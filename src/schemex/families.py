@@ -13,7 +13,7 @@ from math import comb
 
 import numpy as np
 
-from .scheme_core import AssociationScheme, RelationMatrix, build_scheme, reorder_relations
+from .scheme_core import AssociationScheme, RelationMatrix, build_scheme
 
 MAX_POINTS = 5000
 
@@ -106,6 +106,20 @@ def _rel_cyclotomic13():
     return lut[(i[None, :] - i[:, None]) % 13], 3
 
 
+def _rel_petersen():
+    # johnson(5,2) with the sharing/disjoint classes swapped, so that A_1 is the
+    # disjointness (Petersen graph) relation
+    rel, d = _rel_johnson(5, 2)
+    return np.array([0, 2, 1], dtype=np.uint16)[rel], d
+
+
+def _rel_hypercube_reordered(*perm):
+    _require(sorted(perm) == [0, 1, 2, 3] and perm[0] == 0,
+             f"hypercube_reordered takes a permutation of 0..3 fixing 0, got {perm}")
+    rel, d = _rel_hamming(3, 2)
+    return np.array(perm, dtype=np.uint16)[rel], d
+
+
 # family -> (relation-matrix builder, parameter count, usage error)
 _BUILDERS = {
     "hamming": (_rel_hamming, 2, "hamming takes (n, q)"),
@@ -114,28 +128,19 @@ _BUILDERS = {
     "complete": (_rel_complete, 1, "complete takes (n,)"),
     "disjoint_cliques": (_rel_disjoint_cliques, 2, "disjoint_cliques takes (c, m)"),
     "cyclotomic13": (_rel_cyclotomic13, 0, "cyclotomic13 takes no parameters"),
+    "petersen": (_rel_petersen, 0, "petersen takes no parameters"),
+    "hypercube_reordered": (_rel_hypercube_reordered, 4,
+                            "hypercube_reordered takes a permutation of 0..3 fixing 0"),
 }
 
-FAMILIES = (*_BUILDERS, "petersen", "hypercube_reordered")
+FAMILIES = tuple(_BUILDERS)
 
 
 def generate(spec: FamilySpec) -> AssociationScheme:
     """Build and fully validate the requested family member."""
-    fam, par = spec.family, spec.params
-
-    if fam == "petersen":
-        _require(par == (), "petersen takes no parameters")
-        # johnson(5,2) with the sharing/disjoint classes swapped, so that A_1
-        # is the disjointness (Petersen graph) relation
-        return reorder_relations(generate(FamilySpec("johnson", (5, 2))), (0, 2, 1))
-    if fam == "hypercube_reordered":
-        _require(len(par) == 4 and sorted(par) == [0, 1, 2, 3] and par[0] == 0,
-                 f"hypercube_reordered takes a permutation of 0..3 fixing 0, got {par}")
-        return reorder_relations(generate(FamilySpec("hamming", (3, 2))), par)
-
-    build, count, usage = _BUILDERS[fam]
-    _require(len(par) == count, usage)
-    rel, d = build(*par)
+    build, count, usage = _BUILDERS[spec.family]
+    _require(len(spec.params) == count, usage)
+    rel, d = build(*spec.params)
     return build_scheme(RelationMatrix(n=rel.shape[0], d=d, rel=rel))
 
 

@@ -61,11 +61,6 @@ class NotConstant(SchemeValidationError):
         )
 
 
-class PermMovesZero(ValueError):
-    def __init__(self, perm):
-        super().__init__(f"relabelling {tuple(perm)} must fix the identity relation 0")
-
-
 # relation indices are stored as uint16
 _MAX_INDEX = np.iinfo(np.uint16).max
 
@@ -398,23 +393,3 @@ def build_scheme(rm: RelationMatrix) -> AssociationScheme:
 
     return AssociationScheme(n=n, d=d, rel=rel, tensor=IntersectionTensor(d=d, p=p))
 
-
-def reorder_relations(s: AssociationScheme, perm) -> AssociationScheme:
-    """Relabel relation i as perm[i].  perm must be a permutation of 0..d fixing 0.
-
-    The relabelled scheme is built directly from the permuted relation matrix
-    and tensor; relabelling cannot break the axioms, so no O(n^3) re-check is
-    performed.
-    """
-    perm = tuple(int(v) for v in perm)
-    if len(perm) != s.d + 1 or sorted(perm) != list(range(s.d + 1)):
-        raise ValueError(f"{perm} is not a permutation of 0..{s.d}")
-    if perm[0] != 0:
-        raise PermMovesZero(perm)
-    lut = np.asarray(perm, dtype=np.uint16)
-    rel2 = lut[s.rel]
-    rel2.flags.writeable = False
-    idx = np.asarray(perm)
-    p2 = np.empty_like(s.tensor.p)
-    p2[np.ix_(idx, idx, idx)] = s.tensor.p
-    return AssociationScheme(n=s.n, d=s.d, rel=rel2, tensor=IntersectionTensor(d=s.d, p=p2))

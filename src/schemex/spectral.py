@@ -130,15 +130,17 @@ def spectral_data(t: IntersectionTensor) -> SpectralData:
     rest = rows[np.arange(d + 1) != j0]
     mults = n / (rest * rest / k).sum(axis=1)
 
-    # key every theta of a cluster by the cluster's smallest member
-    thetas = rest[:, 1]
+    # one grouping of all d+1 theta, the valency row's k_1 among them, gives both
+    # the sort key (every theta of a cluster keyed by its smallest member) and the tie
+    thetas = np.concatenate(([k[1]], rest[:, 1]))
     order = np.argsort(thetas)
+    groups = eigen_groups(thetas[order])
     snapped = np.empty_like(thetas)
-    for a, b in eigen_groups(thetas[order]):
+    for a, b in groups:
         snapped[order[a:b]] = thetas[order[a]]
     # sort by (-snapped, multiplicity, the row rounded to 9 places), stably;
     # lexsort reads its last key first
-    keyed = np.lexsort((*np.round(rest, 9).T[::-1], mults, -snapped))
+    keyed = np.lexsort((*np.round(rest, 9).T[::-1], mults, -snapped[1:]))
     P = np.vstack([k, rest[keyed]])
     m = np.concatenate(([n / k.sum()], mults[keyed]))
     m_round = np.round(m)
@@ -159,7 +161,8 @@ def spectral_data(t: IntersectionTensor) -> SpectralData:
         raise EigenSplitFailure("Q disagrees with m_i P_l(i)/k_l")
 
     theta = P[:, 1].copy()
-    tied = [b for a, b in eigen_groups(np.sort(theta)) if b - a > 1]
+    # P's rows hold the same d+1 theta, so the groups of their ascending order stand
+    tied = [b for a, b in groups if b - a > 1]
     tie = (d + 1 - tied[-1], d + 2 - tied[-1]) if tied else None
     # no tie: singleton groups, so theta falls strictly from k_1 and Spectrum accepts it
     spectrum = Spectrum(theta=theta.copy(), m=m.copy(), n=n) if tie is None else None

@@ -23,7 +23,10 @@ Beside them sit identities no library stage reads: the 0/1 adjacency matrix
 of a relation, the spectrum-weighted inner product, the Lagrange power
 identity (with RepeatedBeta for repeated nodes) and the graph-property
 residual kappa_i + m_i p_d(theta_i) / p_d(theta_0), the identity that
-schemex.poly.spectral_excess's closed form comes from.
+schemex.poly.spectral_excess's closed form comes from.  reorder_relations
+relabels the relations of a scheme through its relation matrix and
+validates the result again with build_scheme, as the library's own
+generators do.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ import numpy as np
 from schemex.cli import InputError
 from schemex.detect import PerronNotSeparated
 from schemex.poly import Spectrum
+from schemex.scheme_core import RelationMatrix, build_scheme
 from schemex.spectral import (
     INTEGRALITY_TOL,
     EigenSplitFailure,
@@ -109,6 +113,12 @@ def column_deviations_loop(values, targets):
         raws.append(float(raw.max()))
         scaleds.append(float(scaled.max()))
     return raws, scaleds
+
+
+def reorder_relations(s, perm):
+    """``s`` with relation i relabelled perm[i], validated again by build_scheme."""
+    rel = np.asarray(perm, dtype=np.uint16)[s.rel]
+    return build_scheme(RelationMatrix(n=s.n, d=s.d, rel=rel))
 
 
 def adjacency(s, i: int) -> np.ndarray:

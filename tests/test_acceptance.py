@@ -31,7 +31,6 @@ from schemex.graph_tools import (
     spectral_excess_report,
 )
 from schemex.poly import predistance_polynomials
-from schemex.scheme_core import reorder_relations
 from schemex.spectral import spectral_data
 
 from nxn_reference import (
@@ -39,6 +38,7 @@ from nxn_reference import (
     graph_property_residual,
     krein_slabs_loop,
     lagrange_power_identity,
+    reorder_relations,
 )
 
 

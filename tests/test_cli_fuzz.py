@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 from schemex.cli import EXIT_INVALID, EXIT_OK, EXIT_PARSE, _STATUS_EXIT, main, write_scheme_file
 from schemex.families import FamilySpec, generate
-from schemex.scheme_core import reorder_relations
+
+from nxn_reference import reorder_relations
 
 EXIT_CODES = range(6)  # cli module docstring: 0 ok/yes ... 5 route disagreement
 

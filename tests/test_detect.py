@@ -12,6 +12,8 @@ from schemex.detect import (
     ROUTE_MATCH_RTOL,
     MultipleL,
     PerronNotSeparated,
+    RouteDisagreement,
+    RouteVerdict,
     SpectrumNotSimple,
     YES,
     NO,
@@ -30,7 +32,7 @@ from schemex.detect import (
 )
 from schemex.families import FamilySpec, generate
 from schemex.poly import predistance_polynomials
-from schemex.scheme_core import IntersectionTensor, reorder_relations
+from schemex.scheme_core import IntersectionTensor
 from schemex.spectral import (
     EIG_GROUP_RTOL,
     INTEGRALITY_TOL,
@@ -44,6 +46,7 @@ from nxn_reference import (
     column_deviations_loop,
     krein_expansion,
     mstar_product,
+    reorder_relations,
 )
 
 
@@ -453,7 +456,7 @@ class TestAnalyze:
         for name, s, expected in scheme_corpus:
             a = corpus_analyses[name]
             assert a.pq_residual <= 1e-8 * s.n, name
-            assert a.multiplicity_residual <= 1e-6, name
+            assert a.spectral.multiplicity_residual <= 1e-6, name
             if expected == "precondition-failed":
                 assert a.mstar_max is None, name
             else:
@@ -471,6 +474,44 @@ class TestAnalyze:
         assert report.status == YES
         assert report.ordering == (0, 1, 3, 2)
         assert report.l == 2
+
+    @staticmethod
+    def _disagreement(monkeypatch, name, fake):
+        """The RouteDisagreement message of analyze on cycle(7) with detect.<name> faked."""
+        monkeypatch.setattr(importlib.import_module("schemex.detect"), name, fake)
+        with pytest.raises(RouteDisagreement) as exc:
+            analyze(_scheme("cycle", (7,)))
+        return str(exc.value)
+
+    def test_contradicting_verdicts_raise(self, monkeypatch):
+        r = detect(_scheme("cycle", (7,)))
+        msg = self._disagreement(monkeypatch, "tridiagonal_route",
+                                 lambda t: RouteVerdict("tridiagonal", NO, witness="forced"))
+        assert msg == (
+            "routes disagree: tridiagonal=no (residual 0.000e+00), nstar=yes (residual 0.000e+00), "
+            f"excess=yes (residual {r.excess.max_residual:.3e}), "
+            f"predistance=yes (residual {r.predistance.max_residual:.3e})"
+        )
+
+    def test_precondition_failed_next_to_yes_raises(self, monkeypatch):
+        msg = self._disagreement(monkeypatch, "excess_route",
+                                 lambda sd: RouteVerdict("excess", PRECONDITION_FAILED))
+        assert msg == (
+            "a positive verdict forces distinct eigenvalues, yet a spectral route reported "
+            "precondition-failed: tridiagonal=yes, nstar=yes, excess=precondition-failed, "
+            "predistance=yes"
+        )
+
+    def test_another_nstar_ordering_raises(self, monkeypatch):
+        msg = self._disagreement(monkeypatch, "_nstar_verdict", lambda t, sd: RouteVerdict(
+            "nstar", YES, ordering=(0, 1, 3, 2), l=2))
+        assert msg == "nstar ordering (0, 1, 3, 2) != tridiagonal ordering (0, 1, 2, 3)"
+
+    @pytest.mark.parametrize("route", ["excess", "predistance"])
+    def test_another_l_raises(self, monkeypatch, route):
+        msg = self._disagreement(monkeypatch, f"{route}_route",
+                                 lambda *args: RouteVerdict(route, YES, l=2))
+        assert msg == f"{route} found l = 2 but the chain ends at xi_d = 3"
 
     def test_route_verdict_to_dict(self):
         v = tridiagonal_route(_scheme("cycle", (5,)).tensor)

@@ -406,6 +406,13 @@ class TestSchemeFromDrg:
         fam = generate(FamilySpec("hamming", (8, 2)))
         assert np.array_equal(s.tensor.p, fam.tensor.p)
 
+    def test_a_validating_partition_of_another_diameter_raises(self):
+        # no graph reaches this: a distance-regular graph has diameter d
+        g = _cycle_graph(7)
+        with pytest.raises(NotDistanceRegular) as exc:
+            graph_tools._drg_scheme(g, distance_data(g), 4)
+        assert str(exc.value) == "distance partition validates but diameter 3 != d 4"
+
     def test_non_drg_raises(self):
         base = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]
         rungs = [(0, 3), (1, 4), (2, 5)]

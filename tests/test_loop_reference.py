@@ -20,7 +20,7 @@ from schemex.detect import (
     nstar_sets,
 )
 from schemex.families import FamilySpec, generate
-from schemex.scheme_core import greedy_chain, reorder_relations, slab_step
+from schemex.scheme_core import greedy_chain, slab_step
 from schemex.spectral import spectral_data
 
 from nxn_reference import (
@@ -29,6 +29,7 @@ from nxn_reference import (
     kappa_loop,
     krein_slabs_loop,
     nstar_sets_loop,
+    reorder_relations,
     spectral_data_loop,
 )
 

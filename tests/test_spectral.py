@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from schemex.families import FamilySpec, generate
+from schemex import spectral
 from schemex.spectral import krein_parameters, primitive_idempotents, spectral_data
 
 from nxn_reference import adjacency, krein_expansion, krein_slabs_loop
@@ -68,6 +69,16 @@ class TestEigenmatrices:
         assert np.allclose(sd.theta, [2, 2, -1], atol=1e-12)
         assert np.allclose(sd.multiplicities, [1, 2, 6], atol=1e-9)
         assert np.allclose(sd.P, [[1, 2, 6], [1, 2, -3], [1, -1, 0]], atol=1e-9)
+
+
+def test_a_family_that_splits_nothing_raises():
+    # no scheme reaches this: its intersection matrices separate every eigenspace
+    with pytest.raises(spectral.EigenSplitFailure) as exc:
+        spectral._split_blocks([np.eye(2), np.eye(2)])
+    assert str(exc.value) == (
+        "eigenspaces of dimensions [2] could not be split by the intersection matrices; "
+        "identical P-rows should be impossible"
+    )
 
 
 def test_pq_identity_and_integrality(scheme_corpus):

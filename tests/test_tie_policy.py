@@ -83,8 +83,8 @@ def test_analyze_decides_the_spectrum_once(monkeypatch, cycle_scheme):
 
     a = analyze(s)
     assert a.report.status == "yes" and s.d == 50
-    # eigen_groups: split S_1, key the theta, find the tie
-    assert counts == {"Spectrum": 1, "eigen_groups": 3, "kappa": 1,
+    # eigen_groups: split S_1, then one grouping of theta for the sort key and the tie
+    assert counts == {"Spectrum": 1, "eigen_groups": 2, "kappa": 1,
                       "mstar_decomposition_residual": 50, "krein_parameters": 1}
 
 
@@ -165,3 +165,12 @@ def test_spectrum_is_built_in_two_places():
     assert _uses_in_src(builds) == [
         ("graph_tools", "graph_spectrum"), ("spectral", "spectral_data"),
     ]
+
+
+def test_schemes_and_tensors_are_built_only_by_build_scheme():
+    def builds(cls):
+        return lambda node: isinstance(node, ast.Call) and _name(node.func) == cls
+
+    # every scheme in src/, generated, read or from a graph, passes the axiom checks
+    for cls in ("AssociationScheme", "IntersectionTensor"):
+        assert _uses_in_src(builds(cls)) == [("scheme_core", "build_scheme")], cls
