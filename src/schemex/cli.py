@@ -4,7 +4,7 @@ Commands read, compute and print; only :func:`main` maps failures to exit codes:
 0 ok/yes, 1 unreadable input or command-line usage error (PARSE ERROR), or bad gen
 parameters, unwritable output or no memory left (ERROR), 2 axiom violation (INVALID),
 3 verdict no, 4 precondition failed or graph irregular, disconnected or under 2 vertices
-(NOT APPLICABLE), 5 route disagreement.
+(NOT APPLICABLE), 5 route disagreement or a failed analysis sanity check (ANALYSIS FAILURE).
 """
 
 from __future__ import annotations
@@ -15,17 +15,19 @@ import sys
 
 import numpy as np
 
-from .detect import BASE_TOL, ROUTE_MATCH_RTOL, RouteDisagreement, analyze
+from .detect import BASE_TOL, ROUTE_MATCH_RTOL, MultipleL, RouteDisagreement, analyze
 from .families import FamilySpec, ParamOutOfRange, generate
 from .graph_tools import (
     Disconnected,
     Graph,
     NotRegular,
+    SpectrumSanityFailure,
     TooFewVertices,
     spectral_excess_report,
 )
+from .poly import NumericalBreakdown
 from .scheme_core import AssociationScheme, RelationMatrix, SchemeValidationError, build_scheme
-from .spectral import EIG_GROUP_RTOL
+from .spectral import EIG_GROUP_RTOL, EigenSplitFailure
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -271,6 +273,10 @@ def main(argv=None) -> int:
         return EXIT_INVALID
     except RouteDisagreement as e:
         print(f"ROUTE DISAGREEMENT: {e}")
+        return EXIT_DISAGREE
+    # sanity checks that no known input fails: like a disagreement, never expected
+    except (EigenSplitFailure, MultipleL, NumericalBreakdown, SpectrumSanityFailure) as e:
+        print(f"ANALYSIS FAILURE: {type(e).__name__}: {e}")
         return EXIT_DISAGREE
     except (NotRegular, Disconnected, TooFewVertices) as e:
         print(f"NOT APPLICABLE: {e}")

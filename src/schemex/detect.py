@@ -145,7 +145,7 @@ def tridiagonal_route(t: IntersectionTensor) -> RouteVerdict:
     IntersectionTensor, copies that zero/positive pattern.  q_polynomial_route
     keeps its band check, since its float thresholds break this argument.
     """
-    order, witness = greedy_chain(t.p[:, 1, :] > 0, 1)
+    order, witness = greedy_chain(t.slab(1) > 0, 1)
     if order is None:
         return RouteVerdict("tridiagonal", NO, witness=witness)
     return RouteVerdict("tridiagonal", YES, ordering=order, l=order[-1])
@@ -167,7 +167,7 @@ def nstar_sets(t: IntersectionTensor, sd: SpectralData) -> tuple:
     separated from the rest of the spectrum: PerronNotSeparated.
     """
     d = t.d
-    out = (t.p[:, 1, :] > 0).T.tolist()  # out[j][k]: p^k_{1j} > 0
+    out = (t.slab(1) > 0).T.tolist()  # out[j][k]: p^k_{1j} > 0
     first = [None] * (d + 1)
     first[0] = 0
     frontier = [0]
@@ -290,7 +290,7 @@ def mstar_decomposition_residual(t: IntersectionTensor, sd: SpectralData, i: int
     if not 1 <= i <= t.d:
         raise ValueError(f"i must be in 1..{t.d}")
     th = sd.theta.tolist()
-    B1 = t.p[:, 1, :].astype(float)
+    B1 = t.slab(1).astype(float)
     c = np.zeros(t.d + 1)
     c[0] = 1.0  # A_0 = I
     # Apply the factors at the theta-sorted positions j != i in bit-reversed

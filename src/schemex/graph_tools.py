@@ -36,6 +36,10 @@ class NotRegular(NotDistanceRegular):
     """Vertex degrees differ, so the graph is not distance-regular either."""
 
 
+class SpectrumSanityFailure(RuntimeError):
+    """The computed eigenvalues fail sum m theta^2 = n k; no known graph does."""
+
+
 @dataclass(frozen=True, eq=False)
 class Graph:
     """Simple undirected graph as its read-only bool adjacency matrix."""
@@ -166,8 +170,10 @@ def graph_spectrum(g: Graph) -> Spectrum:
     if mult[0] != 1:  # the degree k has one eigenvector per component
         raise Disconnected(int(mult[0]))
     k = degs[0]
-    # sanity: sum of m_i theta_i^2 counts the 2n|E| closed 2-walks = n*k here
-    assert abs((mult * theta ** 2).sum() - g.n * k) <= 1e-6 * max(1.0, g.n * k)
+    # sanity: sum of m_i theta_i^2 = tr A^2 counts the 2|E| = n k closed 2-walks
+    walks = (mult * theta ** 2).sum()
+    if not abs(walks - g.n * k) <= 1e-6 * max(1.0, g.n * k):
+        raise SpectrumSanityFailure(f"sum m theta^2 = {walks:.6g} but n k = {g.n * k}")
     return Spectrum(theta=theta, m=mult, n=g.n)
 
 

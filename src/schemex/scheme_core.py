@@ -110,7 +110,8 @@ class RelationMatrix:
 
 @dataclass(frozen=True, eq=False)
 class IntersectionTensor:
-    """All p^k_{ij} as a (d+1)^3 integer array, indexed p[k, i, j]: all that analysis reads."""
+    """All p^k_{ij} as a (d+1)^3 integer array, indexed p[k, i, j]: all that analysis reads,
+    one slab B_i at a time (:meth:`slab`)."""
 
     d: int
     p: np.ndarray
@@ -154,6 +155,11 @@ class IntersectionTensor:
             raise ValueError(f"k_{int(np.argmin(k))} = 0: every class must be nonempty")
         p.flags.writeable = False
         object.__setattr__(self, "p", p)
+
+    def slab(self, i: int) -> np.ndarray:
+        """B_i = p[:, i, :], indexed [k, j]: a read-only view of p, the only way any
+        stage outside this module reads the tensor."""
+        return self.p[:, i, :]
 
     @property
     def valencies(self) -> np.ndarray:

@@ -116,7 +116,7 @@ def spectral_data(t: IntersectionTensor) -> SpectralData:
     # k_k p^k_{ij} = k_j p^j_{ik}, which IntersectionTensor checks exactly, so
     # averaging S_i with its transpose only evens out rounding.  Each S_i is
     # built when _split_blocks reads it; a simple spectrum stops after S_1.
-    scaled = ((sq[:, None] * t.p[:, i, :]) / sq[None, :] for i in range(1, d + 1))
+    scaled = ((sq[:, None] * t.slab(i)) / sq[None, :] for i in range(1, d + 1))
     U = sq[:, None] * _split_blocks((S + S.T) / 2.0 for S in scaled)
     if (np.abs(U[0]) < 1e-12 * np.linalg.norm(U, axis=0)).any():
         raise EigenSplitFailure("eigenvector with vanishing identity coordinate")

@@ -19,6 +19,13 @@ counted at representatives found by sorting all n^2 relation entries,
 Graph.from_edges one pair at a time, and the file reader that turned every
 token into a Python string.
 
+array_slabs is a second slab source beside IntersectionTensor: the slabs
+B_i of a distance-regular graph's scheme, in distance order, computed from
+its intersection array in exact integers when a stage asks for them.  It
+holds no (d+1)^3 tensor, so the analysis runs on it at d = 2500, where the
+dense p of cycle(5000) would need 117 GiB.  intersection_array gives the
+arrays of the generated metric families.
+
 Beside them sit identities no library stage reads: the 0/1 adjacency matrix
 of a relation, the spectrum-weighted inner product, the Lagrange power
 identity (with RepeatedBeta for repeated nodes) and the graph-property
@@ -30,6 +37,8 @@ generators do.
 """
 
 from __future__ import annotations
+
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -197,7 +206,7 @@ def spectral_data_loop(t) -> SpectralData:
     n, d = t.n, t.d
     k = t.valencies.astype(float)
     sq = np.sqrt(k)
-    scaled = ((sq[:, None] * t.p[:, i, :]) / sq[None, :] for i in range(1, d + 1))
+    scaled = ((sq[:, None] * t.slab(i)) / sq[None, :] for i in range(1, d + 1))
     vecs = split_blocks_loop(d + 1, ((S + S.T) / 2.0 for S in scaled))
 
     rows = []
@@ -325,7 +334,7 @@ def greedy_chain_loop(support, d):
 def nstar_sets_loop(t, sd) -> tuple:
     """First-appearance sets of the relations in the powers of A_1, by breadth-first search."""
     d = t.d
-    support = t.p[:, 1, :] > 0
+    support = t.slab(1) > 0
     first = [None] * (d + 1)
     first[0] = 0
     frontier = [0]
@@ -408,3 +417,81 @@ def read_ints_general(path, header: str):
         raise InputError(f"{path}: non-integer token ({e})") from None
     except OverflowError:
         raise InputError(f"{path}: integer token out of int64 range") from None
+
+
+def intersection_array(family, *params):
+    """(b_0..b_{D-1}, c_1..c_D) of a metric family generated in distance order
+    (Brouwer-Cohen-Neumaier 1989, sections 9.1-9.2)."""
+    if family == "cycle":
+        (n,) = params
+        D = n // 2
+        return [2] + [1] * (D - 1), [1] * (D - 1) + [2 - n % 2]
+    if family == "hamming":
+        D, q = params
+        return [(D - i) * (q - 1) for i in range(D)], [i for i in range(1, D + 1)]
+    if family == "johnson":
+        v, k = params
+        return [(k - i) * (v - k - i) for i in range(k)], [i * i for i in range(1, k + 1)]
+    if family == "complete":
+        (n,) = params
+        return [n - 1], [1]
+    if family == "petersen":
+        return [3, 2], [1, 1]
+    raise ValueError(f"no intersection array for {family}")
+
+
+def array_slabs(b, c):
+    """A slab source of the scheme with intersection array {b_0..b_{D-1}; c_1..c_D}.
+
+    It has what the analysis reads of an IntersectionTensor: d, n, the
+    valencies and slab(i) = B_i, indexed [k, j] = p^k_{ij}, read-only.  B_1 is
+    tridiagonal with row k = (c_k, a_k, b_k), a_k = b_0 - b_k - c_k, and
+    A_1 A_i = b_{i-1} A_{i-1} + a_i A_i + c_{i+1} A_{i+1} gives
+    B_{i+1} = (B_1 B_i - b_{i-1} B_{i-1} - a_i B_i) / c_{i+1}, computed in
+    exact integers, B_1 applied through its three bands, the first time a
+    stage asks for a slab past the last one computed.  Valencies
+    k_{i+1} = k_i b_i / c_{i+1}.  Raises ValueError where a valency, an a_i or
+    a slab entry is not a non-negative integer.
+    """
+    D = len(b)
+    if D < 1 or len(c) != D or c[0] != 1:
+        raise ValueError("b_0..b_{D-1} and c_1..c_D need D >= 1 entries each, and c_1 = 1")
+    bb = np.array([*b, 0], dtype=np.int64)  # b_D = 0
+    cc = np.array([0, *c], dtype=np.int64)  # c_0 = 0
+    a = bb[0] - bb - cc
+    k = [1]
+    for i in range(D):
+        if k[-1] * bb[i] % cc[i + 1] or a[i] < 0:
+            raise ValueError(f"k_{i + 1} = k_{i} b_{i} / c_{i + 1} or a_{i} is not a valid count")
+        k.append(k[-1] * int(bb[i]) // int(cc[i + 1]))
+    if a[D] < 0:
+        raise ValueError(f"a_{D} = {a[D]} < 0")
+    k = np.array(k, dtype=np.int64)
+    k.flags.writeable = False
+
+    def times_b1(X):  # (B_1 X)[r] = c_r X[r-1] + a_r X[r] + b_r X[r+1]
+        out = a[:, None] * X
+        out[1:] += cc[1:, None] * X[:-1]
+        out[:-1] += bb[:-1, None] * X[1:]
+        return out
+
+    slabs = []
+
+    def keep(slab):
+        slab.flags.writeable = False
+        slabs.append(slab)
+
+    keep(np.eye(D + 1, dtype=np.int64))
+    keep(times_b1(slabs[0]))
+
+    def slab(i):
+        while len(slabs) <= i:
+            h = len(slabs) - 1
+            num = times_b1(slabs[h]) - bb[h - 1] * slabs[h - 1] - a[h] * slabs[h]
+            nxt, rem = np.divmod(num, cc[h + 1])
+            if rem.any() or nxt.min() < 0:
+                raise ValueError(f"B_{h + 1} is not a non-negative integer matrix")
+            keep(nxt)
+        return slabs[i]
+
+    return SimpleNamespace(d=D, n=int(k.sum()), valencies=k, slab=slab)

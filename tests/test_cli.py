@@ -21,7 +21,9 @@ from schemex.cli import (
     EXIT_PRECONDITION,
     main,
 )
-from schemex.detect import RouteDisagreement
+from schemex.detect import MultipleL, RouteDisagreement
+from schemex.poly import NumericalBreakdown
+from schemex.spectral import EigenSplitFailure
 from schemex.families import FAMILIES, FamilySpec, generate
 
 from nxn_reference import adjacency
@@ -468,6 +470,35 @@ class TestExitCodes:
         assert main(["detect", path]) == EXIT_DISAGREE
         out = capsys.readouterr().out
         assert out == "ROUTE DISAGREEMENT: routes disagree: tridiagonal=yes, nstar=no\n"
+
+    @pytest.mark.parametrize("exc", [
+        EigenSplitFailure("eigenvector with vanishing identity coordinate"),
+        MultipleL("columns [1, 2] all satisfy kappa_i = -Q_i(l)"),
+        NumericalBreakdown("||q_3||^2 = 5.000e-19 collapsed during Gram-Schmidt"),
+    ])
+    def test_analysis_failure(self, monkeypatch, capsys, scheme_file, exc):
+        path = scheme_file("cycle", (6,))
+
+        def fail(_scheme):
+            raise exc
+
+        monkeypatch.setattr(cli, "analyze", fail)
+        assert main(["detect", path]) == EXIT_DISAGREE
+        assert capsys.readouterr() == (f"ANALYSIS FAILURE: {type(exc).__name__}: {exc}\n", "")
+
+    def test_graph_spectrum_failure(self, monkeypatch, capsys, edge_file):
+        path = edge_file("petersen", 10, _petersen_edges())
+        exact = np.linalg.eigvalsh
+
+        def bent(a):
+            w = exact(a)
+            w[-1] += 0.01
+            return w
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", bent)
+        assert main(["graph", path]) == EXIT_DISAGREE
+        assert capsys.readouterr() == (
+            "ANALYSIS FAILURE: SpectrumSanityFailure: sum m theta^2 = 30.0601 but n k = 30\n", "")
 
     def test_distinct(self):
         codes = [EXIT_OK, EXIT_PARSE, EXIT_INVALID, EXIT_NO,

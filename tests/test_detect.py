@@ -3,6 +3,7 @@ from __future__ import annotations
 import importlib
 import itertools
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -42,8 +43,10 @@ from schemex.spectral import (
 )
 
 from nxn_reference import (
+    array_slabs,
     band_violation_loop,
     column_deviations_loop,
+    intersection_array,
     krein_expansion,
     mstar_product,
     reorder_relations,
@@ -539,44 +542,59 @@ def margin_analyses(corpus_analyses, ladder, cycle_scheme):
     return analyses
 
 
+def _assert_multiplicities_margin(name, sd):
+    assert sd.multiplicity_residual <= INTEGRALITY_TOL / 1000, name
+
+
+def _assert_route_margins(name, sd, values, ls, matched=1000):
+    """The matched column of each spectral route lies ``matched`` times inside
+    ROUTE_MATCH_RTOL, every other column 1000 times outside; ls maps route to l."""
+    checks = {
+        "excess": (sd.spectrum.kappa[1:], -sd.Q[:, 1:].T),
+        "predistance": (values[sd.d], sd.P),
+    }
+    for route, (vals, targets) in checks.items():
+        _, raws, scaleds = _match_columns(vals, targets)
+        assert (raws, scaleds) == column_deviations_loop(vals, targets), (name, route)
+        for col, sc in enumerate(scaleds):
+            if col == ls[route]:
+                assert sc <= ROUTE_MATCH_RTOL / matched, (name, route, col, sc)
+            else:
+                assert sc >= 1000 * ROUTE_MATCH_RTOL, (name, route, col, sc)
+
+
+def _assert_theta_gap_margins(name, sd, between=1000):
+    """Gaps inside an eigen_groups cluster lie 1000 times below the threshold, gaps
+    between clusters ``between`` times above it."""
+    w = np.sort(sd.theta)
+    thr = EIG_GROUP_RTOL * max(1.0, float(np.abs(w).max()))
+    gaps = np.diff(w)
+    inside = np.ones(len(gaps), dtype=bool)
+    for _, b in eigen_groups(w):
+        if b < len(w):
+            inside[b - 1] = False  # the gap from w[b - 1] to the next cluster
+    assert (gaps[inside] <= thr / 1000).all(), (name, gaps[inside].max() / thr)
+    assert (gaps[~inside] >= between * thr).all(), (name, gaps[~inside].min() / thr)
+
+
 class TestToleranceMargins:
     """Each tolerance-gated decision clears its tolerance 1000x either way on every known
     input, so moving a tolerance a thousandfold would change no verdict here."""
 
     def test_multiplicities_are_far_inside_integrality(self, margin_analyses):
         for name, a in margin_analyses.items():
-            assert a.spectral.multiplicity_residual <= INTEGRALITY_TOL / 1000, name
+            _assert_multiplicities_margin(name, a.spectral)
 
     def test_route_columns_match_or_miss_by_far(self, margin_analyses):
         for name, a in margin_analyses.items():
-            sd = a.spectral
-            if sd.spectrum is None:
+            if a.spectral.spectrum is None:
                 continue  # tied theta: neither route matches columns
-            checks = {
-                "excess": (sd.spectrum.kappa[1:], -sd.Q[:, 1:].T),
-                "predistance": (a.predistance_values[sd.d], sd.P),
-            }
-            for route, (values, targets) in checks.items():
-                _, raws, scaleds = _match_columns(values, targets)
-                assert (raws, scaleds) == column_deviations_loop(values, targets), (name, route)
-                l = a.report.routes()[route].l
-                for col, sc in enumerate(scaleds):
-                    if col == l:
-                        assert sc <= ROUTE_MATCH_RTOL / 1000, (name, route, col, sc)
-                    else:
-                        assert sc >= 1000 * ROUTE_MATCH_RTOL, (name, route, col, sc)
+            ls = {route: a.report.routes()[route].l for route in ("excess", "predistance")}
+            _assert_route_margins(name, a.spectral, a.predistance_values, ls)
 
     def test_theta_gaps_are_far_from_the_group_threshold(self, margin_analyses):
         for name, a in margin_analyses.items():
-            w = np.sort(a.spectral.theta)
-            thr = EIG_GROUP_RTOL * max(1.0, float(np.abs(w).max()))
-            gaps = np.diff(w)
-            inside = np.ones(len(gaps), dtype=bool)
-            for _, b in eigen_groups(w):
-                if b < len(w):
-                    inside[b - 1] = False  # the gap from w[b - 1] to the next cluster
-            assert (gaps[inside] <= thr / 1000).all(), (name, gaps[inside].max() / thr)
-            assert (gaps[~inside] >= 1000 * thr).all(), (name, gaps[~inside].min() / thr)
+            _assert_theta_gap_margins(name, a.spectral)
 
 
 class TestLadder:
@@ -668,3 +686,95 @@ class TestTensorOnly:
                 assert got[key] == value, key
         assert got["tridiagonal"].verdict == YES
         assert got["excess"].l == got["predistance"].l == 2
+
+
+def _stages_without_mstar(t):
+    """Every stage of analyze but the M* residual (d^4 per scheme), with the routes'
+    agreement checked: the evidence the margin checks read."""
+    sd = spectral_data(t)
+    values = predistance_polynomials(sd.spectrum)
+    routes = {
+        "tridiagonal": tridiagonal_route(t),
+        "nstar": _nstar_verdict(t, sd),
+        "excess": excess_route(sd),
+        "predistance": predistance_route(sd, values),
+    }
+    tri = routes["tridiagonal"]
+    assert {v.verdict for v in routes.values()} == {YES}
+    assert routes["nstar"].ordering == tri.ordering
+    assert {v.l for v in routes.values()} == {tri.ordering[-1]}
+    q_poly = q_polynomial_route(krein_parameters(sd), sd.n)
+    return SimpleNamespace(spectral=sd, values=values, routes=routes, q_poly=q_poly)
+
+
+def _check_margins(name, stages, matched=1000, between=1000):
+    sd = stages.spectral
+    ls = {route: stages.routes[route].l for route in ("excess", "predistance")}
+    _assert_multiplicities_margin(name, sd)
+    _assert_route_margins(name, sd, stages.values, ls, matched=matched)
+    _assert_theta_gap_margins(name, sd, between=between)
+
+
+class TestArraySlabs:
+    """The stages read the tensor only through t.n, t.d, t.valencies and t.slab(i), so the
+    slabs of an intersection array, computed on demand, stand in for the dense p."""
+
+    def test_matches_the_generated_tensors(self, corpus_analyses):
+        specs = [("hamming", (6, 3)), ("hamming", (10, 2)), ("johnson", (12, 4)), ("cycle", (100,))]
+        for name, a in corpus_analyses.items():
+            if a.report.ordering == tuple(range(a.report.d + 1)):  # metric, in distance order
+                family, _, params = name.rstrip(")").partition("(")
+                specs.append((family, tuple(int(v) for v in params.split(",") if v)))
+        assert len(specs) == 4 + 26
+        for family, params in specs:
+            t = _scheme(family, params).tensor
+            src = array_slabs(*intersection_array(family, *params))
+            assert (src.d, src.n) == (t.d, t.n), (family, params)
+            assert np.array_equal(src.valencies, t.valencies), (family, params)
+            for i in range(t.d + 1):
+                assert np.array_equal(src.slab(i), t.slab(i)), (family, params, i)
+
+    def test_slab_is_a_read_only_view(self):
+        t = _scheme("hamming", (3, 2)).tensor
+        for i in range(t.d + 1):
+            b = t.slab(i)
+            assert np.shares_memory(b, t.p) and not b.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                b[0, 0] = 7
+        src = array_slabs(*intersection_array("hamming", 3, 2))
+        assert not any(src.slab(i).flags.writeable for i in range(4))
+
+    def test_rejects_an_array_no_scheme_has(self):
+        with pytest.raises(ValueError, match="k_2 = k_1 b_1 / c_2"):
+            array_slabs([3, 2], [1, 4])
+
+    def test_analysis_matches_the_generated_scheme(self, margin_analyses):
+        want = margin_analyses["cycle(100)"]
+        got = analyze(SimpleNamespace(tensor=array_slabs(*intersection_array("cycle", 100))))
+        assert got.report.routes() == want.report.routes()
+        assert got.mstar_max == want.mstar_max
+        assert np.array_equal(got.spectral.P, want.spectral.P)
+        assert np.array_equal(got.spectral.Q, want.spectral.Q)
+
+    def test_analyze_on_cycle_400(self):
+        a = analyze(SimpleNamespace(tensor=array_slabs(*intersection_array("cycle", 400))))
+        assert a.report.status == YES
+        assert a.report.l == 200
+        assert a.mstar_max <= 1e-8
+
+    def test_stages_at_d_1000_clear_every_margin(self):
+        # cycle(2000), whose dense p would take 8 GB; without M*, which is d^4
+        stages = _stages_without_mstar(array_slabs(*intersection_array("cycle", 2000)))
+        assert stages.routes["tridiagonal"].l == 1000
+        assert stages.q_poly.verdict == YES
+        _check_margins("cycle(2000)", stages)
+
+    @pytest.mark.slow
+    def test_stages_at_d_2500(self):
+        # cycle(5000), the largest cycle gen admits, whose dense p would take 117 GiB.  Two
+        # margins fall under 1000x here: the route columns (219x excess, 133x predistance)
+        # and the theta gaps (790x); the floors sit below those measured values.
+        stages = _stages_without_mstar(array_slabs(*intersection_array("cycle", 5000)))
+        assert stages.routes["tridiagonal"].l == 2500
+        assert stages.q_poly.verdict == YES
+        _check_margins("cycle(5000)", stages, matched=100, between=500)

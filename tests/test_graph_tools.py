@@ -14,6 +14,7 @@ from schemex.graph_tools import (
     Graph,
     NotDistanceRegular,
     NotRegular,
+    SpectrumSanityFailure,
     distance_data,
     graph_spectrum,
     scheme_from_drg,
@@ -319,6 +320,20 @@ class TestSpectrum:
         with pytest.raises(Disconnected) as exc:
             graph_spectrum(g)
         assert exc.value.components == 3
+
+    def test_closed_walk_count_is_checked(self, monkeypatch):
+        # no graph fails sum m theta^2 = n k; a raise, not an assert, so python -O keeps it
+        exact = np.linalg.eigvalsh
+
+        def bent(a):
+            w = exact(a)
+            w[-1] += 0.01
+            return w
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", bent)
+        with pytest.raises(SpectrumSanityFailure) as exc:
+            graph_spectrum(_petersen_graph())
+        assert str(exc.value) == "sum m theta^2 = 30.0601 but n k = 30"
 
 
 class TestSpectralExcess:

@@ -1,6 +1,6 @@
 """Every module of the package uses each name it imports, or re-exports it in ``__all__``,
-every public name a module defines is read in the package, exported, or traced, and no
-module imports another's underscore names."""
+every public name a module defines is read in the package, exported, or traced, no
+module imports another's underscore names, and only scheme_core reads the dense tensor p."""
 
 from __future__ import annotations
 
@@ -98,3 +98,13 @@ def test_no_module_imports_a_private_name_of_another():
     private = [(path.name, name) for path in sorted(PACKAGE.glob("*.py"))
                for name in _private_imports(ast.parse(path.read_text(encoding="utf-8")))]
     assert not private, private
+
+
+def test_only_scheme_core_reads_the_dense_tensor():
+    # every other stage reads the intersection tensor through IntersectionTensor.slab(i),
+    # so a slab source without a (d+1)^3 array can stand in for it
+    readers = [(path.name, node.lineno) for path in sorted(PACKAGE.glob("*.py"))
+               if path.name != "scheme_core.py"
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.Attribute) and node.attr == "p"]
+    assert not readers, readers

@@ -6,7 +6,13 @@ import pytest
 
 from schemex.families import FamilySpec, generate
 from schemex.graph_tools import Graph, graph_spectrum
-from schemex.poly import DegenerateSpectrum, Spectrum, predistance_polynomials, spectral_excess
+from schemex.poly import (
+    DegenerateSpectrum,
+    NumericalBreakdown,
+    Spectrum,
+    predistance_polynomials,
+    spectral_excess,
+)
 from schemex.spectral import spectral_data
 
 from nxn_reference import (
@@ -135,6 +141,14 @@ def _random_regular_spectra(seed, count):
         if nx.is_connected(h):
             spectra.append(graph_spectrum(Graph.from_edges(n, h.edges())))
     return spectra
+
+
+def test_gram_schmidt_breakdown_raises():
+    # theta_1 = 1e-9 sits next to theta_2 = 0, so q_3 keeps a norm far under the rounding of
+    # theta p_2; no scheme or graph in the tests comes near
+    with pytest.raises(NumericalBreakdown) as exc:
+        predistance_polynomials(Spectrum([3, 1e-9, 0, -3], [1, 1, 1, 1], 4))
+    assert str(exc.value) == "||q_3||^2 = 5.000e-19 collapsed during Gram-Schmidt"
 
 
 class TestTopValueClosedForm:

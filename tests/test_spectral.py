@@ -9,7 +9,13 @@ from schemex.families import FamilySpec, generate
 from schemex import spectral
 from schemex.spectral import krein_parameters, primitive_idempotents, spectral_data
 
-from nxn_reference import adjacency, krein_expansion, krein_slabs_loop
+from nxn_reference import (
+    adjacency,
+    array_slabs,
+    intersection_array,
+    krein_expansion,
+    krein_slabs_loop,
+)
 
 SQ5 = 5 ** 0.5
 
@@ -79,6 +85,73 @@ def test_a_family_that_splits_nothing_raises():
         "eigenspaces of dimensions [2] could not be split by the intersection matrices; "
         "identical P-rows should be impossible"
     )
+
+
+def _turn(a):
+    return np.array([[np.cos(a), -np.sin(a)], [np.sin(a), np.cos(a)]])
+
+
+# Bends of the pentagon's common eigenvectors V, as _split_blocks returns them: eigh sorts
+# the eigenvalues of S_1 ascending, so the last column is the valency one, sqrt(k / n).
+def _unit_vectors(V):
+    return np.eye(3)
+
+
+def _mix_the_valency_column(V):
+    W = V.copy()
+    W[:, [0, 2]] = V[:, [0, 2]] @ _turn(0.3)
+    return W
+
+
+def _turn_below_the_top(V):
+    # column 0 keeps its norm and top entry, so its multiplicity n V[0, 0]^2 stays 2, but
+    # it is no longer orthogonal to the others
+    W = V.copy()
+    W[1:, 0] = _turn(0.5) @ V[1:, 0]
+    return W
+
+
+def _near_copy(V):
+    # column 1 becomes column 0 turned by 1e-13 below its top entry: two P rows agree to
+    # 13 digits and P is near singular
+    W = V.copy()
+    W[:, 1] = V[:, 0]
+    W[1:, 1] = _turn(1e-13) @ V[1:, 0]
+    return W
+
+
+class TestSpectralDataGuards:
+    """The raises of spectral_data that no scheme reaches: an intersection array no scheme
+    has, or common eigenvectors bent after _split_blocks has found them."""
+
+    def test_multiplicities_of_the_missing_moore_graph(self):
+        # {4, 3; 1, 1}: a Moore graph of valency 4 on 17 points, which does not exist
+        with pytest.raises(spectral.EigenSplitFailure) as exc:
+            spectral_data(array_slabs([4, 3], [1, 1]))
+        assert str(exc.value) == (
+            "multiplicities [1.         9.10940039 6.89059961] do not round to positive "
+            "integers summing to 17"
+        )
+
+    @pytest.mark.parametrize("bend, message", [
+        (_unit_vectors, "eigenvector with vanishing identity coordinate"),
+        (_mix_the_valency_column, "no computed row matches the valency row"),
+        (_near_copy, r"P Q = nI fails \(residual "),
+        (_turn_below_the_top, r"Q disagrees with m_i P_l\(i\)/k_l"),
+    ])
+    def test_bent_eigenvectors(self, monkeypatch, bend, message):
+        found = spectral._split_blocks
+        monkeypatch.setattr(spectral, "_split_blocks", lambda mats: bend(found(mats)))
+        with pytest.raises(spectral.EigenSplitFailure, match=f"^{message}"):
+            spectral_data(array_slabs(*intersection_array("cycle", 5)))
+
+    def test_the_bends_start_from_the_pentagon(self):
+        t = array_slabs(*intersection_array("cycle", 5))
+        sq = np.sqrt(t.valencies)
+        V = spectral._split_blocks(
+            (sq[:, None] * t.slab(i) / sq[None, :] for i in (1, 2)))
+        assert np.allclose(V[:, 2], sq / 5 ** 0.5)
+        assert np.allclose(np.abs(V[0, :2]), (2 / 5) ** 0.5)
 
 
 def test_pq_identity_and_integrality(scheme_corpus):
