@@ -1,8 +1,9 @@
 """Command line: validate scheme files, run detection, generate families, analyze graphs.
 
-Commands read, compute and print; only :func:`main` maps failures to exit codes:
+Commands read, compute and print; only :func:`main` maps failures to exit codes, and
+:func:`run`, the process entry, maps a stdout closed before its last flush:
 0 ok/yes, 1 unreadable input or command-line usage error (PARSE ERROR), or bad gen
-parameters, unwritable output or no memory left (ERROR), 2 axiom violation (INVALID),
+parameters, unwritable output or stdout, or no memory left (ERROR), 2 axiom violation (INVALID),
 3 verdict no, 4 precondition failed or graph irregular, disconnected or under 2 vertices
 (NOT APPLICABLE), 5 route disagreement or a failed analysis sanity check (ANALYSIS FAILURE).
 """
@@ -10,7 +11,9 @@ parameters, unwritable output or no memory left (ERROR), 2 axiom violation (INVA
 from __future__ import annotations
 
 import argparse
+import gc
 import json
+import os
 import sys
 
 import numpy as np
@@ -287,5 +290,32 @@ def main(argv=None) -> int:
         return EXIT_PARSE
 
 
+def run() -> int:
+    """The process entry, of ``schemex`` and of ``python -m schemex.cli``: :func:`main`,
+    then stdout flushed and the heap frozen.
+
+    A stdout closed by its reader is one ERROR line and exit 1, the exit an
+    unbuffered stdout already gives from inside main; /dev/null then takes its
+    descriptor, so the interpreter's own flush at exit finds nothing to fail on.
+    ``gc.freeze()`` moves every object alive now out of the collector's reach,
+    so shutdown does not walk the ~22k objects numpy and schemex made at import.
+    They live until exit anyway, which is what makes the freeze safe; main never
+    freezes, since tests and perfbench's traced mode call it in process.
+    """
+    try:
+        code = main()
+    except SystemExit as e:  # argparse's --help, after printing it
+        code = e.code
+    try:
+        if sys.stdout is not None:  # None when the process starts with descriptor 1 closed
+            sys.stdout.flush()
+    except BrokenPipeError as e:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"ERROR: {e}", file=sys.stderr)
+        code = EXIT_PARSE
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -11,11 +11,14 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 import bench_pairs  # noqa: E402
 
 STUB = """\
-import json, sys
+import json, os, sys
 from pathlib import Path
 log = Path(sys.argv[0]).resolve().parent.parent / "calls.log"
 calls = log.read_text().splitlines() if log.exists() else []
 log.write_text("\\n".join(calls + [" ".join([NAME, *sys.argv[1:]])]) + "\\n")
+with open(log.with_name("env.log"), "a") as fh:
+    flag = os.environ.get("PYTHONDONTWRITEBYTECODE")
+    print(NAME, flag, len(list(Path("src").rglob("__pycache__"))), file=fh)
 # the level, plus a drift, scaled by 1 - noise, 1 or 1 + noise in turn
 v = ({level} + 0.01 * len(calls)) * (1 + {noise} * (len(calls) % 3 - 1))
 print("report line")
@@ -26,7 +29,8 @@ print(json.dumps({{"metrics": {{"verdict_s": {{"value": v, "unit": "s"}},
 
 def _checkout(root: Path, name: str, level: float, noise: float = 0.0) -> Path:
     d = root / name
-    d.mkdir()
+    (d / "src" / "pkg" / "__pycache__").mkdir(parents=True)
+    (d / "src" / "pkg" / "__pycache__" / "mod.cpython-311.pyc").write_bytes(b"stale")
     (d / "stub.py").write_text(f"NAME = {name!r}\n" + STUB.format(level=level, noise=noise))
     (d / "BENCHMARK.json").write_text(json.dumps({
         "command": [sys.executable, "stub.py"],
@@ -55,6 +59,8 @@ def test_pairs_alternate_and_the_rule_is_applied(tmp_path, capsys):
     assert "EXCEEDED" not in verdict
     assert "change wins 0/4" in pass_frac and "gain not claimable" in pass_frac
     assert "unresolved" not in verdict and "unresolved" not in pass_frac
+    # every run compiles from source: no bytecode cache read, none written
+    assert set((tmp_path / "env.log").read_text().splitlines()) == {"parent 1 0", "change 1 0"}
 
 
 def test_a_slower_change_exceeds_the_bound(tmp_path, capsys):

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import ast
+import gc
 import itertools
 import json
 import os
 import resource
 import subprocess
 import sys
+from pathlib import Path
 
 import networkx as nx
 import numpy as np
@@ -57,6 +60,13 @@ GEN_SPECS = [
     ("petersen", ()), ("cyclotomic13", ()), ("disjoint_cliques", (3, 3)),
     ("hypercube_reordered", (0, 3, 2, 1)),
 ]
+
+
+def _cli_env():
+    """The environment of a fresh interpreter that imports this checkout's schemex."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
 
 
 def _petersen_edges():
@@ -384,11 +394,8 @@ class TestGenSizeBound:
     ])
     def test_huge_parameters_fail_fast(self, params, err):
         # a subprocess, so a regression that counts the points times out instead of hanging
-        src = os.path.dirname(os.path.dirname(cli.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, (src, os.environ.get("PYTHONPATH")))))
         proc = subprocess.run(
-            [sys.executable, "-m", "schemex.cli", "gen", *params], env=env,
+            [sys.executable, "-m", "schemex.cli", "gen", *params], env=_cli_env(),
             capture_output=True, text=True, timeout=10, preexec_fn=self._limit_memory,
         )
         assert (proc.returncode, proc.stdout, proc.stderr) == (EXIT_PARSE, "", f"ERROR: {err}\n")
@@ -457,6 +464,63 @@ class TestUsageErrors:
         assert exc.value.code == 0
         out = capsys.readouterr().out
         assert "--json" in out and "--tol" not in out
+
+
+class TestProcessEntry:
+    """A process runs cli.run: main, then stdout flushed and the heap frozen."""
+
+    def test_main_leaves_the_heap_unfrozen(self, scheme_file):
+        # library callers and the in-process benchmark never get a frozen heap
+        path = scheme_file("hamming", (3, 2))
+        frozen = gc.get_freeze_count()
+        assert main(["detect", path]) == EXIT_OK
+        assert gc.get_freeze_count() == frozen
+
+    def test_both_entries_name_run(self):
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        assert '[project.scripts]\nschemex = "schemex.cli:run"\n' in pyproject.read_text(
+            encoding="utf-8")
+        guard = ast.parse(Path(cli.__file__).read_text(encoding="utf-8")).body[-1]
+        assert ast.unparse(guard) == "if __name__ == '__main__':\n    sys.exit(run())"
+
+    @pytest.mark.parametrize("command", ["detect", "graph"])
+    def test_a_process_prints_what_main_prints(self, scheme_file, edge_file, tmp_path, capsys,
+                                               command):
+        path = (scheme_file("cyclotomic13") if command == "detect"
+                else edge_file("petersen", 10, _petersen_edges()))
+        capsys.readouterr()
+        code = main([command, path, "--json", str(tmp_path / "main.json")])
+        out, err = capsys.readouterr()
+        proc = subprocess.run(
+            [sys.executable, "-m", "schemex.cli", command, path, "--json",
+             str(tmp_path / "process.json")],
+            env=_cli_env(), capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+        assert (tmp_path / "process.json").read_bytes() == (tmp_path / "main.json").read_bytes()
+
+    @pytest.mark.parametrize("argv", [["detect", "FILE"], ["gen", "cycle", "300"],
+                                      ["detect", "--help"]], ids=["detect", "gen", "help"])
+    def test_a_closed_stdout_is_one_error_line(self, scheme_file, argv):
+        # a buffered stdout (no PYTHONUNBUFFERED) holds a short output until the last flush
+        argv = [scheme_file("hamming", (3, 2)) if a == "FILE" else a for a in argv]
+        env = _cli_env()
+        env.pop("PYTHONUNBUFFERED", None)
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "schemex.cli", *argv], env=env,
+                                  stdout=write, stderr=subprocess.PIPE, text=True, timeout=60)
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr) == (EXIT_PARSE, "ERROR: [Errno 32] Broken pipe\n")
+
+    def test_no_stdout_at_all(self, scheme_file):
+        # started with descriptor 1 closed, Python sets sys.stdout to None and print is a no-op
+        proc = subprocess.run(
+            [sys.executable, "-m", "schemex.cli", "detect", scheme_file("hamming", (3, 2))],
+            env=_cli_env(), stderr=subprocess.PIPE, text=True, timeout=60,
+            preexec_fn=lambda: os.close(1))
+        assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
 
 
 class TestExitCodes:

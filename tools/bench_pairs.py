@@ -8,7 +8,11 @@ checkout given by ``--change`` (default: the current directory).  Each side
 runs its own copy of the command that its ``BENCHMARK.json`` declares, with
 ``--workload --seed --seconds --trace`` appended, and the metrics are read
 from the last line of its stdout.  Pair i runs the parent first when i is
-odd, the change first when i is even.
+odd, the change first when i is even.  Each run starts with no bytecode cache
+under the checkout's ``src`` (any ``__pycache__`` there is removed) and runs
+with ``PYTHONDONTWRITEBYTECODE=1``, so both sides compile the program from
+source on every call, as in a fresh checkout, while the interpreter's and
+numpy's own caches are read as installed.
 
 The report gives every pair, then for each end-to-end metric of the change's
 ``BENCHMARK.json``: both medians and quartiles, the change's wins (ties count
@@ -25,6 +29,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -37,7 +43,11 @@ def run_side(checkout: Path, args) -> dict:
     spec = json.loads((checkout / "BENCHMARK.json").read_text(encoding="utf-8"))
     cmd = [*spec["command"], "--workload", args.workload, "--seed", str(args.seed),
            "--seconds", str(args.seconds), "--trace", str(args.trace)]
-    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    # valid .pyc files save a CLI call about as much time as a gain worth claiming
+    for cache in list((checkout / "src").rglob("__pycache__")):
+        shutil.rmtree(cache)
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         raise SystemExit(f"{' '.join(cmd)} in {checkout} exited {proc.returncode}:\n"
