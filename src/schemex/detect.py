@@ -21,12 +21,11 @@ reported but never folded into the consensus.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
 from .poly import predistance_polynomials
-from .scheme_core import AssociationScheme, IntersectionTensor, greedy_chain
+from .scheme_core import AssociationScheme, FrozenRecord, IntersectionTensor, greedy_chain
 from .spectral import (
     SpectralData,
     eigen_groups,
@@ -62,14 +61,35 @@ class RouteDisagreement(RuntimeError):
     """Provably equivalent routes returned different verdicts."""
 
 
-@dataclass(frozen=True)
-class RouteVerdict:
-    route: str
-    verdict: str
-    ordering: tuple | None = None
-    l: int | None = None
-    max_residual: float = 0.0
-    witness: str | None = None
+class RouteVerdict(FrozenRecord):
+    """One route's verdict and its evidence; compares and hashes by value."""
+
+    __slots__ = ("route", "verdict", "ordering", "l", "max_residual", "witness")
+
+    def __init__(self, route: str, verdict: str, ordering: tuple | None = None,
+                 l: int | None = None, max_residual: float = 0.0, witness: str | None = None):
+        object.__setattr__(self, "route", route)
+        object.__setattr__(self, "verdict", verdict)
+        object.__setattr__(self, "ordering", ordering)
+        object.__setattr__(self, "l", l)
+        object.__setattr__(self, "max_residual", max_residual)
+        object.__setattr__(self, "witness", witness)
+
+    def _key(self) -> tuple:
+        return (self.route, self.verdict, self.ordering, self.l, self.max_residual, self.witness)
+
+    def __repr__(self):
+        return (f"RouteVerdict(route={self.route!r}, verdict={self.verdict!r}, "
+                f"ordering={self.ordering!r}, l={self.l!r}, "
+                f"max_residual={self.max_residual!r}, witness={self.witness!r})")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     def to_dict(self) -> dict:
         return {
@@ -81,20 +101,27 @@ class RouteVerdict:
         }
 
 
-@dataclass(eq=False)
 class DetectionReport:
-    n: int
-    d: int
-    valencies: tuple
-    tridiagonal: RouteVerdict
-    nstar: RouteVerdict
-    excess: RouteVerdict
-    predistance: RouteVerdict
-    q_poly: RouteVerdict
-    consensus: str
-    preconditions_ok: bool
-    ordering: tuple | None
-    l: int | None
+    __slots__ = ("n", "d", "valencies", "tridiagonal", "nstar", "excess", "predistance",
+                 "q_poly", "consensus", "preconditions_ok", "ordering", "l")
+
+    def __init__(
+        self, n: int, d: int, valencies: tuple, tridiagonal: RouteVerdict, nstar: RouteVerdict,
+        excess: RouteVerdict, predistance: RouteVerdict, q_poly: RouteVerdict, consensus: str,
+        preconditions_ok: bool, ordering: tuple | None, l: int | None,
+    ):
+        self.n = n
+        self.d = d
+        self.valencies = valencies
+        self.tridiagonal = tridiagonal
+        self.nstar = nstar
+        self.excess = excess
+        self.predistance = predistance
+        self.q_poly = q_poly
+        self.consensus = consensus
+        self.preconditions_ok = preconditions_ok
+        self.ordering = ordering
+        self.l = l
 
     @property
     def status(self) -> str:
@@ -316,16 +343,21 @@ def q_polynomial_route(q1: np.ndarray, n: int) -> RouteVerdict:
     return RouteVerdict("q_poly", YES, ordering=order, l=order[-1])
 
 
-@dataclass(eq=False)
 class Analysis:
     """Everything detect computed along the way, for reporting."""
 
-    report: DetectionReport
-    spectral: SpectralData
-    krein_q1: np.ndarray
-    predistance_values: np.ndarray | None
-    mstar_max: float | None
-    pq_residual: float
+    __slots__ = ("report", "spectral", "krein_q1", "predistance_values", "mstar_max",
+                 "pq_residual")
+
+    def __init__(self, report: DetectionReport, spectral: SpectralData, krein_q1: np.ndarray,
+                 predistance_values: np.ndarray | None, mstar_max: float | None,
+                 pq_residual: float):
+        self.report = report
+        self.spectral = spectral
+        self.krein_q1 = krein_q1
+        self.predistance_values = predistance_values
+        self.mstar_max = mstar_max
+        self.pq_residual = pq_residual
 
 
 def _nstar_verdict(t, sd):

@@ -7,13 +7,12 @@ full axiom validation before handing the scheme back.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, product
 from math import comb
 
 import numpy as np
 
-from .scheme_core import AssociationScheme, RelationMatrix, build_scheme
+from .scheme_core import AssociationScheme, FrozenRecord, RelationMatrix, build_scheme
 
 MAX_POINTS = 5000
 
@@ -25,15 +24,28 @@ class ParamOutOfRange(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class FamilySpec:
-    family: str
-    params: tuple = ()
+class FamilySpec(FrozenRecord):
+    """A family name and its integer parameters; equal specs are one dict key."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "params", tuple(int(v) for v in self.params))
-        if self.family not in FAMILIES:
-            raise ParamOutOfRange(f"unknown family {self.family!r}; known: {FAMILIES}")
+    __slots__ = ("family", "params")
+
+    def __init__(self, family: str, params: tuple = ()):
+        params = tuple(int(v) for v in params)
+        if family not in FAMILIES:
+            raise ParamOutOfRange(f"unknown family {family!r}; known: {FAMILIES}")
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "params", params)
+
+    def __repr__(self):
+        return f"FamilySpec(family={self.family!r}, params={self.params!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.family, self.params) == (other.family, other.params)
+
+    def __hash__(self):
+        return hash((self.family, self.params))
 
 
 def _require(cond, msg):

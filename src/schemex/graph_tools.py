@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .poly import (
@@ -11,7 +9,13 @@ from .poly import (
     predistance_polynomials,  # noqa: F401  unused here; perfbench/spans.py traces this name
     spectral_excess,
 )
-from .scheme_core import AssociationScheme, RelationMatrix, SchemeValidationError, build_scheme
+from .scheme_core import (
+    AssociationScheme,
+    FrozenRecord,
+    RelationMatrix,
+    SchemeValidationError,
+    build_scheme,
+)
 from .spectral import eigen_groups
 
 # Seidel's products are counts <= (n - 1)**2, which float32 holds exactly (<= 2**24) up to this n
@@ -40,12 +44,14 @@ class SpectrumSanityFailure(RuntimeError):
     """The computed eigenvalues fail sum m theta^2 = n k; no known graph does."""
 
 
-@dataclass(frozen=True, eq=False)
-class Graph:
+class Graph(FrozenRecord):
     """Simple undirected graph as its read-only bool adjacency matrix."""
 
-    n: int
-    adj: np.ndarray
+    __slots__ = ("n", "adj")
+
+    def __init__(self, n: int, adj: np.ndarray):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "adj", adj)
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
@@ -86,7 +92,6 @@ class Graph:
         return tuple(self.adj.sum(axis=1).tolist())
 
 
-@dataclass(eq=False)
 class DistanceData:
     """All-pairs distance data.
 
@@ -96,11 +101,16 @@ class DistanceData:
     the usual |Gamma_D(x)|.
     """
 
-    dist: np.ndarray
-    diameter: int
-    gamma_counts: np.ndarray  # gamma_counts[x, i] = |Gamma_i(x)|
-    eccentricity: np.ndarray
-    excess: np.ndarray
+    __slots__ = ("dist", "diameter", "gamma_counts", "eccentricity", "excess")
+
+    def __init__(self, dist: np.ndarray, diameter: int,
+                 gamma_counts: np.ndarray,  # gamma_counts[x, i] = |Gamma_i(x)|
+                 eccentricity: np.ndarray, excess: np.ndarray):
+        self.dist = dist
+        self.diameter = diameter
+        self.gamma_counts = gamma_counts
+        self.eccentricity = eccentricity
+        self.excess = excess
 
 
 def _seidel_distances(a: np.ndarray) -> np.ndarray:
@@ -190,19 +200,27 @@ def _drg_scheme(g: Graph, dd: DistanceData, d: int) -> AssociationScheme:
     return s
 
 
-@dataclass(eq=False)
 class SpectralExcessReport:
-    n: int
-    degree: int
-    diameter: int
-    d: int  # number of distinct eigenvalues minus one
-    pd_theta0: float
-    excess: np.ndarray
-    excess_mean: float
-    excess_harmonic_mean: float
-    drg: bool
-    witness: str | None
-    spectrum: Spectrum
+    __slots__ = ("n", "degree", "diameter", "d", "pd_theta0", "excess", "excess_mean",
+                 "excess_harmonic_mean", "drg", "witness", "spectrum")
+
+    def __init__(
+        self, n: int, degree: int, diameter: int,
+        d: int,  # number of distinct eigenvalues minus one
+        pd_theta0: float, excess: np.ndarray, excess_mean: float, excess_harmonic_mean: float,
+        drg: bool, witness: str | None, spectrum: Spectrum,
+    ):
+        self.n = n
+        self.degree = degree
+        self.diameter = diameter
+        self.d = d
+        self.pd_theta0 = pd_theta0
+        self.excess = excess
+        self.excess_mean = excess_mean
+        self.excess_harmonic_mean = excess_harmonic_mean
+        self.drg = drg
+        self.witness = witness
+        self.spectrum = spectrum
 
 
 def spectral_excess_report(g: Graph) -> SpectralExcessReport:

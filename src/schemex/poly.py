@@ -13,7 +13,6 @@ closed form, which spectral_excess computes without the recurrence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -30,17 +29,15 @@ class NumericalBreakdown(RuntimeError):
     """Gram-Schmidt norm collapsed; the spectrum is numerically degenerate."""
 
 
-@dataclass(eq=False)
 class Spectrum:
-    """Eigenvalues theta_0 > ... > theta_d with positive multiplicities, m_0 = 1."""
+    """Eigenvalues theta_0 > ... > theta_d with positive multiplicities, m_0 = 1.
 
-    theta: np.ndarray
-    m: np.ndarray
-    n: int
+    No ``__slots__``: the cached kappa lives in the instance dict.
+    """
 
-    def __post_init__(self):
-        theta = np.asarray(self.theta, dtype=float)
-        m = np.asarray(self.m, dtype=float)
+    def __init__(self, theta: np.ndarray, m: np.ndarray, n: int):
+        theta = np.asarray(theta, dtype=float)
+        m = np.asarray(m, dtype=float)
         if theta.ndim != 1 or theta.shape != m.shape or theta.size < 1:
             raise ValueError("theta and m must be 1-d arrays of equal positive length")
         # NaN passes every comparison below as False, and inf breaks kappa
@@ -56,10 +53,11 @@ class Spectrum:
             raise ValueError("multiplicities must be positive")
         if abs(m[0] - 1.0) > 1e-6:
             raise ValueError(f"m_0 = {m[0]} but the top eigenvalue must be simple")
-        if abs(m.sum() - self.n) > 1e-6 * max(1.0, self.n):
-            raise ValueError(f"multiplicities sum to {m.sum()}, expected n = {self.n}")
-        object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "m", m)
+        if abs(m.sum() - n) > 1e-6 * max(1.0, n):
+            raise ValueError(f"multiplicities sum to {m.sum()}, expected n = {n}")
+        self.theta = theta
+        self.m = m
+        self.n = n
 
     @property
     def d(self) -> int:

@@ -12,8 +12,6 @@ products constant (see :func:`greedy_chain`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 
@@ -75,8 +73,28 @@ def slab_step(d: int) -> int:
     return max(1, BLOCK_ENTRIES // (d + 1) ** 2)
 
 
-@dataclass(frozen=True, eq=False)
-class RelationMatrix:
+class FrozenRecord:
+    """Base of the records that refuse attribute assignment once built.
+
+    A subclass lists its fields in ``__slots__`` and sets them in its own
+    ``__init__`` with ``object.__setattr__``.  ``__setstate__`` does the same for
+    copy and pickle.  Records compare by identity unless a subclass says otherwise.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __setstate__(self, state):
+        for name, value in state[1].items():
+            object.__setattr__(self, name, value)
+
+
+class RelationMatrix(FrozenRecord):
     """Raw input: n points, d non-identity classes, and the n x n index matrix.
 
     Both n and d are explicit; they are never inferred from the matrix.  The
@@ -84,41 +102,39 @@ class RelationMatrix:
     job of :func:`build_scheme`.
     """
 
-    n: int
-    d: int
-    rel: np.ndarray
+    __slots__ = ("n", "d", "rel")
 
-    def __post_init__(self):
-        if self.n < 2:
+    def __init__(self, n: int, d: int, rel: np.ndarray):
+        if n < 2:
             raise ValueError("a scheme needs at least 2 points")
-        if self.d < 1:
+        if d < 1:
             raise ValueError("a scheme needs at least 1 non-identity relation")
-        rel = np.asarray(self.rel)
-        if rel.shape != (self.n, self.n):
-            raise ValueError(f"relation matrix has shape {rel.shape}, expected {(self.n, self.n)}")
+        rel = np.asarray(rel)
+        if rel.shape != (n, n):
+            raise ValueError(f"relation matrix has shape {rel.shape}, expected {(n, n)}")
         if not np.issubdtype(rel.dtype, np.integer):
             raise ValueError("relation matrix must be integer valued")
         lo, hi = int(rel.min()), int(rel.max())
-        if lo < 0 or hi > self.d:
-            raise ValueError(f"relation indices must lie in 0..{self.d}")
+        if lo < 0 or hi > d:
+            raise ValueError(f"relation indices must lie in 0..{d}")
         if hi > _MAX_INDEX:
             raise ValueError(f"relation index {hi} exceeds {_MAX_INDEX}, the largest index stored")
         rel = np.ascontiguousarray(rel.astype(np.uint16))
         rel.flags.writeable = False
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "d", d)
         object.__setattr__(self, "rel", rel)
 
 
-@dataclass(frozen=True, eq=False)
-class IntersectionTensor:
+class IntersectionTensor(FrozenRecord):
     """All p^k_{ij} as a (d+1)^3 integer array, indexed p[k, i, j]: all that analysis reads,
     one slab B_i at a time (:meth:`slab`)."""
 
-    d: int
-    p: np.ndarray
+    __slots__ = ("d", "p")
 
-    def __post_init__(self):
-        p = np.ascontiguousarray(np.asarray(self.p, dtype=np.int64))
-        m = self.d + 1
+    def __init__(self, d: int, p: np.ndarray):
+        p = np.ascontiguousarray(np.asarray(p, dtype=np.int64))
+        m = d + 1
         if p.shape != (m, m, m):
             raise ValueError(f"tensor has shape {p.shape}, expected {(m, m, m)}")
         if p.min() < 0:
@@ -126,7 +142,7 @@ class IntersectionTensor:
         k = p[0].diagonal()
         # every check works one block of slab_step(d) (d+1)^2 slabs at a time, so none
         # allocates a (d+1)^3 temporary
-        step = slab_step(self.d)
+        step = slab_step(d)
         for a in range(0, m, step):
             blk = p[a:a + step]
             if not np.array_equal(blk, blk.transpose(0, 2, 1)):
@@ -154,6 +170,7 @@ class IntersectionTensor:
         if k.min() < 1:
             raise ValueError(f"k_{int(np.argmin(k))} = 0: every class must be nonempty")
         p.flags.writeable = False
+        object.__setattr__(self, "d", d)
         object.__setattr__(self, "p", p)
 
     def slab(self, i: int) -> np.ndarray:
@@ -172,14 +189,16 @@ class IntersectionTensor:
         return int(self.valencies.sum())
 
 
-@dataclass(frozen=True, eq=False)
-class AssociationScheme:
+class AssociationScheme(FrozenRecord):
     """A validated scheme: the relation matrix plus its cached intersection tensor."""
 
-    n: int
-    d: int
-    rel: np.ndarray
-    tensor: IntersectionTensor
+    __slots__ = ("n", "d", "rel", "tensor")
+
+    def __init__(self, n: int, d: int, rel: np.ndarray, tensor: IntersectionTensor):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "rel", rel)
+        object.__setattr__(self, "tensor", tensor)
 
     @property
     def valencies(self) -> np.ndarray:

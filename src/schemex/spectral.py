@@ -12,8 +12,6 @@ computed, in closed form from P.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .poly import Spectrum
@@ -31,7 +29,6 @@ class EigenSplitFailure(RuntimeError):
     """The intersection matrices failed to separate the common eigenspaces."""
 
 
-@dataclass(eq=False)
 class SpectralData:
     """First/second eigenmatrix pair and friends.
 
@@ -40,17 +37,28 @@ class SpectralData:
     broken by ascending multiplicity and then lexicographically.
     """
 
-    n: int
-    d: int
-    valencies: np.ndarray
-    P: np.ndarray
-    Q: np.ndarray
-    theta: np.ndarray
-    multiplicities: np.ndarray
-    tie: tuple | None  # descending sorted positions of the highest tied theta pair
-    spectrum: Spectrum | None  # theta and multiplicities; None when theta are tied
-    pq_residual: float  # max |P Q - n I|
-    multiplicity_residual: float  # max |m - round(m)|
+    __slots__ = ("n", "d", "valencies", "P", "Q", "theta", "multiplicities", "tie", "spectrum",
+                 "pq_residual", "multiplicity_residual")
+
+    def __init__(
+        self, n: int, d: int, valencies: np.ndarray, P: np.ndarray, Q: np.ndarray,
+        theta: np.ndarray, multiplicities: np.ndarray,
+        tie: tuple | None,  # descending sorted positions of the highest tied theta pair
+        spectrum: Spectrum | None,  # theta and multiplicities; None when theta are tied
+        pq_residual: float,  # max |P Q - n I|
+        multiplicity_residual: float,  # max |m - round(m)|
+    ):
+        self.n = n
+        self.d = d
+        self.valencies = valencies
+        self.P = P
+        self.Q = Q
+        self.theta = theta
+        self.multiplicities = multiplicities
+        self.tie = tie
+        self.spectrum = spectrum
+        self.pq_residual = pq_residual
+        self.multiplicity_residual = multiplicity_residual
 
 
 def eigen_groups(w: np.ndarray) -> list:

@@ -5,12 +5,22 @@ from __future__ import annotations
 import io
 import json
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from schemex.cli import EXIT_INVALID, EXIT_OK, EXIT_PARSE, _STATUS_EXIT, main, write_scheme_file
+from schemex.cli import (
+    EXIT_INVALID,
+    EXIT_NO,
+    EXIT_OK,
+    EXIT_PARSE,
+    EXIT_PRECONDITION,
+    _STATUS_EXIT,
+    main,
+    write_scheme_file,
+)
 from schemex.families import FamilySpec, generate
 
 from nxn_reference import reorder_relations
@@ -149,3 +159,40 @@ def test_small_edge_lists(workdir, text):
         values = None
     if values is None or any(abs(v) >= 2**63 for v in values[2:]):
         assert rc == EXIT_PARSE
+
+
+# networkx's atlas: every graph on 1..7 vertices (index 0, the null graph, is left out)
+ATLAS = nx.graph_atlas_g()[1:]
+
+
+def _connected_regular(g):
+    return g.number_of_nodes() >= 2 and nx.is_connected(g) and nx.is_regular(g)
+
+
+def _atlas_exits(workdir, graphs):
+    """Run ``schemex graph`` on each atlas graph: the regular connected ones exit 0 exactly
+    when networkx finds them distance-regular (3 otherwise), every other one exits 4."""
+    path = workdir / "atlas.edges"
+    for g in graphs:
+        edges = [f"{u} {v}" for u, v in g.edges]
+        path.write_text("\n".join([f"{g.number_of_nodes()} {len(edges)}", *edges]) + "\n",
+                        encoding="utf-8")
+        rc = _main(["graph", str(path)])
+        if _connected_regular(g):
+            assert rc == (EXIT_OK if nx.is_distance_regular(g) else EXIT_NO), g.name
+        else:
+            assert rc == EXIT_PRECONDITION, g.name
+
+
+def test_atlas_sample(workdir, capsys):
+    regular = [g for g in ATLAS if _connected_regular(g)]
+    assert len(regular) == 15
+    _atlas_exits(workdir, regular + [g for g in ATLAS if not _connected_regular(g)][::10])
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.slow
+def test_whole_atlas(workdir, capsys):
+    assert len(ATLAS) == 1252
+    _atlas_exits(workdir, ATLAS)
+    assert "Traceback" not in capsys.readouterr().err

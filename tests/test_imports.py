@@ -1,10 +1,14 @@
 """Every module of the package uses each name it imports, or re-exports it in ``__all__``,
 every public name a module defines is read in the package, exported, or traced, no
-module imports another's underscore names, and only scheme_core reads the dense tensor p."""
+module imports another's underscore names, only scheme_core reads the dense tensor p, and no
+module generates code at import."""
 
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import schemex
@@ -108,3 +112,37 @@ def test_only_scheme_core_reads_the_dense_tensor():
                for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
                if isinstance(node, ast.Attribute) and node.attr == "p"]
     assert not readers, readers
+
+
+def _generated_code(tree):
+    """Imports and calls that build classes or code at run time: dataclasses, namedtuple,
+    NamedTuple, exec and eval."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (a.name for a in node.names if a.name == "dataclasses")
+        elif isinstance(node, ast.ImportFrom):
+            if node.module == "dataclasses":
+                yield "dataclasses"
+            elif node.module in ("collections", "typing"):
+                yield from (f"{node.module}.{a.name}" for a in node.names
+                            if a.name in ("namedtuple", "NamedTuple"))
+        elif isinstance(node, ast.Attribute) and node.attr in ("namedtuple", "NamedTuple"):
+            yield node.attr
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("exec", "eval"):
+            yield node.func.id
+
+
+def test_no_module_generates_code_at_import():
+    # every record class is written out, so importing the package compiles no generated methods
+    found = [(path.name, name) for path in sorted(PACKAGE.glob("*.py"))
+             for name in _generated_code(ast.parse(path.read_text(encoding="utf-8")))]
+    assert not found, found
+
+
+def test_the_cli_imports_no_dataclasses():
+    code = "import sys, schemex.cli; print('dataclasses' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(PACKAGE.parent), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True).stdout
+    assert out == "False\n"

@@ -64,12 +64,12 @@ def test_analyze_decides_the_spectrum_once(monkeypatch, cycle_scheme):
     counts = Counter()
 
     def counted(key, fn):
-        def wrapper(*args):
+        def wrapper(*args, **kwargs):
             counts[key] += 1
-            return fn(*args)
+            return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(Spectrum, "__post_init__", counted("Spectrum", Spectrum.__post_init__))
+    monkeypatch.setattr(Spectrum, "__init__", counted("Spectrum", Spectrum.__init__))
     groups = counted("eigen_groups", eigen_groups)
     for modname in ("schemex.spectral", "schemex.detect"):
         monkeypatch.setattr(importlib.import_module(modname), "eigen_groups", groups)
