@@ -9,14 +9,20 @@ from .graph_tools import (
     scheme_from_drg,
     spectral_excess_report,
 )
-from .poly import Spectrum, predistance_polynomials
 from .scheme_core import (
     AssociationScheme,
     IntersectionTensor,
     RelationMatrix,
     build_scheme,
 )
-from .spectral import SpectralData, krein_parameters, primitive_idempotents, spectral_data
+from .spectral import (
+    SpectralData,
+    Spectrum,
+    krein_parameters,
+    predistance_polynomials,
+    primitive_idempotents,
+    spectral_data,
+)
 
 __version__ = "0.1.0"
 

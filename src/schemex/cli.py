@@ -18,7 +18,16 @@ import sys
 
 import numpy as np
 
-from .detect import BASE_TOL, ROUTE_MATCH_RTOL, MultipleL, RouteDisagreement, analyze
+from .detect import (
+    BASE_TOL,
+    NO,
+    PRECONDITION_FAILED,
+    ROUTE_MATCH_RTOL,
+    YES,
+    MultipleL,
+    RouteDisagreement,
+    analyze,
+)
 from .families import FamilySpec, ParamOutOfRange, generate
 from .graph_tools import (
     Disconnected,
@@ -28,9 +37,8 @@ from .graph_tools import (
     TooFewVertices,
     spectral_excess_report,
 )
-from .poly import NumericalBreakdown
 from .scheme_core import AssociationScheme, RelationMatrix, SchemeValidationError, build_scheme
-from .spectral import EIG_GROUP_RTOL, EigenSplitFailure
+from .spectral import EIG_GROUP_RTOL, EigenSplitFailure, NumericalBreakdown
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -39,7 +47,7 @@ EXIT_NO = 3
 EXIT_PRECONDITION = 4
 EXIT_DISAGREE = 5
 
-_STATUS_EXIT = {"yes": EXIT_OK, "no": EXIT_NO, "precondition-failed": EXIT_PRECONDITION}
+_STATUS_EXIT = {YES: EXIT_OK, NO: EXIT_NO, PRECONDITION_FAILED: EXIT_PRECONDITION}
 
 
 class InputError(ValueError):
@@ -195,16 +203,10 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _fmt_theta(x: float) -> str:
-    return f"{x:.6g}"
-
-
 def cmd_graph(args) -> int:
     rep = spectral_excess_report(_read_edge_file(args.path))
     sp = rep.spectrum
-    spec_str = " ".join(
-        f"{_fmt_theta(t)}^{int(m)}" for t, m in zip(sp.theta, sp.m)
-    )
+    spec_str = " ".join(f"{t:.6g}^{int(m)}" for t, m in zip(sp.theta, sp.m))
     print(f"n={rep.n} k={rep.degree}")
     print(f"spectrum: {spec_str}")
     print(f"d={rep.d} D={rep.diameter}")

@@ -24,12 +24,13 @@ import functools
 
 import numpy as np
 
-from .poly import predistance_polynomials
-from .scheme_core import AssociationScheme, FrozenRecord, IntersectionTensor, greedy_chain
+from .scheme_core import AssociationScheme, IntersectionTensor, ValueRecord, greedy_chain
 from .spectral import (
+    DegenerateSpectrum,
     SpectralData,
     eigen_groups,
     krein_parameters,
+    predistance_polynomials,
     primitive_idempotents,  # noqa: F401  unused here; perfbench/spans.py traces this name
     spectral_data,
 )
@@ -45,10 +46,6 @@ ROUTE_MATCH_RTOL = 1e-6
 BASE_TOL = 1e-8
 
 
-class SpectrumNotSimple(ValueError):
-    """An operation needed mutually distinct eigenvalues."""
-
-
 class PerronNotSeparated(ValueError):
     """theta_0 coincides with another eigenvalue (relation-1 graph disconnected)."""
 
@@ -61,7 +58,7 @@ class RouteDisagreement(RuntimeError):
     """Provably equivalent routes returned different verdicts."""
 
 
-class RouteVerdict(FrozenRecord):
+class RouteVerdict(ValueRecord):
     """One route's verdict and its evidence; compares and hashes by value."""
 
     __slots__ = ("route", "verdict", "ordering", "l", "max_residual", "witness")
@@ -75,30 +72,12 @@ class RouteVerdict(FrozenRecord):
         object.__setattr__(self, "max_residual", max_residual)
         object.__setattr__(self, "witness", witness)
 
-    def _key(self) -> tuple:
-        return (self.route, self.verdict, self.ordering, self.l, self.max_residual, self.witness)
-
-    def __repr__(self):
-        return (f"RouteVerdict(route={self.route!r}, verdict={self.verdict!r}, "
-                f"ordering={self.ordering!r}, l={self.l!r}, "
-                f"max_residual={self.max_residual!r}, witness={self.witness!r})")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
     def to_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "ordering": list(self.ordering) if self.ordering is not None else None,
-            "l": self.l,
-            "max_residual": self.max_residual,
-            "witness": self.witness,
-        }
+        """Every field but the route, with the ordering as a list."""
+        out = {name: getattr(self, name) for name in self.__slots__ if name != "route"}
+        if self.ordering is not None:
+            out["ordering"] = list(self.ordering)
+        return out
 
 
 class DetectionReport:
@@ -215,11 +194,9 @@ def nstar_sets(t: IntersectionTensor, sd: SpectralData) -> tuple:
             f"relations {unreached} never appear in powers of A_1 up to d = {d}; "
             f"theta_0 = {sd.theta[0]:g} is shared (rows {near} by the float data)"
         )
-    sets = tuple(
+    return tuple(
         frozenset(j for j, f in enumerate(first) if f == h) for h in range(d + 1)
     )
-    assert sets[0] == frozenset({0}) and sets[1] == frozenset({1})
-    return sets
 
 
 def _match_columns(values, targets):
@@ -313,7 +290,7 @@ def mstar_decomposition_residual(t: IntersectionTensor, sd: SpectralData, i: int
     the n x n residual equals the max-abs entry of the coefficient residual.
     """
     if sd.spectrum is None:
-        raise SpectrumNotSimple("the decomposition needs mutually distinct theta")
+        raise DegenerateSpectrum("the decomposition needs mutually distinct theta")
     if not 1 <= i <= t.d:
         raise ValueError(f"i must be in 1..{t.d}")
     th = sd.theta.tolist()

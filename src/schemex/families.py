@@ -12,7 +12,7 @@ from math import comb
 
 import numpy as np
 
-from .scheme_core import AssociationScheme, FrozenRecord, RelationMatrix, build_scheme
+from .scheme_core import AssociationScheme, RelationMatrix, ValueRecord, build_scheme
 
 MAX_POINTS = 5000
 
@@ -24,7 +24,7 @@ class ParamOutOfRange(ValueError):
     pass
 
 
-class FamilySpec(FrozenRecord):
+class FamilySpec(ValueRecord):
     """A family name and its integer parameters; equal specs are one dict key."""
 
     __slots__ = ("family", "params")
@@ -35,17 +35,6 @@ class FamilySpec(FrozenRecord):
             raise ParamOutOfRange(f"unknown family {family!r}; known: {FAMILIES}")
         object.__setattr__(self, "family", family)
         object.__setattr__(self, "params", params)
-
-    def __repr__(self):
-        return f"FamilySpec(family={self.family!r}, params={self.params!r})"
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.family, self.params) == (other.family, other.params)
-
-    def __hash__(self):
-        return hash((self.family, self.params))
 
 
 def _require(cond, msg):

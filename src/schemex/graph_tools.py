@@ -4,11 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .poly import (
-    Spectrum,
-    predistance_polynomials,  # noqa: F401  unused here; perfbench/spans.py traces this name
-    spectral_excess,
-)
 from .scheme_core import (
     AssociationScheme,
     FrozenRecord,
@@ -16,7 +11,12 @@ from .scheme_core import (
     SchemeValidationError,
     build_scheme,
 )
-from .spectral import eigen_groups
+from .spectral import (
+    Spectrum,
+    eigen_groups,
+    predistance_polynomials,  # noqa: F401  unused here; perfbench/spans.py traces this name
+    spectral_excess,
+)
 
 # Seidel's products are counts <= (n - 1)**2, which float32 holds exactly (<= 2**24) up to this n
 _SEIDEL_FLOAT32_MAX_N = 1 + 2 ** 12
@@ -190,7 +190,7 @@ def graph_spectrum(g: Graph) -> Spectrum:
 def _drg_scheme(g: Graph, dd: DistanceData, d: int) -> AssociationScheme:
     """The distance scheme of g, which must validate and have diameter d (distinct
     eigenvalues minus one); else NotDistanceRegular with the witness."""
-    rm = RelationMatrix(n=g.n, d=dd.diameter, rel=dd.dist.astype(np.uint16))
+    rm = RelationMatrix(n=g.n, d=dd.diameter, rel=dd.dist)
     try:
         s = build_scheme(rm)
     except SchemeValidationError as e:

@@ -78,7 +78,7 @@ class FrozenRecord:
 
     A subclass lists its fields in ``__slots__`` and sets them in its own
     ``__init__`` with ``object.__setattr__``.  ``__setstate__`` does the same for
-    copy and pickle.  Records compare by identity unless a subclass says otherwise.
+    copy and pickle.  Records compare by identity; a :class:`ValueRecord` compares by value.
     """
 
     __slots__ = ()
@@ -94,12 +94,37 @@ class FrozenRecord:
             object.__setattr__(self, name, value)
 
 
+class ValueRecord(FrozenRecord):
+    """A frozen record that compares, hashes and prints as the tuple of its ``__slots__``.
+
+    A subclass lists every field in its own ``__slots__``, in constructor order.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
 class RelationMatrix(FrozenRecord):
     """Raw input: n points, d non-identity classes, and the n x n index matrix.
 
     Both n and d are explicit; they are never inferred from the matrix.  The
     constructor only checks shape and index range -- the scheme axioms are the
-    job of :func:`build_scheme`.
+    job of :func:`build_scheme`.  Callers pass any integer dtype: only after the
+    range check has seen the true values are they cast to uint16.
     """
 
     __slots__ = ("n", "d", "rel")

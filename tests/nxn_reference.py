@@ -30,7 +30,7 @@ Beside them sit identities no library stage reads: the 0/1 adjacency matrix
 of a relation, the spectrum-weighted inner product, the Lagrange power
 identity (with RepeatedBeta for repeated nodes) and the graph-property
 residual kappa_i + m_i p_d(theta_i) / p_d(theta_0), the identity that
-schemex.poly.spectral_excess's closed form comes from.  reorder_relations
+schemex.spectral.spectral_excess's closed form comes from.  reorder_relations
 relabels the relations of a scheme through its relation matrix and
 validates the result again with build_scheme, as the library's own
 generators do.
@@ -44,12 +44,12 @@ import numpy as np
 
 from schemex.cli import InputError
 from schemex.detect import PerronNotSeparated
-from schemex.poly import Spectrum
 from schemex.scheme_core import RelationMatrix, build_scheme
 from schemex.spectral import (
     INTEGRALITY_TOL,
     EigenSplitFailure,
     SpectralData,
+    Spectrum,
     eigen_groups,
     primitive_idempotents,
 )

@@ -30,8 +30,7 @@ from schemex.graph_tools import (
     scheme_from_drg,
     spectral_excess_report,
 )
-from schemex.poly import predistance_polynomials
-from schemex.spectral import spectral_data
+from schemex.spectral import predistance_polynomials, spectral_data
 
 from nxn_reference import (
     adjacency,

@@ -25,8 +25,7 @@ from schemex.cli import (
     main,
 )
 from schemex.detect import MultipleL, RouteDisagreement
-from schemex.poly import NumericalBreakdown
-from schemex.spectral import EigenSplitFailure
+from schemex.spectral import EigenSplitFailure, NumericalBreakdown
 from schemex.families import FAMILIES, FamilySpec, generate
 
 from nxn_reference import adjacency

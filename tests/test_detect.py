@@ -15,7 +15,6 @@ from schemex.detect import (
     PerronNotSeparated,
     RouteDisagreement,
     RouteVerdict,
-    SpectrumNotSimple,
     YES,
     NO,
     PRECONDITION_FAILED,
@@ -32,13 +31,14 @@ from schemex.detect import (
     tridiagonal_route,
 )
 from schemex.families import FamilySpec, generate
-from schemex.poly import predistance_polynomials
 from schemex.scheme_core import IntersectionTensor
 from schemex.spectral import (
     EIG_GROUP_RTOL,
     INTEGRALITY_TOL,
+    DegenerateSpectrum,
     eigen_groups,
     krein_parameters,
+    predistance_polynomials,
     spectral_data,
 )
 
@@ -301,7 +301,7 @@ class TestMStar:
 
     def test_tied_spectrum_raises(self):
         s = _scheme("hypercube_reordered", (0, 3, 2, 1))
-        with pytest.raises(SpectrumNotSimple):
+        with pytest.raises(DegenerateSpectrum):
             mstar_decomposition_residual(s.tensor, spectral_data(s.tensor), 1)
 
     def test_index_range(self):

@@ -11,6 +11,7 @@ from schemex.detect import analyze, detect, q_polynomial_route
 from schemex.families import FamilySpec, generate
 from schemex.graph_tools import (
     Disconnected,
+    DistanceData,
     Graph,
     NotDistanceRegular,
     NotRegular,
@@ -427,6 +428,20 @@ class TestSchemeFromDrg:
         with pytest.raises(NotDistanceRegular) as exc:
             graph_tools._drg_scheme(g, distance_data(g), 4)
         assert str(exc.value) == "distance partition validates but diameter 3 != d 4"
+
+    def test_a_distance_past_the_stored_index_range_is_refused_not_wrapped(self):
+        # no graph reaches this: diameter 65536 needs n > 131072 vertices, whose
+        # adjacency matrix cannot be allocated.  A uint16 cast before RelationMatrix's
+        # range check would wrap 65536 to 0 and report a missing relation 1 instead
+        g = Graph.from_edges(2, [(0, 1)])
+        dist = np.array([[0, 65536], [65536, 0]], dtype=np.int32)
+        counts = np.array([[1, 0], [1, 0]], dtype=np.int64)
+        dd = DistanceData(dist=dist, diameter=65536, gamma_counts=counts,
+                          eccentricity=np.full(2, 65536), excess=np.ones(2, dtype=np.int64))
+        with pytest.raises(ValueError) as exc:
+            graph_tools._drg_scheme(g, dd, 1)
+        assert type(exc.value) is ValueError
+        assert str(exc.value) == "relation index 65536 exceeds 65535, the largest index stored"
 
     def test_non_drg_raises(self):
         base = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]

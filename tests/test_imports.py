@@ -1,7 +1,8 @@
 """Every module of the package uses each name it imports, or re-exports it in ``__all__``,
 every public name a module defines is read in the package, exported, or traced, no
-module imports another's underscore names, only scheme_core reads the dense tensor p, and no
-module generates code at import."""
+module imports another's underscore names, only scheme_core reads the dense tensor p, no
+module generates code at import or holds an ``assert`` statement, and README's Layout names
+every module."""
 
 from __future__ import annotations
 
@@ -15,6 +16,7 @@ import schemex
 
 PACKAGE = Path(schemex.__file__).parent
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 # perfbench/spans.py traces these bindings by module and name, so the modules keep them
 ALLOWED = {("detect.py", "primitive_idempotents"), ("graph_tools.py", "predistance_polynomials")}
@@ -138,6 +140,21 @@ def test_no_module_generates_code_at_import():
              for name in _generated_code(ast.parse(path.read_text(encoding="utf-8")))]
     assert not found, found
 
+
+
+def test_no_module_holds_an_assert_statement():
+    # python -O strips asserts, so a check that must hold raises an exception instead
+    found = [(path.name, node.lineno) for path in sorted(PACKAGE.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Assert)]
+    assert not found, found
+
+
+def test_readme_layout_names_every_module():
+    block = README.read_text(encoding="utf-8").split("## Layout", 1)[1].split("```")[1]
+    listed = [line.split()[0] for line in block.splitlines() if line.startswith("  ")]
+    modules = sorted(path.name for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
+    assert sorted(listed) == modules
 
 def test_the_cli_imports_no_dataclasses():
     code = "import sys, schemex.cli; print('dataclasses' in sys.modules)"

@@ -6,14 +6,14 @@ import pytest
 
 from schemex.families import FamilySpec, generate
 from schemex.graph_tools import Graph, graph_spectrum
-from schemex.poly import (
+from schemex.spectral import (
     DegenerateSpectrum,
     NumericalBreakdown,
     Spectrum,
     predistance_polynomials,
+    spectral_data,
     spectral_excess,
 )
-from schemex.spectral import spectral_data
 
 from nxn_reference import (
     RepeatedBeta,

@@ -19,9 +19,8 @@ from schemex.graph_tools import (
     distance_data,
     spectral_excess_report,
 )
-from schemex.poly import Spectrum
 from schemex.scheme_core import AssociationScheme, IntersectionTensor, RelationMatrix
-from schemex.spectral import SpectralData
+from schemex.spectral import SpectralData, Spectrum
 
 FROZEN = {RelationMatrix, IntersectionTensor, AssociationScheme, RouteVerdict, Graph, FamilySpec}
 BY_VALUE = {RouteVerdict, FamilySpec}
@@ -109,3 +108,17 @@ def test_defaults():
     v = RouteVerdict("tridiagonal", "no")
     assert (v.ordering, v.l, v.max_residual, v.witness) == (None, None, 0.0, None)
     assert FamilySpec("petersen").params == ()
+
+
+def test_value_record_reprs():
+    # no other test prints either record, so this pins the field-by-field repr
+    assert repr(RouteVerdict("excess", "yes", l=2)) == (
+        "RouteVerdict(route='excess', verdict='yes', ordering=None, l=2, max_residual=0.0, "
+        "witness=None)")
+    assert repr(FamilySpec("cycle", (5,))) == "FamilySpec(family='cycle', params=(5,))"
+
+
+def test_value_records_define_no_methods_of_their_own():
+    # equality, hashing and repr come from ValueRecord, which reads the fields from __slots__
+    for cls in BY_VALUE:
+        assert not {"__eq__", "__hash__", "__repr__"} & set(vars(cls)), cls.__name__

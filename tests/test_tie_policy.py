@@ -17,8 +17,7 @@ from hypothesis import strategies as st
 
 import schemex
 from schemex.detect import analyze
-from schemex.poly import Spectrum
-from schemex.spectral import EIG_GROUP_RTOL, eigen_groups, spectral_data
+from schemex.spectral import EIG_GROUP_RTOL, Spectrum, eigen_groups, spectral_data
 
 # |w| stays <= 1, so the threshold is 1e-9: gaps at 0, 0.5, 0.999999, 1,
 # 1.000001 and 2 times it, mixed with clear separations
