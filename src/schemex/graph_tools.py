@@ -41,7 +41,8 @@ class NotRegular(NotDistanceRegular):
 
 
 class SpectrumSanityFailure(RuntimeError):
-    """The computed eigenvalues fail sum m theta^2 = n k; no known graph does."""
+    """The computed eigenvalues fail sum m theta^2 = n k, or number other than diameter + 1
+    on a distance-regular graph; no known graph does either."""
 
 
 class Graph(FrozenRecord):
@@ -187,17 +188,13 @@ def graph_spectrum(g: Graph) -> Spectrum:
     return Spectrum(theta=theta, m=mult, n=g.n)
 
 
-def _drg_scheme(g: Graph, dd: DistanceData, d: int) -> AssociationScheme:
-    """The distance scheme of g, which must validate and have diameter d (distinct
-    eigenvalues minus one); else NotDistanceRegular with the witness."""
+def _drg_scheme(g: Graph, dd: DistanceData) -> AssociationScheme:
+    """The distance scheme of g, which must validate; else NotDistanceRegular with the witness."""
     rm = RelationMatrix(n=g.n, d=dd.diameter, rel=dd.dist)
     try:
-        s = build_scheme(rm)
+        return build_scheme(rm)
     except SchemeValidationError as e:
         raise NotDistanceRegular(str(e)) from e
-    if dd.diameter != d:
-        raise NotDistanceRegular(f"distance partition validates but diameter {dd.diameter} != d {d}")
-    return s
 
 
 class SpectralExcessReport:
@@ -228,8 +225,8 @@ def spectral_excess_report(g: Graph) -> SpectralExcessReport:
 
     Both the arithmetic and the harmonic mean of the excesses are reported as
     evidence; the distance-regularity verdict itself comes from validating the
-    distance partition as a scheme (and checking diameter = d), never from the
-    spectral comparison alone.
+    distance partition as a scheme, never from the spectral comparison.  A
+    validated partition whose diameter is not d raises SpectrumSanityFailure.
     """
     if g.n < 2:
         raise TooFewVertices(f"n = {g.n}: a distance partition needs at least 2 vertices")
@@ -241,10 +238,15 @@ def spectral_excess_report(g: Graph) -> SpectralExcessReport:
     mean = float(exc.mean())
     harm = float(g.n / (1.0 / exc).sum())
     try:
-        _drg_scheme(g, dd, d)
-        witness = None
+        _drg_scheme(g, dd)
     except NotDistanceRegular as e:
         witness = str(e)
+    else:  # g is distance-regular, so it has diameter + 1 distinct eigenvalues
+        witness = None
+        if dd.diameter != d:
+            raise SpectrumSanityFailure(
+                f"the distance partition validates, so diameter {dd.diameter} needs "
+                f"{dd.diameter + 1} distinct eigenvalues, but {d + 1} were found")
     return SpectralExcessReport(
         n=g.n, degree=g.degrees[0], diameter=dd.diameter, d=d, pd_theta0=pd0,
         excess=dd.excess, excess_mean=mean, excess_harmonic_mean=harm,
@@ -254,4 +256,4 @@ def spectral_excess_report(g: Graph) -> SpectralExcessReport:
 
 def scheme_from_drg(g: Graph) -> AssociationScheme:
     """The metric scheme of a distance-regular graph (relation i = distance i)."""
-    return _drg_scheme(g, distance_data(g), graph_spectrum(g).d)
+    return _drg_scheme(g, distance_data(g))

@@ -6,8 +6,9 @@ by A_i on the (d+1)-dimensional adjacency algebra.  Conjugating B_i by
 diag(sqrt(k)) turns the whole family into commuting *symmetric* matrices, so
 everything reduces to eigh plus eigenspace refinement: diagonalize the first
 matrix, then split any degenerate eigenspace with the next one, and so on.
-Of the Krein parameters only the slab q^k_{1j} that the dual chain reads is
-computed, in closed form from P.
+Q comes from P and the multiplicities, and P Q = nI checks that P's rows are
+orthogonal.  Of the Krein parameters only the slab q^k_{1j} that the dual
+chain reads is computed, in closed form from P.
 
 A Spectrum of distinct theta gives kappa, matched against Q, and the
 predistance polynomials, whose p_d is matched against P.  Under the inner
@@ -23,11 +24,9 @@ closed form, which spectral_excess computes without the recurrence.
 
 from __future__ import annotations
 
-from functools import cached_property
-
 import numpy as np
 
-from .scheme_core import AssociationScheme, IntersectionTensor
+from .scheme_core import AssociationScheme, FrozenRecord, IntersectionTensor
 
 #: two computed eigenvalues count as equal when their gap is at most this,
 #: relative to max(1, spectral radius); read only by eigen_groups
@@ -52,15 +51,21 @@ class NumericalBreakdown(RuntimeError):
     """Gram-Schmidt norm collapsed; the spectrum is numerically degenerate."""
 
 
-class Spectrum:
-    """Eigenvalues theta_0 > ... > theta_d with positive multiplicities, m_0 = 1.
+class Spectrum(FrozenRecord):
+    """Eigenvalues theta_0 > ... > theta_d with positive multiplicities, m_0 = 1, and kappa.
 
-    No ``__slots__``: the cached kappa lives in the instance dict.
+    kappa[h] = prod_{j=1..d, j != h} (theta_0 - theta_j) / (theta_h - theta_j), kappa[0] = 1,
+    is (-1)^(h-1) pi_0 / pi_h with pi_h = prod_{j != h} |theta_h - theta_j|.  The pi_h
+    leave float64's range near d = 600, so they are summed as logs from one (d+1)^2
+    table of gaps, and log_kappa[h] = log pi_0 - log pi_h = log |kappa_h| is kept; a
+    kappa past float64's range is inf.  Every array is a read-only copy.
     """
 
+    __slots__ = ("theta", "m", "n", "kappa", "log_kappa")
+
     def __init__(self, theta: np.ndarray, m: np.ndarray, n: int):
-        theta = np.asarray(theta, dtype=float)
-        m = np.asarray(m, dtype=float)
+        theta = np.array(theta, dtype=float)
+        m = np.array(m, dtype=float)
         if theta.ndim != 1 or theta.shape != m.shape or theta.size < 1:
             raise ValueError("theta and m must be 1-d arrays of equal positive length")
         # NaN passes every comparison below as False, and inf breaks kappa
@@ -78,37 +83,25 @@ class Spectrum:
             raise ValueError(f"m_0 = {m[0]} but the top eigenvalue must be simple")
         if abs(m.sum() - n) > 1e-6 * max(1.0, n):
             raise ValueError(f"multiplicities sum to {m.sum()}, expected n = {n}")
-        self.theta = theta
-        self.m = m
-        self.n = n
+        log_gaps = np.subtract.outer(theta, theta)  # the one (d+1)^2 array, updated in place
+        np.abs(log_gaps, out=log_gaps)
+        np.fill_diagonal(log_gaps, 1.0)
+        log_pi = np.log(log_gaps, out=log_gaps).sum(axis=1)
+        log_kappa = log_pi[0] - log_pi  # log_kappa[0] = 0 exactly, so kappa[0] = 1
+        with np.errstate(over="ignore"):
+            kappa = np.exp(log_kappa)
+        kappa[2::2] *= -1.0
+        for a in (theta, m, kappa, log_kappa):
+            a.flags.writeable = False
+        object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "kappa", kappa)
+        object.__setattr__(self, "log_kappa", log_kappa)
 
     @property
     def d(self) -> int:
         return self.theta.size - 1
-
-    @cached_property
-    def kappa(self) -> np.ndarray:
-        """kappa[i] = prod_{j=1..d, j != i} (theta_0 - theta_j) / (theta_i - theta_j); kappa[0] = 1.
-
-        Each pass over j updates every i, in the order of a scalar loop over j.
-        Entries 0 and j take the factor (theta_0 - theta_j) / (theta_0 - theta_j),
-        which is exactly 1, so one multiply covers the rest.  The products leave
-        float64's range near d = 600, so each pass moves their exponents into an
-        integer; that rescaling is exact and keeps the loop's roundings.
-        """
-        th = self.theta
-        out = np.ones(th.size)
-        exponent = np.zeros(th.size, dtype=np.int64)
-        for j in range(1, th.size):
-            num = th[0] - th[j]
-            den = th - th[j]
-            den[j] = num
-            out *= num / den
-            out, e = np.frexp(out)
-            exponent += e
-        out = np.ldexp(out, exponent)
-        out.flags.writeable = False
-        return out
 
 
 class SpectralData:
@@ -195,8 +188,8 @@ def _split_blocks(mats):
 def spectral_data(t: IntersectionTensor) -> SpectralData:
     """Compute P, Q, theta and the multiplicities from the intersection tensor.
 
-    Raises EigenSplitFailure if the eigenstructure cannot be separated or the
-    resulting multiplicities/Q fail their exact identities beyond tolerance.
+    Raises EigenSplitFailure if the eigenstructure cannot be separated, or the
+    multiplicities or P Q = nI fail beyond tolerance.
     """
     n, d = t.n, t.d
     k = t.valencies.astype(float)
@@ -240,22 +233,19 @@ def spectral_data(t: IntersectionTensor) -> SpectralData:
             f"multiplicities {m} do not round to positive integers summing to {n}"
         )
 
-    nI = n * np.eye(d + 1)
-    Q = np.linalg.solve(P, nI)
-    pq_resid = float(np.abs(P @ Q - nI).max())
+    # Q_i(l) = m_i P_l(i) / k_l (Bannai-Ito 1984), so P Q = n I measures the
+    # orthogonality of P's rows
+    Q = (P.T * m) / k[:, None]
+    pq_resid = float(np.abs(P @ Q - n * np.eye(d + 1)).max())
     if pq_resid > 1e-7 * n:
         raise EigenSplitFailure(f"P Q = nI fails (residual {pq_resid:.3e})")
-    # cross-check against Q_i(l) = m_i P_l(i) / k_l, entrywise
-    Q_alt = (P.T * m[None, :]) / k[:, None]
-    if np.abs(Q - Q_alt).max() > 1e-6 * max(1.0, np.abs(Q).max()):
-        raise EigenSplitFailure("Q disagrees with m_i P_l(i)/k_l")
 
     theta = P[:, 1].copy()
     # P's rows hold the same d+1 theta, so the groups of their ascending order stand
     tied = [b for a, b in groups if b - a > 1]
     tie = (d + 1 - tied[-1], d + 2 - tied[-1]) if tied else None
     # no tie: singleton groups, so theta falls strictly from k_1 and Spectrum accepts it
-    spectrum = Spectrum(theta=theta.copy(), m=m.copy(), n=n) if tie is None else None
+    spectrum = Spectrum(theta=theta, m=m, n=n) if tie is None else None
     return SpectralData(
         n=n, d=d, valencies=t.valencies.copy(),
         P=P, Q=Q, theta=theta, multiplicities=m, tie=tie, spectrum=spectrum,
@@ -315,15 +305,11 @@ def spectral_excess(sp: Spectrum) -> float:
 
     kappa_h = -m_h p_d(theta_h) / p_d(theta_0) and <p_d, p_d> = p_d(theta_0)
     give this closed form (Fiol and Garriga, J. Combin. Theory Ser. B 71
-    (1997); van Dam, Electron. J. Combin. 15 (2008) R129).  The pi_h leave
-    float64's range at large d, so the sum is taken in log space; a value far
-    below that range (about 1e-1060 for a random 12-regular graph on 729
-    vertices, d = 728) comes out as 0.0.
+    (1997); van Dam, Electron. J. Combin. 15 (2008) R129).  The sum is taken in
+    log space from sp.log_kappa = log(pi_0 / pi_h); a value far below float64's
+    range (about 1e-1060 for a random 12-regular graph on 729 vertices,
+    d = 728) comes out as 0.0.
     """
-    log_gaps = np.subtract.outer(sp.theta, sp.theta)  # the one (d+1)^2 array, updated in place
-    np.abs(log_gaps, out=log_gaps)
-    np.fill_diagonal(log_gaps, 1.0)
-    log_pi = np.log(log_gaps, out=log_gaps).sum(axis=1)
-    e = 2 * log_pi[0] - np.log(sp.m) - 2 * log_pi
+    e = 2 * sp.log_kappa - np.log(sp.m)
     top = e.max()
     return float(sp.n * np.exp(-top - np.log(np.exp(e - top).sum())))

@@ -10,10 +10,10 @@ so tests only run them on small or mid-sized schemes.
 The loop references come next: the forms the library had before it moved
 to whole (d+1)-arrays.  They are spectral_data's per-row bookkeeping with
 its Python sort key, the per-slab Krein parameters and intersection-tensor
-checks, the breadth-first walks by np.flatnonzero, and kappa's two-slice
-loop.  Tests hold the library to them bit for bit, and to the loop checks'
-failure messages.  The library computes only Krein slab 1, so the slab loop
-is also the dense q[k, i, j] on which the tests assert the Krein conditions.
+checks, and the breadth-first walks by np.flatnonzero.  Tests hold the
+library to them bit for bit, and to the loop checks' failure messages.  The
+library computes only Krein slab 1, so the slab loop is also the dense
+q[k, i, j] on which the tests assert the Krein conditions.
 Three more are forms the library had before: the intersection tensor
 counted at representatives found by sorting all n^2 relation entries,
 Graph.from_edges one pair at a time, and the file reader that turned every
@@ -242,13 +242,10 @@ def spectral_data_loop(t) -> SpectralData:
         raise EigenSplitFailure(
             f"multiplicities {m} do not round to positive integers summing to {n}"
         )
-    Q = np.linalg.solve(P, n * np.eye(d + 1))
+    Q = (P.T * m) / k[:, None]
     pq_resid = float(np.abs(P @ Q - n * np.eye(d + 1)).max())
     if pq_resid > 1e-7 * n:
         raise EigenSplitFailure(f"P Q = nI fails (residual {pq_resid:.3e})")
-    Q_alt = (P.T * m[None, :]) / k[:, None]
-    if np.abs(Q - Q_alt).max() > 1e-6 * max(1.0, np.abs(Q).max()):
-        raise EigenSplitFailure("Q disagrees with m_i P_l(i)/k_l")
 
     theta = P[:, 1].copy()
     tied = [b for a, b in eigen_groups(np.sort(theta)) if b - a > 1]
@@ -356,19 +353,6 @@ def nstar_sets_loop(t, sd) -> tuple:
             f"theta_0 = {sd.theta[0]:g} is shared (rows {near} by the float data)"
         )
     return tuple(frozenset(j for j, f in enumerate(first) if f == h) for h in range(d + 1))
-
-
-def kappa_loop(theta) -> np.ndarray:
-    """Spectrum.kappa with two slices per j, around the entries 0 and j it leaves alone."""
-    th = np.asarray(theta, dtype=float)
-    out = np.ones(th.size)
-    exponent = np.zeros(th.size, dtype=np.int64)
-    for j in range(1, th.size):
-        for part in (slice(1, j), slice(j + 1, None)):
-            out[part] *= (th[0] - th[j]) / (th[part] - th[j])
-        out, e = np.frexp(out)
-        exponent += e
-    return np.ldexp(out, exponent)
 
 
 def tensor_from_representatives_full(rel, d) -> np.ndarray:

@@ -14,7 +14,7 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from schemex import cli
+from schemex import cli, graph_tools
 from schemex.cli import (
     EXIT_DISAGREE,
     EXIT_INVALID,
@@ -25,7 +25,7 @@ from schemex.cli import (
     main,
 )
 from schemex.detect import MultipleL, RouteDisagreement
-from schemex.spectral import EigenSplitFailure, NumericalBreakdown
+from schemex.spectral import EigenSplitFailure, NumericalBreakdown, Spectrum
 from schemex.families import FAMILIES, FamilySpec, generate
 
 from nxn_reference import adjacency
@@ -562,6 +562,17 @@ class TestExitCodes:
         assert main(["graph", path]) == EXIT_DISAGREE
         assert capsys.readouterr() == (
             "ANALYSIS FAILURE: SpectrumSanityFailure: sum m theta^2 = 30.0601 but n k = 30\n", "")
+
+    def test_a_drg_with_a_miscounted_spectrum(self, monkeypatch, capsys, edge_file):
+        # Petersen's distance partition validates, so its 4 eigenvalues here are a
+        # miscount, not evidence against distance-regularity
+        path = edge_file("petersen", 10, _petersen_edges())
+        wrong = Spectrum(theta=[3.0, 1.0, -1.0, -2.0], m=[1.0, 4.0, 1.0, 4.0], n=10)
+        monkeypatch.setattr(graph_tools, "graph_spectrum", lambda g: wrong)
+        assert main(["graph", path]) == EXIT_DISAGREE
+        assert capsys.readouterr() == (
+            "ANALYSIS FAILURE: SpectrumSanityFailure: the distance partition validates, so "
+            "diameter 2 needs 3 distinct eigenvalues, but 4 were found\n", "")
 
     def test_distinct(self):
         codes = [EXIT_OK, EXIT_PARSE, EXIT_INVALID, EXIT_NO,

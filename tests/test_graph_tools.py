@@ -22,6 +22,7 @@ from schemex.graph_tools import (
     spectral_excess_report,
 )
 from schemex.scheme_core import _FLOAT32_EXACT
+from schemex.spectral import Spectrum
 
 from nxn_reference import adjacency, from_edges_loop, krein_expansion
 
@@ -422,12 +423,17 @@ class TestSchemeFromDrg:
         fam = generate(FamilySpec("hamming", (8, 2)))
         assert np.array_equal(s.tensor.p, fam.tensor.p)
 
-    def test_a_validating_partition_of_another_diameter_raises(self):
-        # no graph reaches this: a distance-regular graph has diameter d
-        g = _cycle_graph(7)
-        with pytest.raises(NotDistanceRegular) as exc:
-            graph_tools._drg_scheme(g, distance_data(g), 4)
-        assert str(exc.value) == "distance partition validates but diameter 3 != d 4"
+    def test_a_validating_partition_of_another_diameter_raises(self, monkeypatch):
+        # no graph reaches this: a distance-regular graph has diameter d, so a validated
+        # partition of diameter 3 beside 5 eigenvalues means the spectrum is miscounted
+        wrong = Spectrum(theta=[2.0, 1.0, 0.0, -1.0, -2.0], m=[1.0, 1.0, 1.0, 2.0, 2.0], n=7)
+        monkeypatch.setattr(graph_tools, "graph_spectrum", lambda g: wrong)
+        with pytest.raises(SpectrumSanityFailure) as exc:
+            spectral_excess_report(_cycle_graph(7))
+        assert str(exc.value) == (
+            "the distance partition validates, so diameter 3 needs 4 distinct eigenvalues, "
+            "but 5 were found")
+        assert scheme_from_drg(_cycle_graph(7)).d == 3  # validation alone reads no spectrum
 
     def test_a_distance_past_the_stored_index_range_is_refused_not_wrapped(self):
         # no graph reaches this: diameter 65536 needs n > 131072 vertices, whose
@@ -439,7 +445,7 @@ class TestSchemeFromDrg:
         dd = DistanceData(dist=dist, diameter=65536, gamma_counts=counts,
                           eccentricity=np.full(2, 65536), excess=np.ones(2, dtype=np.int64))
         with pytest.raises(ValueError) as exc:
-            graph_tools._drg_scheme(g, dd, 1)
+            graph_tools._drg_scheme(g, dd)
         assert type(exc.value) is ValueError
         assert str(exc.value) == "relation index 65536 exceeds 65535, the largest index stored"
 

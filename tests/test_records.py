@@ -22,7 +22,8 @@ from schemex.graph_tools import (
 from schemex.scheme_core import AssociationScheme, IntersectionTensor, RelationMatrix
 from schemex.spectral import SpectralData, Spectrum
 
-FROZEN = {RelationMatrix, IntersectionTensor, AssociationScheme, RouteVerdict, Graph, FamilySpec}
+FROZEN = {RelationMatrix, IntersectionTensor, AssociationScheme, Spectrum, RouteVerdict, Graph,
+          FamilySpec}
 BY_VALUE = {RouteVerdict, FamilySpec}
 
 # class -> its constructor's parameters, in order
@@ -69,6 +70,7 @@ def _same(x, y):
 def test_record_contract(records, cls):
     obj = records[cls]
     assert type(obj) is cls
+    assert not hasattr(obj, "__dict__"), "every record keeps its fields in __slots__"
     assert tuple(inspect.signature(cls).parameters) == FIELDS[cls]
     for name in FIELDS[cls]:
         value = getattr(obj, name)

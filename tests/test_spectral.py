@@ -105,7 +105,7 @@ def _mix_the_valency_column(V):
 
 def _turn_below_the_top(V):
     # column 0 keeps its norm and top entry, so its multiplicity n V[0, 0]^2 stays 2, but
-    # it is no longer orthogonal to the others
+    # it is no longer orthogonal to the others, and P Q = n I measures that orthogonality
     W = V.copy()
     W[1:, 0] = _turn(0.5) @ V[1:, 0]
     return W
@@ -137,7 +137,7 @@ class TestSpectralDataGuards:
         (_unit_vectors, "eigenvector with vanishing identity coordinate"),
         (_mix_the_valency_column, "no computed row matches the valency row"),
         (_near_copy, r"P Q = nI fails \(residual "),
-        (_turn_below_the_top, r"Q disagrees with m_i P_l\(i\)/k_l"),
+        (_turn_below_the_top, r"P Q = nI fails \(residual "),
     ])
     def test_bent_eigenvectors(self, monkeypatch, bend, message):
         found = spectral._split_blocks
@@ -162,6 +162,19 @@ def test_pq_identity_and_integrality(scheme_corpus):
         rounded = np.round(sd.multiplicities)
         assert np.abs(sd.multiplicities - rounded).max() <= 1e-6, name
         assert int(rounded.sum()) == n, name
+
+
+def test_q_from_multiplicities_is_n_times_the_inverse_of_p(scheme_corpus):
+    # Q_i(l) = m_i P_l(i) / k_l; a solve of P Q = n I is a second way to the same Q
+    ladder = [("hamming", (6, 3)), ("johnson", (12, 4)), ("cycle", (44,)), ("cycle", (100,)),
+              ("cycle", (200,)), ("hamming", (10, 2))]
+    tensors = [(name, s.tensor) for name, s, _ in scheme_corpus]
+    tensors += [(f"{fam}{par}", generate(FamilySpec(fam, par)).tensor) for fam, par in ladder]
+    tensors.append(("cycle(2000)", array_slabs(*intersection_array("cycle", 2000))))
+    for name, t in tensors:
+        sd = spectral_data(t)
+        ref = np.linalg.solve(sd.P, t.n * np.eye(t.d + 1))
+        assert np.abs(sd.Q - ref).max() <= 1e-9 * np.abs(sd.Q).max(), name
 
 
 class TestIdempotents:

@@ -4,7 +4,6 @@ and every tolerance is a module constant with one reader."""
 from __future__ import annotations
 
 import ast
-import functools
 import importlib
 import inspect
 import pkgutil
@@ -72,9 +71,6 @@ def test_analyze_decides_the_spectrum_once(monkeypatch, cycle_scheme):
     groups = counted("eigen_groups", eigen_groups)
     for modname in ("schemex.spectral", "schemex.detect"):
         monkeypatch.setattr(importlib.import_module(modname), "eigen_groups", groups)
-    kappa = functools.cached_property(counted("kappa", Spectrum.__dict__["kappa"].func))
-    kappa.__set_name__(Spectrum, "kappa")
-    monkeypatch.setattr(Spectrum, "kappa", kappa)
     # Krein is one call; M* is one call per i = 1..d
     detect = importlib.import_module("schemex.detect")
     for name in ("mstar_decomposition_residual", "krein_parameters"):
@@ -82,9 +78,11 @@ def test_analyze_decides_the_spectrum_once(monkeypatch, cycle_scheme):
 
     a = analyze(s)
     assert a.report.status == "yes" and s.d == 50
-    # eigen_groups: split S_1, then one grouping of theta for the sort key and the tie
-    assert counts == {"Spectrum": 1, "eigen_groups": 2, "kappa": 1,
+    # eigen_groups: split S_1, then one grouping of theta for the sort key and the tie;
+    # kappa is a field that only Spectrum.__init__ sets, so it too is computed once
+    assert counts == {"Spectrum": 1, "eigen_groups": 2,
                       "mstar_decomposition_residual": 50, "krein_parameters": 1}
+    assert "kappa" in Spectrum.__slots__ and not a.spectral.spectrum.kappa.flags.writeable
 
 
 def test_no_tolerance_knobs():

@@ -16,8 +16,12 @@ tree runs every case through ``schemex.cli.main`` in that directory:
 parameters.  Together the cases exit 0, 1, 2, 3 and 4.
 
 Every difference in exit code, stdout, stderr or JSON bytes is printed, one
-line each, then their count; the exit status is 1 if there is any.  The
-parent process uses the standard library only.
+line each, then their count; the exit status is 1 if there is any.  A JSON
+report is named by the key paths whose values differ, such as
+``residuals.mstar_max`` or ``Q[3][7]``: per key, the first such path and the
+count of the others.  Any other output, or a report that does not parse or
+differs only in its bytes, is named by its first differing line.  The parent
+process uses the standard library only.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tarfile
@@ -172,14 +177,47 @@ def _first_difference(a, b) -> str:
     return f"line {i + 1}: base {x[:120]!r}, change {y[:120]!r}"
 
 
+def _differing_paths(a, b, path: str) -> list:
+    """The key paths, like ``residuals.mstar_max`` or ``Q[3][7]``, where two JSON values differ."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        paths = []
+        for key in sorted(a.keys() | b.keys()):
+            sub = f"{path}.{key}" if path else key
+            paths += _differing_paths(a[key], b[key], sub) if key in a and key in b else [sub]
+        return paths
+    if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        return [p for i, (x, y) in enumerate(zip(a, b)) for p in _differing_paths(x, y, f"{path}[{i}]")]
+    return [] if type(a) is type(b) and a == b else [path or "<root>"]
+
+
+def _json_difference(a, b) -> str | None:
+    """Where two JSON reports differ: "at " and, per key, the first differing path under it
+    and how many more; None if either side does not parse or the values agree."""
+    try:
+        paths = _differing_paths(json.loads(a), json.loads(b), "")
+    except (TypeError, ValueError):  # a side without a report, or one that does not parse
+        return None
+    if not paths:
+        return None
+    under = {}  # the path with its list indices dropped -> the paths under it
+    for path in paths:
+        under.setdefault(re.sub(r"\[\d+\]", "", path), []).append(path)
+    return "at " + ", ".join(
+        group[0] if len(group) == 1 else f"{group[0]} and {len(group) - 1} more under {key}"
+        for key, group in under.items())
+
+
 def compare(base: dict, change: dict) -> list:
     """One line per (case, stream) whose outputs differ."""
     lines = []
     for name in base:
         for key in ("exit", "stdout", "stderr", "json"):
             a, b = base[name][key], change[name][key]
-            if a != b:
-                lines.append(f"{name}: {key} differs, {_first_difference(a, b)}")
+            if a == b:
+                continue
+            how = _json_difference(a, b) if key == "json" else None
+            lines.append(f"{name}: {key} differs {how}" if how
+                         else f"{name}: {key} differs, {_first_difference(a, b)}")
     return lines
 
 
