@@ -128,9 +128,9 @@ class DetectionReport:
 def _band_violation(mat, order, thr):
     """The first entry, row-major in ``order``, off the band pattern; NaN is always off."""
     m = len(order)
-    idx = np.asarray(order)
-    R = mat[np.ix_(idx, idx)]
-    gap = np.abs(np.subtract.outer(np.arange(m), np.arange(m)))
+    R = mat.take(order, axis=0).take(order, axis=1)
+    r = np.arange(m)
+    gap = np.abs(r[:, None] - r)
     bad = np.flatnonzero(((gap >= 2) & ~(np.abs(R) <= thr)) | ((gap == 1) & ~(R > thr)))
     if not bad.size:
         return None
@@ -174,19 +174,20 @@ def nstar_sets(t: IntersectionTensor, sd: SpectralData) -> tuple:
     """
     d = t.d
     out = (t.slab(1) > 0).T.tolist()  # out[j][k]: p^k_{1j} > 0
-    first = [None] * (d + 1)
-    first[0] = 0
+    seen = [True] + [False] * d
+    levels = []  # levels[h]: the breadth-first frontier at distance h
     frontier = [0]
     while frontier:
+        levels.append(frozenset(frontier))
         reached = []
         for j in frontier:
             for k, on in enumerate(out[j]):
-                if on and first[k] is None:
-                    first[k] = first[j] + 1
+                if on and not seen[k]:
+                    seen[k] = True
                     reached.append(k)
         frontier = reached
-    if any(f is None for f in first):
-        unreached = [j for j, f in enumerate(first) if f is None]
+    if not all(seen):
+        unreached = [j for j, f in enumerate(seen) if not f]
         order = np.argsort(sd.theta)
         group = next(order[a:b] for a, b in eigen_groups(sd.theta[order]) if 0 in order[a:b])
         near = sorted(int(j) for j in group if j != 0)
@@ -194,9 +195,7 @@ def nstar_sets(t: IntersectionTensor, sd: SpectralData) -> tuple:
             f"relations {unreached} never appear in powers of A_1 up to d = {d}; "
             f"theta_0 = {sd.theta[0]:g} is shared (rows {near} by the float data)"
         )
-    return tuple(
-        frozenset(j for j, f in enumerate(first) if f == h) for h in range(d + 1)
-    )
+    return (*levels, *[frozenset()] * (d + 1 - len(levels)))
 
 
 def _match_columns(values, targets):
@@ -304,7 +303,7 @@ def mstar_decomposition_residual(t: IntersectionTensor, sd: SpectralData, i: int
     js = [j for j in range(1, t.d + 1) if j != i]
     for pos in _bit_reversed(len(js)):
         j = js[pos]
-        c = (B1 @ c - th[j] * c) / (th[i] - th[j])
+        c = (B1.dot(c) - th[j] * c) / (th[i] - th[j])  # B1 @ c, with less dispatch
     return float(np.abs(c - sd.spectrum.kappa[i] / sd.n - sd.Q[:, i] / sd.n).max())
 
 
@@ -403,12 +402,15 @@ def analyze(s: AssociationScheme) -> Analysis:
 
     mstar_max = None
     if sd.spectrum is not None:
+        # each residual relative to the size of kappa_i E_0 + E_i, the matrix it checks
+        kappa = sd.spectrum.kappa.tolist()
         mstar_max = max(
-            mstar_decomposition_residual(t, sd, i) for i in range(1, t.d + 1)
+            mstar_decomposition_residual(t, sd, i) / max(1.0, abs(kappa[i]) / sd.n)
+            for i in range(1, t.d + 1)
         )
 
     report = DetectionReport(
-        n=t.n, d=t.d, valencies=tuple(int(v) for v in t.valencies),
+        n=t.n, d=t.d, valencies=tuple(t.valencies.tolist()),
         tridiagonal=tri, nstar=nstar_v, excess=excess_v, predistance=pred_v,
         q_poly=qv, consensus=consensus, preconditions_ok=preconditions_ok,
         ordering=ordering, l=l,

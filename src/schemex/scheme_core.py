@@ -153,9 +153,9 @@ class RelationMatrix(FrozenRecord):
 
 class IntersectionTensor(FrozenRecord):
     """All p^k_{ij} as a (d+1)^3 integer array, indexed p[k, i, j]: all that analysis reads,
-    one slab B_i at a time (:meth:`slab`)."""
+    one slab B_i at a time (:meth:`slab`).  ``n`` is the number of points, sum_i k_i."""
 
-    __slots__ = ("d", "p")
+    __slots__ = ("d", "p", "n")
 
     def __init__(self, d: int, p: np.ndarray):
         p = np.ascontiguousarray(np.asarray(p, dtype=np.int64))
@@ -170,11 +170,11 @@ class IntersectionTensor(FrozenRecord):
         step = slab_step(d)
         for a in range(0, m, step):
             blk = p[a:a + step]
-            if not np.array_equal(blk, blk.transpose(0, 2, 1)):
+            if not (blk == blk.transpose(0, 2, 1)).all():
                 raise ValueError("p^k_{ij} != p^k_{ji}; input is not a symmetric scheme")
-        if not np.array_equal(p[0], np.diag(k)):
+        if np.count_nonzero(p[0]) != np.count_nonzero(k):  # nonzero off the diagonal k
             raise ValueError("p^0_{ij} must equal delta_{ij} k_i; input is not a scheme")
-        if not np.array_equal(p[:, 0, :], np.eye(m, dtype=np.int64)):
+        if not (p[:, 0, :] == np.eye(m, dtype=np.int64)).all():
             raise ValueError("p^k_{0j} must equal delta_{kj}; input is not a scheme")
         # kb[i, c, j] = k_c p^c_{ij}: its column sums are sum_k p^k_{ij} k_k = k_i k_j, and
         # k_k p^k_{ij} = k_j p^j_{ik} (Bannai-Ito 1984) makes each kb[i] symmetric, so
@@ -184,19 +184,19 @@ class IntersectionTensor(FrozenRecord):
         for a in range(0, m, step):
             blk = kb[:min(step, m - a)]
             np.multiply(k[None, :, None], p[:, a:a + step, :].transpose(1, 0, 2), out=blk)
-            sums_bad = (blk.sum(axis=1) != k[a:a + step, None] * k).any(axis=1)
-            asym = (blk != blk.transpose(0, 2, 1)).any(axis=(1, 2))
-            bad = np.flatnonzero(sums_bad | asym)
-            if bad.size:
-                if sums_bad[bad[0]]:
+            sums_bad = blk.sum(axis=1) != k[a:a + step, None] * k
+            bad = sums_bad[:, None, :] | (blk != blk.transpose(0, 2, 1))
+            if bad.any():
+                i = a + int(bad.any(axis=(1, 2)).argmax())
+                if sums_bad[i - a].any():
                     raise ValueError("sum_k p^k_{ij} k_k != k_i k_j; input is not a scheme")
-                i = a + int(bad[0])
                 raise ValueError(f"k_k p^k_{{{i}j}} != k_j p^j_{{{i}k}}; not a symmetric scheme")
         if k.min() < 1:
             raise ValueError(f"k_{int(np.argmin(k))} = 0: every class must be nonempty")
         p.flags.writeable = False
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "p", p)
+        object.__setattr__(self, "n", int(k.sum()))
 
     def slab(self, i: int) -> np.ndarray:
         """B_i = p[:, i, :], indexed [k, j]: a read-only view of p, the only way any
@@ -207,11 +207,6 @@ class IntersectionTensor(FrozenRecord):
     def valencies(self) -> np.ndarray:
         """k_i = p^0_{ii}."""
         return self.p[0].diagonal()
-
-    @property
-    def n(self) -> int:
-        """Number of points, n = sum_i k_i."""
-        return int(self.valencies.sum())
 
 
 class AssociationScheme(FrozenRecord):
@@ -288,11 +283,11 @@ def _check_product_group(rel, p, a_i, i, j0, j1, base):
     # its indices to intp, which for all of rel at once is two more n^2 arrays
     w = np.empty((n, n), dtype=np.float32)
     for b in blocks:
-        np.take(weights, rel[b], out=w[b], mode="clip")
+        weights.take(rel[b], out=w[b], mode="clip")
     M = a_i @ w
     del w
     for b in blocks:
-        if not (M[b] == np.take(expected, rel[b], mode="clip")).all():
+        if not (M[b] == expected.take(rel[b], mode="clip")).all():
             _raise_group_witness(rel, p, M, i, j0, j1, base)
 
 
@@ -409,18 +404,20 @@ def build_scheme(rm: RelationMatrix) -> AssociationScheme:
         raise ValueError(f"n = {n} points: float32 validation is exact only for n < 2**24")
 
     diag = rel.diagonal()
-    off = np.flatnonzero(diag != 0)
-    if off.size:
-        x = int(off[0])
+    if diag.any():
+        x = int(np.flatnonzero(diag)[0])
         raise DiagonalNotZero(x, int(diag[x]))
-    if not np.array_equal(rel, rel.T):
+    if not (rel == rel.T).all():
         x, y = np.argwhere(rel != rel.T)[0]
         raise NotSymmetric(int(x), int(y), int(rel[x, y]), int(rel[y, x]))
-    # rel.max() <= d; count only the indices that occur, never d + 1 of them
-    counts = np.bincount(rel.ravel())
-    absent = np.flatnonzero(counts == 0)
-    if absent.size or counts.size <= d:
-        raise MissingRelation(int(absent[0]) if absent.size else counts.size)
+    # row 0 of a scheme holds every class, so only otherwise are all n^2 indices counted;
+    # rel.max() <= d, so count only the indices that occur, never d + 1 of them
+    row0 = np.bincount(rel[0])
+    if row0.size <= d or not row0.all():
+        counts = np.bincount(rel.ravel())
+        absent = np.flatnonzero(counts == 0)
+        if absent.size or counts.size <= d:
+            raise MissingRelation(int(absent[0]) if absent.size else counts.size)
 
     p = _tensor_from_representatives(rel, d)
 
@@ -437,7 +434,7 @@ def build_scheme(rm: RelationMatrix) -> AssociationScheme:
         if greedy_chain(p[:, i, :] > 0, i)[0] is not None:
             break
     # last, so every other failure keeps its witness (the early stop assumed A_0 = I)
-    if counts[0] != n:
+    if np.count_nonzero(rel) != n * (n - 1):
         x, y = np.argwhere((rel == 0) & ~np.eye(n, dtype=bool))[0]
         raise ZeroOffDiagonal(int(x), int(y))
 

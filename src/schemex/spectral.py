@@ -24,6 +24,8 @@ closed form, which spectral_excess computes without the recurrence.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .scheme_core import AssociationScheme, FrozenRecord, IntersectionTensor
@@ -68,31 +70,31 @@ class Spectrum(FrozenRecord):
         m = np.array(m, dtype=float)
         if theta.ndim != 1 or theta.shape != m.shape or theta.size < 1:
             raise ValueError("theta and m must be 1-d arrays of equal positive length")
-        # NaN passes every comparison below as False, and inf breaks kappa
-        if not (np.isfinite(theta).all() and np.isfinite(m).all()):
+        # O(d) checks on Python floats; NaN passes every comparison as False, inf breaks kappa
+        th, ml = theta.tolist(), m.tolist()
+        if not all(map(math.isfinite, th + ml)):
             raise ValueError("theta and m must be finite")
-        gaps = np.diff(theta)
-        if np.any(gaps >= 0):
-            j = int(np.flatnonzero(gaps >= 0)[0])
+        j = next((j for j in range(len(th) - 1) if th[j + 1] >= th[j]), None)
+        if j is not None:
             raise DegenerateSpectrum(
                 f"theta_{j} = {theta[j]!r} is not strictly above theta_{j + 1} = {theta[j + 1]!r}"
             )
-        if m.min() <= 0:
+        if min(ml) <= 0:
             raise ValueError("multiplicities must be positive")
-        if abs(m[0] - 1.0) > 1e-6:
+        if abs(ml[0] - 1.0) > 1e-6:
             raise ValueError(f"m_0 = {m[0]} but the top eigenvalue must be simple")
         if abs(m.sum() - n) > 1e-6 * max(1.0, n):
             raise ValueError(f"multiplicities sum to {m.sum()}, expected n = {n}")
         log_gaps = np.subtract.outer(theta, theta)  # the one (d+1)^2 array, updated in place
         np.abs(log_gaps, out=log_gaps)
-        np.fill_diagonal(log_gaps, 1.0)
+        log_gaps.flat[::theta.size + 1] = 1.0  # the diagonal
         log_pi = np.log(log_gaps, out=log_gaps).sum(axis=1)
         log_kappa = log_pi[0] - log_pi  # log_kappa[0] = 0 exactly, so kappa[0] = 1
         with np.errstate(over="ignore"):
             kappa = np.exp(log_kappa)
         kappa[2::2] *= -1.0
         for a in (theta, m, kappa, log_kappa):
-            a.flags.writeable = False
+            a.setflags(write=False)
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "n", n)
@@ -201,34 +203,39 @@ def spectral_data(t: IntersectionTensor) -> SpectralData:
     # built when _split_blocks reads it; a simple spectrum stops after S_1.
     scaled = ((sq[:, None] * t.slab(i)) / sq[None, :] for i in range(1, d + 1))
     U = sq[:, None] * _split_blocks((S + S.T) / 2.0 for S in scaled)
-    if (np.abs(U[0]) < 1e-12 * np.linalg.norm(U, axis=0)).any():
+    if (np.abs(U[0]) < 1e-12 * np.sqrt((U * U).sum(axis=0))).any():  # U[0] vs column norms
         raise EigenSplitFailure("eigenvector with vanishing identity coordinate")
     rows = (U / U[0]).T
 
     # one row must be the (exactly known) valency row; pin it to index 0
     dists = np.abs(rows - k).max(axis=1)
-    j0 = int(np.argmin(dists))
+    j0 = int(dists.argmin())
     if dists[j0] > 1e-6 * max(1.0, k.max()):
         raise EigenSplitFailure("no computed row matches the valency row")
     rest = rows[np.arange(d + 1) != j0]
     mults = n / (rest * rest / k).sum(axis=1)
 
     # one grouping of all d+1 theta, the valency row's k_1 among them, gives both
-    # the sort key (every theta of a cluster keyed by its smallest member) and the tie
+    # the tie and, on tied theta, the sort key (every theta of a cluster keyed by its
+    # smallest member); on distinct theta, -theta alone decides the order
     thetas = np.concatenate(([k[1]], rest[:, 1]))
-    order = np.argsort(thetas)
+    order = thetas.argsort()
     groups = eigen_groups(thetas[order])
-    snapped = np.empty_like(thetas)
-    for a, b in groups:
-        snapped[order[a:b]] = thetas[order[a]]
-    # sort by (-snapped, multiplicity, the row rounded to 9 places), stably;
-    # lexsort reads its last key first
-    keyed = np.lexsort((*np.round(rest, 9).T[::-1], mults, -snapped[1:]))
-    P = np.vstack([k, rest[keyed]])
-    m = np.concatenate(([n / k.sum()], mults[keyed]))
-    m_round = np.round(m)
-    m_resid = float(np.abs(m - m_round).max())
-    if m_resid > INTEGRALITY_TOL or m_round.min() < 1 or int(m_round.sum()) != n:
+    tied = [b for a, b in groups if b - a > 1]
+    if tied:
+        snapped = np.empty_like(thetas)
+        for a, b in groups:
+            snapped[order[a:b]] = thetas[order[a]]
+        # sort by (-snapped, multiplicity, the row rounded to 9 places), stably;
+        # lexsort reads its last key first
+        keyed = np.lexsort((*np.round(rest, 9).T[::-1], mults, -snapped[1:]))
+    else:
+        keyed = (-rest[:, 1]).argsort()
+    P = np.concatenate((k[None], rest[keyed]))
+    m = np.concatenate(((1.0,), mults[keyed]))  # m_0 = n / sum k = 1 exactly
+    ml = m.tolist()
+    m_resid = max(abs(x - round(x)) for x in ml)
+    if m_resid > INTEGRALITY_TOL or min(map(round, ml)) < 1 or sum(map(round, ml)) != n:
         raise EigenSplitFailure(
             f"multiplicities {m} do not round to positive integers summing to {n}"
         )
@@ -236,13 +243,14 @@ def spectral_data(t: IntersectionTensor) -> SpectralData:
     # Q_i(l) = m_i P_l(i) / k_l (Bannai-Ito 1984), so P Q = n I measures the
     # orthogonality of P's rows
     Q = (P.T * m) / k[:, None]
-    pq_resid = float(np.abs(P @ Q - n * np.eye(d + 1)).max())
+    PQ = P @ Q
+    PQ.ravel()[::d + 2] -= n  # P Q - n I, in place
+    pq_resid = float(np.abs(PQ).max())
     if pq_resid > 1e-7 * n:
         raise EigenSplitFailure(f"P Q = nI fails (residual {pq_resid:.3e})")
 
     theta = P[:, 1].copy()
     # P's rows hold the same d+1 theta, so the groups of their ascending order stand
-    tied = [b for a, b in groups if b - a > 1]
     tie = (d + 1 - tied[-1], d + 2 - tied[-1]) if tied else None
     # no tie: singleton groups, so theta falls strictly from k_1 and Spectrum accepts it
     spectrum = Spectrum(theta=theta, m=m, n=n) if tie is None else None
@@ -286,17 +294,19 @@ def predistance_polynomials(sp: Spectrum) -> np.ndarray:
     norms = np.zeros(d + 1)  # norms[i] = <p_i, p_i> = p_i(theta_0)
     values[0] = 1.0
     norms[0] = float(w.sum())
+    # x.dot(y) is the BLAS call of x @ y with less dispatch: it counts at small d
     for i in range(1, d + 1):
-        x = sp.theta * values[i - 1]
-        v = x.copy()
+        V, v = values[:i], sp.theta * values[i - 1]
+        floor = GS_BREAKDOWN_RTOL * float(w.dot(v * v))  # relative to ||theta p_{i-1}||^2
         for _ in range(2):  # classical pass + one re-orthogonalization pass
-            v -= (values[:i] @ (w * v) / norms[:i]) @ values[:i]
-        norm = float(w @ (v * v))
-        if norm < GS_BREAKDOWN_RTOL * float(w @ (x * x)):
+            v -= (V.dot(w * v) / norms[:i]).dot(V)
+        norm = float(w.dot(v * v))
+        if norm < floor:
             raise NumericalBreakdown(f"||q_{i}||^2 = {norm:.3e} collapsed during Gram-Schmidt")
         # rescale now (q_i(theta_0) / <q_i, q_i>): unnormalized rows overflow by degree ~300
-        values[i] = v[0] / norm * v
-        norms[i] = float(w @ (values[i] * values[i]))
+        v *= v[0] / norm
+        values[i] = v
+        norms[i] = float(w.dot(v * v))
     return values
 
 

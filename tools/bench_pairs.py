@@ -28,6 +28,7 @@ Standard library only.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import shutil
@@ -102,6 +103,24 @@ def pairs(base: Path, change: Path, args) -> None:
             print(summarize(m, b, c))
 
 
+@contextlib.contextmanager
+def parent_checkout(base: str, change: Path):
+    """The parent as a checkout: ``base`` itself when it is a directory, else a
+    ``git worktree`` of revision ``base`` of the repository at ``change``, removed on exit."""
+    if Path(base).is_dir():
+        yield Path(base).resolve()
+        return
+    with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
+        tree = Path(tmp) / "parent"
+        subprocess.run(["git", "-C", str(change), "worktree", "add", "--detach", str(tree),
+                        base], check=True, capture_output=True)
+        try:
+            yield tree
+        finally:
+            subprocess.run(["git", "-C", str(change), "worktree", "remove", "--force",
+                            str(tree)], check=False, capture_output=True)
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("base", help="git revision or checkout directory of the parent")
@@ -113,18 +132,8 @@ def main(argv=None) -> int:
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = ap.parse_args(argv)
     change = args.change.resolve()
-    if Path(args.base).is_dir():
-        pairs(Path(args.base).resolve(), change, args)
-        return 0
-    with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
-        tree = Path(tmp) / "parent"
-        subprocess.run(["git", "-C", str(change), "worktree", "add", "--detach", str(tree),
-                        args.base], check=True, capture_output=True)
-        try:
-            pairs(tree, change, args)
-        finally:
-            subprocess.run(["git", "-C", str(change), "worktree", "remove", "--force",
-                            str(tree)], check=False, capture_output=True)
+    with parent_checkout(args.base, change) as base:
+        pairs(base, change, args)
     return 0
 
 
