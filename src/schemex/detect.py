@@ -320,7 +320,8 @@ def q_polynomial_route(q1: np.ndarray, n: int) -> RouteVerdict:
 
 
 class Analysis:
-    """Everything detect computed along the way, for reporting."""
+    """Everything detect computed along the way, for reporting.  ``mstar_max`` is the largest
+    M* residual_i / max(1, |kappa_i| / n), relative to what it checks; None on tied theta."""
 
     __slots__ = ("report", "spectral", "krein_q1", "predistance_values", "mstar_max",
                  "pq_residual")
@@ -402,8 +403,7 @@ def analyze(s: AssociationScheme) -> Analysis:
 
     mstar_max = None
     if sd.spectrum is not None:
-        # each residual relative to the size of kappa_i E_0 + E_i, the matrix it checks
-        kappa = sd.spectrum.kappa.tolist()
+        kappa = sd.spectrum.kappa.tolist()  # kappa_i E_0 + E_i has entries up to |kappa_i| / n
         mstar_max = max(
             mstar_decomposition_residual(t, sd, i) / max(1.0, abs(kappa[i]) / sd.n)
             for i in range(1, t.d + 1)

@@ -212,12 +212,12 @@ def spectral_data(t: IntersectionTensor) -> SpectralData:
     j0 = int(dists.argmin())
     if dists[j0] > 1e-6 * max(1.0, k.max()):
         raise EigenSplitFailure("no computed row matches the valency row")
-    rest = rows[np.arange(d + 1) != j0]
+    # a C-order copy, so the row sums below add in the order they always have
+    rest = rows.take([j for j in range(d + 1) if j != j0], axis=0)
     mults = n / (rest * rest / k).sum(axis=1)
 
-    # one grouping of all d+1 theta, the valency row's k_1 among them, gives both
-    # the tie and, on tied theta, the sort key (every theta of a cluster keyed by its
-    # smallest member); on distinct theta, -theta alone decides the order
+    # one grouping of all d+1 theta, the valency row's k_1 among them, gives the tie and the
+    # sort key on tied theta (a cluster keyed by its smallest member); else -theta decides
     thetas = np.concatenate(([k[1]], rest[:, 1]))
     order = thetas.argsort()
     groups = eigen_groups(thetas[order])

@@ -9,7 +9,7 @@ so tests only run them on small or mid-sized schemes.
 
 The loop references come next: the forms the library had before it moved
 to whole (d+1)-arrays.  They are spectral_data's per-row bookkeeping with
-its Python sort key, the per-slab Krein parameters and intersection-tensor
+its Python sort key (and that key alone, full_key_row_order), the per-slab Krein parameters and intersection-tensor
 checks, and the breadth-first walks by np.flatnonzero.  Tests hold the
 library to them bit for bit, and to the loop checks' failure messages.  The
 library computes only Krein slab 1, so the slab loop is also the dense
@@ -256,6 +256,23 @@ def spectral_data_loop(t) -> SpectralData:
         P=P, Q=Q, theta=theta, multiplicities=m, tie=tie, spectrum=spectrum,
         pq_residual=pq_resid, multiplicity_residual=m_resid,
     )
+
+
+def full_key_row_order(P, m) -> list:
+    """Positions into P[1:] of its rows sorted by the full key of the row convention.
+
+    The key is (-theta snapped to the smallest member of its eigen_groups cluster,
+    the multiplicity, the row rounded to 9 places), compared as a tuple and sorted
+    stably, with the valency row's theta P[0, 1] grouped with the others.  On
+    distinct theta only -theta decides, which is how spectral_data orders them.
+    """
+    thetas = P[:, 1]
+    order = np.argsort(thetas)
+    snapped = np.empty_like(thetas)
+    for a, b in eigen_groups(thetas[order]):
+        snapped[order[a:b]] = thetas[order[a]]
+    keys = [(-snapped[j], m[j], *np.round(P[j], 9)) for j in range(1, len(P))]
+    return sorted(range(len(keys)), key=keys.__getitem__)
 
 
 def krein_slabs_loop(sd):

@@ -31,7 +31,7 @@ from schemex.detect import (
     tridiagonal_route,
 )
 from schemex.families import FamilySpec, generate
-from schemex.scheme_core import IntersectionTensor
+from schemex.scheme_core import IntersectionTensor, RelationMatrix, build_scheme
 from schemex.spectral import (
     EIG_GROUP_RTOL,
     INTEGRALITY_TOL,
@@ -311,6 +311,36 @@ class TestMStar:
             mstar_decomposition_residual(s.tensor, sd, 0)
         with pytest.raises(ValueError):
             mstar_decomposition_residual(s.tensor, sd, 3)
+
+    def test_mstar_max_is_relative_to_kappa(self):
+        # the cyclotomic scheme of Z_101 with 25 classes: x - y in the c-th coset of
+        # H = {1, 10, 91, 100}, the order-4 subgroup of Z_101^*, cosets numbered by their
+        # smallest member.  Its |kappa_i| reach 4.7e11, so the absolute residuals reach
+        # about 7e-5 while each is ~1e-13 of max(1, |kappa_i| / n), the size of what it checks
+        p = 101
+        cls = np.zeros(p, dtype=np.int64)
+        for x in range(1, p):
+            if not cls[x]:
+                cls[[x * h % p for h in (1, 10, 91, 100)]] = cls.max() + 1
+        x = np.arange(p)
+        s = build_scheme(RelationMatrix(n=p, d=25, rel=cls[(x[:, None] - x) % p]))
+        a = analyze(s)
+        assert a.report.status == NO and a.spectral.spectrum is not None
+        kappa = a.spectral.spectrum.kappa
+        assert np.abs(kappa).max() > 1e11
+        raw = [mstar_decomposition_residual(s.tensor, a.spectral, i) for i in range(1, 26)]
+        assert max(raw) > 1e-6
+        assert a.mstar_max == max(r / max(1.0, abs(k) / p) for r, k in zip(raw, kappa[1:]))
+        assert a.mstar_max < 1e-10
+
+    def test_mstar_max_is_absolute_on_the_corpus(self, scheme_corpus, corpus_analyses):
+        # every corpus kappa_i is at most n, so the scale is 1 there (cyclotomic13: 0.43 n)
+        for name, s, _ in scheme_corpus:
+            a = corpus_analyses[name]
+            if a.spectral.spectrum is not None:
+                assert (np.abs(a.spectral.spectrum.kappa) <= s.n).all(), name
+                assert a.mstar_max == max(mstar_decomposition_residual(s.tensor, a.spectral, i)
+                                          for i in range(1, s.d + 1)), name
 
 
 class TestQPolynomial:

@@ -510,6 +510,11 @@ def test_tensor_rejects_unsymmetrizable_counts():
         IntersectionTensor(d=2, p=p)
 
 
+def test_tensor_n_is_the_valency_sum_as_an_int(scheme_corpus):
+    for name, s, _ in scheme_corpus:
+        assert type(s.tensor.n) is int and s.tensor.n == int(s.valencies.sum()) == s.n, name
+
+
 def test_tensor_rejects_wrong_shape():
     p = generate(FamilySpec("cycle", (5,))).tensor.p
     with pytest.raises(ValueError, match=r"tensor has shape \(3, 3, 3\), expected \(4, 4, 4\)"):

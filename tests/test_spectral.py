@@ -133,12 +133,13 @@ class TestSpectralDataGuards:
             "integers summing to 17"
         )
 
+    # ids name the bends, so rewording a message keeps the test ids
     @pytest.mark.parametrize("bend, message", [
         (_unit_vectors, "eigenvector with vanishing identity coordinate"),
         (_mix_the_valency_column, "no computed row matches the valency row"),
         (_near_copy, r"P Q = nI fails \(residual "),
         (_turn_below_the_top, r"P Q = nI fails \(residual "),
-    ])
+    ], ids=["unit_vectors", "mix_the_valency_column", "near_copy", "turn_below_the_top"])
     def test_bent_eigenvectors(self, monkeypatch, bend, message):
         found = spectral._split_blocks
         monkeypatch.setattr(spectral, "_split_blocks", lambda mats: bend(found(mats)))

@@ -16,7 +16,10 @@ from hypothesis import strategies as st
 
 import schemex
 from schemex.detect import analyze
+from schemex.families import FamilySpec, generate
 from schemex.spectral import EIG_GROUP_RTOL, Spectrum, eigen_groups, spectral_data
+
+from nxn_reference import array_slabs, full_key_row_order, intersection_array
 
 # |w| stays <= 1, so the threshold is 1e-9: gaps at 0, 0.5, 0.999999, 1,
 # 1.000001 and 2 times it, mixed with clear separations
@@ -55,6 +58,39 @@ def test_collision_iff_tied_group(scheme_corpus):
             assert not np.shares_memory(sd.spectrum.theta, sd.theta)
         seen.add(simple)
     assert seen == {True, False}
+
+
+def test_distinct_theta_rows_are_in_the_full_key_order(scheme_corpus, cycle_scheme):
+    # spectral_data sorts distinct theta by -theta alone; the full key must agree
+    tensors = [(name, s.tensor) for name, s, _ in scheme_corpus]
+    tensors += [(f"{family}{params}", generate(FamilySpec(family, params)).tensor)
+                for family, params in (("hamming", (6, 3)), ("johnson", (12, 4)))]
+    tensors += [(f"cycle({n})", cycle_scheme(n).tensor) for n in (44, 100, 200)]
+    tensors.append(("cycle(400) array", array_slabs(*intersection_array("cycle", 400))))
+    distinct = 0
+    for name, t in tensors:
+        sd = spectral_data(t)
+        assert full_key_row_order(sd.P, sd.multiplicities) == list(range(t.d)), name
+        distinct += sd.tie is None
+    assert distinct == len(tensors) - 2
+
+
+def test_tied_corpus_schemes_keep_their_eigenmatrices(scheme_corpus):
+    # the two tied corpus schemes, ordered by the full key: P, Q and the tie as pinned
+    want = {
+        "disjoint_cliques(3,3)": ([[1, 2, 6], [1, 2, -3], [1, -1, 0]],
+                                  [[1, 2, 6], [1, 2, -3], [1, -1, 0]]),
+        "hamming(3,2)+A1=antipodal": (
+            [[1, 1, 3, 3], [1, 1, -1, -1], [1, -1, 3, -3], [1, -1, -1, 1]],
+            [[1, 3, 1, 3], [1, 3, -1, -3], [1, -1, 1, -1], [1, -1, -1, 1]]),
+    }
+    tied = {name: spectral_data(s.tensor) for name, s, _ in scheme_corpus}
+    tied = {name: sd for name, sd in tied.items() if sd.tie is not None}
+    assert set(tied) == set(want)
+    for name, (P, Q) in want.items():
+        sd = tied[name]
+        assert sd.tie == (0, 1), name
+        assert np.abs(sd.P - P).max() < 1e-9 and np.abs(sd.Q - Q).max() < 1e-9, name
 
 
 def test_analyze_decides_the_spectrum_once(monkeypatch, cycle_scheme):
