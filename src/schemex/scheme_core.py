@@ -172,7 +172,7 @@ class IntersectionTensor(FrozenRecord):
             blk = p[a:a + step]
             if not (blk == blk.transpose(0, 2, 1)).all():
                 raise ValueError("p^k_{ij} != p^k_{ji}; input is not a symmetric scheme")
-        if np.count_nonzero(p[0]) != np.count_nonzero(k):  # nonzero off the diagonal k
+        if np.count_nonzero(p[0]) != np.count_nonzero(k):  # p[0] is nonzero off its diagonal k
             raise ValueError("p^0_{ij} must equal delta_{ij} k_i; input is not a scheme")
         if not (p[:, 0, :] == np.eye(m, dtype=np.int64)).all():
             raise ValueError("p^k_{0j} must equal delta_{kj}; input is not a scheme")
