@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import subprocess
 import sys
 from pathlib import Path
 
@@ -16,11 +15,11 @@ import stage_costs  # noqa: E402
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_one_round_times_every_stage_of_both_trees():
-    proc = subprocess.run([sys.executable, str(ROOT / "tools" / "stage_costs.py"), str(ROOT),
-                           "--change", str(ROOT), "--rounds", "1", "--passes", "1"],
-                          capture_output=True, text=True, check=True)
-    lines = proc.stdout.splitlines()
+def test_one_round_times_every_stage_of_both_trees(monkeypatch, capsys):
+    monkeypatch.setattr(stage_costs, "ROUNDS", 1)
+    monkeypatch.setattr(stage_costs, "PASSES", 1)
+    assert stage_costs.main([str(ROOT), "--change", str(ROOT)]) == 0
+    lines = capsys.readouterr().out.splitlines()
     assert [line.split()[0] for line in lines[2:-1]] == [
         name.split()[0] for name, _ in stage_costs.STAGES]
     got = json.loads(lines[-1])

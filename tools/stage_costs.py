@@ -1,14 +1,14 @@
 """Cost of each stage from build_scheme to analyze on the corpus, for two trees.
 
-    python3 tools/stage_costs.py BASE [--change DIR] [--rounds 4] [--passes 100]
+    python3 tools/stage_costs.py BASE [--change DIR]
 
 BASE is a git revision or the path of a checkout, as for tools/bench_pairs.py;
 the change is the checkout given by ``--change`` (default: the current
-directory).  Each round starts one fresh interpreter per tree, the parent
-first in odd rounds and the change first in even ones, with the tree's
-``src`` first on ``sys.path``.  That interpreter builds the 29 corpus schemes
-(``schemex.corpus()``) and then, ``--passes`` times over the corpus, times
-each stage on each scheme by itself, with the stage's inputs computed
+directory).  Each of ROUNDS (4) rounds starts one fresh interpreter per tree,
+the parent first in odd rounds and the change first in even ones, with the
+tree's ``src`` first on ``sys.path``.  That interpreter builds the 29 corpus
+schemes (``schemex.corpus()``) and then, PASSES (100) times over the corpus,
+times each stage on each scheme by itself, with the stage's inputs computed
 beforehand.  A stage's figure is its minimum time on each scheme, over every
 pass and round, averaged over the 29 schemes, in microseconds; a stage that
 does not run on a scheme (the spectral stages on tied theta) counts 0 there.
@@ -37,6 +37,8 @@ from pathlib import Path
 from bench_pairs import parent_checkout
 
 TOOLS = Path(__file__).resolve().parent
+# 4 alternating rounds of 100 passes: about a minute for the two trees
+ROUNDS, PASSES = 4, 100
 
 # (label, indent): indented stages are part of the stage above them
 STAGES = (
@@ -138,16 +140,14 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("base", help="git revision or checkout directory of the parent")
     ap.add_argument("--change", type=Path, default=Path("."))
-    ap.add_argument("--rounds", type=int, default=4)
-    ap.add_argument("--passes", type=int, default=100)
     args = ap.parse_args(argv)
     change = args.change.resolve()
     with parent_checkout(args.base, change) as base:
-        costs = stage_costs(base, change, args.rounds, args.passes)
-    print(f"min over {args.rounds} rounds of {args.passes} passes, mean over the corpus "
+        costs = stage_costs(base, change, ROUNDS, PASSES)
+    print(f"min over {ROUNDS} rounds of {PASSES} passes, mean over the corpus "
           f"schemes, microseconds a scheme")
     print(table(costs))
-    print(json.dumps({"rounds": args.rounds, "passes": args.passes, "us": costs}))
+    print(json.dumps({"rounds": ROUNDS, "passes": PASSES, "us": costs}))
     return 0
 
 
