@@ -1,13 +1,13 @@
 """Symmetric association schemes: axiom validation and exact intersection numbers.
 
 A scheme on n points with d classes is stored as an n x n matrix of relation
-indices.  Every count is exact: the intersection tensor is counted in
-integers, and the validation products run as float32 GEMMs whose entries are
-integers small enough for float32 to hold exactly, several products packed
-into one GEMM as the digits of one count (see :func:`_check_product_group`).
-Validation checks the products A_i A_j row by row and stops once a verified
-relation generates the Bose-Mesner algebra, which proves the unchecked
-products constant (see :func:`greedy_chain`).
+indices.  Every count is exact: each slab B_i of intersection numbers is
+counted in integers the first time it is read, and the validation products run
+as float32 GEMMs whose entries are integers small enough for float32 to hold
+exactly, several products packed into one GEMM as the digits of one count (see
+:func:`_check_product_group`).  Validation checks the products A_i A_j row by
+row and stops once a verified relation generates the Bose-Mesner algebra,
+which proves the unchecked products constant (see :func:`greedy_chain`).
 """
 
 from __future__ import annotations
@@ -62,15 +62,8 @@ class NotConstant(SchemeValidationError):
 # relation indices are stored as uint16
 _MAX_INDEX = np.iinfo(np.uint16).max
 
-#: a (d+1)^3 pass handles this many entries at once: whole at small d, where the
-#: cost is one numpy call per step, and one (d+1)^2 slab per step from d = 90 on;
 #: validation gathers from the n x n relation matrix this many entries' rows at once
 BLOCK_ENTRIES = 2 ** 14
-
-
-def slab_step(d: int) -> int:
-    """Number of (d+1)^2 slabs in one block of a (d+1)^3 pass; at least 1."""
-    return max(1, BLOCK_ENTRIES // (d + 1) ** 2)
 
 
 class FrozenRecord:
@@ -152,61 +145,64 @@ class RelationMatrix(FrozenRecord):
 
 
 class IntersectionTensor(FrozenRecord):
-    """All p^k_{ij} as a (d+1)^3 integer array, indexed p[k, i, j]: all that analysis reads,
-    one slab B_i at a time (:meth:`slab`).  ``n`` is the number of points, sum_i k_i."""
+    """The intersection numbers p^k_{ij} of a validated scheme, one slab B_i at a time.
 
-    __slots__ = ("d", "p", "n")
+    ``slab(i)`` = B_i, indexed [k, j] = p^k_{ij}, read-only, is the only way any
+    stage outside this module reads them.  A slab is counted on its first read at
+    the pairs (0, y_k) (:func:`_count_slab`), checked and kept in ``slabs``, where
+    build_scheme leaves the slabs that validation counted.  ``valencies`` k_i is
+    the count of relation i in row 0, and ``n`` = sum_i k_i the number of points.
+    """
 
-    def __init__(self, d: int, p: np.ndarray):
-        p = np.ascontiguousarray(np.asarray(p, dtype=np.int64))
-        m = d + 1
-        if p.shape != (m, m, m):
-            raise ValueError(f"tensor has shape {p.shape}, expected {(m, m, m)}")
-        if p.min() < 0:
-            raise ValueError("intersection numbers must be non-negative")
-        k = p[0].diagonal()
-        # every check works one block of slab_step(d) (d+1)^2 slabs at a time, so none
-        # allocates a (d+1)^3 temporary
-        step = slab_step(d)
-        for a in range(0, m, step):
-            blk = p[a:a + step]
-            if not (blk == blk.transpose(0, 2, 1)).all():
-                raise ValueError("p^k_{ij} != p^k_{ji}; input is not a symmetric scheme")
-        if np.count_nonzero(p[0]) != np.count_nonzero(k):  # p[0] is nonzero off its diagonal k
-            raise ValueError("p^0_{ij} must equal delta_{ij} k_i; input is not a scheme")
-        if not (p[:, 0, :] == np.eye(m, dtype=np.int64)).all():
-            raise ValueError("p^k_{0j} must equal delta_{kj}; input is not a scheme")
-        # kb[i, c, j] = k_c p^c_{ij}: its column sums are sum_k p^k_{ij} k_k = k_i k_j, and
-        # k_k p^k_{ij} = k_j p^j_{ik} (Bannai-Ito 1984) makes each kb[i] symmetric, so
-        # diag(sqrt k) B_i diag(sqrt k)^-1 is too.  The first failing i is reported,
-        # its row-sum identity before its symmetry.
-        kb = np.empty((min(step, m), m, m), dtype=np.int64)
-        for a in range(0, m, step):
-            blk = kb[:min(step, m - a)]
-            np.multiply(k[None, :, None], p[:, a:a + step, :].transpose(1, 0, 2), out=blk)
-            sums_bad = blk.sum(axis=1) != k[a:a + step, None] * k
-            bad = sums_bad[:, None, :] | (blk != blk.transpose(0, 2, 1))
-            if bad.any():
-                i = a + int(bad.any(axis=(1, 2)).argmax())
-                if sums_bad[i - a].any():
-                    raise ValueError("sum_k p^k_{ij} k_k != k_i k_j; input is not a scheme")
-                raise ValueError(f"k_k p^k_{{{i}j}} != k_j p^j_{{{i}k}}; not a symmetric scheme")
-        if k.min() < 1:
-            raise ValueError(f"k_{int(np.argmin(k))} = 0: every class must be nonempty")
-        p.flags.writeable = False
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "n", int(k.sum()))
+    __slots__ = ("rel", "y", "valencies", "slabs", "d", "n")
+
+    def __init__(self, rel: np.ndarray, y: np.ndarray, valencies: np.ndarray, slabs: dict):
+        valencies.setflags(write=False)
+        ks = valencies.tolist()
+        object.__setattr__(self, "rel", rel)
+        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "valencies", valencies)
+        object.__setattr__(self, "slabs", {})
+        object.__setattr__(self, "d", len(ks) - 1)
+        object.__setattr__(self, "n", sum(ks))
+        for i, b in slabs.items():
+            self._keep(i, b)
+        if min(ks) < 1:
+            raise ValueError(f"k_{ks.index(min(ks))} = 0: every class must be nonempty")
 
     def slab(self, i: int) -> np.ndarray:
-        """B_i = p[:, i, :], indexed [k, j]: a read-only view of p, the only way any
-        stage outside this module reads the tensor."""
-        return self.p[:, i, :]
+        """B_i, indexed [k, j] = p^k_{ij}: read-only, counted and checked on the first read."""
+        if i in self.slabs:
+            return self.slabs[i]
+        if not 0 <= i <= self.d:
+            raise IndexError(f"slab {i} is out of range 0..{self.d}")
+        return self._keep(i, _count_slab(self.rel, self.y, i))
 
-    @property
-    def valencies(self) -> np.ndarray:
-        """k_i = p^0_{ii}."""
-        return self.p[0].diagonal()
+    def _keep(self, i: int, b: np.ndarray) -> np.ndarray:
+        """Check B_i's identities, then p^k_{ij} = p^k_{ji} against each slab kept before it,
+        and keep it; the first failing identity is reported.  The O(d) ones compare Python
+        lists.  kb[c, j] = k_c p^c_{ij} = k_j p^j_{ic} (Bannai-Ito 1984) makes kb symmetric,
+        so diag(sqrt k) B_i diag(sqrt k)^-1 is too.
+        """
+        k = self.valencies
+        ks, row, col = k.tolist(), b[0].tolist(), b[:, 0].tolist()
+        if b.min() < 0:
+            raise ValueError("intersection numbers must be non-negative")
+        if row[i] != ks[i] or any(row[:i]) or any(row[i + 1:]):
+            raise ValueError("p^0_{ij} must equal delta_{ij} k_i; input is not a scheme")
+        if col[i] != 1 or any(col[:i]) or any(col[i + 1:]):
+            raise ValueError("p^k_{0j} must equal delta_{kj}; input is not a scheme")
+        if (k @ b).tolist() != [ks[i] * kj for kj in ks]:
+            raise ValueError("sum_k p^k_{ij} k_k != k_i k_j; input is not a scheme")
+        kb = k[:, None] * b
+        if (kb != kb.T).any():
+            raise ValueError(f"k_k p^k_{{{i}j}} != k_j p^j_{{{i}k}}; not a symmetric scheme")
+        for j, c in self.slabs.items():
+            if (b[:, j] != c[:, i]).any():
+                raise ValueError("p^k_{ij} != p^k_{ji}; input is not a symmetric scheme")
+        b.setflags(write=False)
+        self.slabs[i] = b
+        return b
 
 
 class AssociationScheme(FrozenRecord):
@@ -225,23 +221,19 @@ class AssociationScheme(FrozenRecord):
         return self.tensor.valencies
 
 
-def _tensor_from_representatives(rel: np.ndarray, d: int) -> np.ndarray:
-    """Count p^k_{ij} exactly, using one representative pair per class.
-
-    For (x, y) in class k, p[k, i, j] is the number of z with rel(x, z) = i
-    and rel(z, y) = j.  Constancy over the class is *assumed* here; it is
-    checked separately by :func:`build_scheme`.
+def _count_slab(rel: np.ndarray, y: np.ndarray, i: int, x=None) -> np.ndarray:
+    """B_i[k, j] = #{z : rel(x_k, z) = i, rel(z, y_k) = j}, counted exactly at one pair
+    (x_k, y_k) of each class k (x_k = 0 when x is None), whose constancy over the class
+    :func:`build_scheme` checks.  With x_k = 0 this is one k_i x (d+1) gather and one
+    bincount.  The gathered indices become intp before k (d+1) is added: uint16 wraps
+    once (d+1)^2 > 65536.
     """
-    m = d + 1
-    # each class's row-major first pair: in a scheme every class occurs in
-    # every row, so row 0 holds them all; else a stable sort of all n^2 entries
-    _, y = np.unique(rel[0], return_index=True)
-    x = np.zeros_like(y)
-    if y.size < m:
-        x, y = np.divmod(np.unique(rel.ravel(), return_index=True)[1], rel.shape[0])
-    # key[k, z] = (k m + rel(x_k, z)) m + rel(z, y_k), the flat index of p[k, i, j]
-    key = (np.arange(m)[:, None] * m + rel[x]) * m + rel[:, y].T
-    return np.bincount(key.ravel(), minlength=m ** 3).reshape(m, m, m)
+    m = y.size
+    if x is None:
+        key = rel[(rel[0] == i).nonzero()[0][:, None], y].astype(np.intp)
+        key += np.arange(0, m * m, m)
+        return np.bincount(key.ravel(), minlength=m * m).reshape(m, m)
+    return np.stack([np.bincount(rel[rel[xk] == i, yk], minlength=m) for xk, yk in zip(x, y)])
 
 
 # float32 represents every integer of magnitude <= 2**24 exactly
@@ -256,7 +248,7 @@ def _row_blocks(n: int):
     return [slice(a, a + step) for a in range(0, n, step)]
 
 
-def _check_product_group(rel, p, a_i, i, j0, j1, base):
+def _check_product_group(rel, bi, a_i, i, j0, j1, base):
     """Verify, with one float32 GEMM, that A_i A_j is constant on every class for j0 <= j < j1.
 
     The GEMM is M = A_i W with W = sum_j base**(j - j0) A_j, so M(x, y) is
@@ -267,16 +259,16 @@ def _check_product_group(rel, p, a_i, i, j0, j1, base):
     which is below 2**24: base**(j1 - j0) <= _PACKED_MAX = 2**24, or j1 - j0 = 1
     and base <= n < 2**24.  Every partial sum of the GEMM is a sum of non-negative
     integer terms no larger than M, so float32 holds each one exactly.  Base-base
-    digits are unique, so M equals sum_j p[rel, i, j] base**(j - j0) on every
+    digits are unique, so M equals sum_j B_i[rel, j] base**(j - j0) on every
     pair exactly when each A_i A_j is constant on every class with its
-    representative count (the representative pair of class k sees
-    p[k, i, j] <= deg_i < base).  Only on a mismatch are the digits decoded, for
+    representative count, the slab B_i (the representative pair of class k
+    sees B_i[k, j] <= deg_i < base).  Only on a mismatch are the digits decoded, for
     the witness (:func:`_raise_group_witness`).
     """
     powers = base ** np.arange(j1 - j0, dtype=np.int64)
-    weights = np.zeros(p.shape[0], dtype=np.float32)
+    weights = np.zeros(bi.shape[0], dtype=np.float32)
     weights[j0:j1] = powers
-    expected = (p[:, i, j0:j1] @ powers).astype(np.float32)
+    expected = (bi[:, j0:j1] @ powers).astype(np.float32)
     n = rel.shape[0]
     blocks = _row_blocks(n)
     # W and the expected values are gathered a block of rows at a time: np.take casts
@@ -288,10 +280,10 @@ def _check_product_group(rel, p, a_i, i, j0, j1, base):
     del w
     for b in blocks:
         if not (M[b] == expected.take(rel[b], mode="clip")).all():
-            _raise_group_witness(rel, p, M, i, j0, j1, base)
+            _raise_group_witness(rel, bi, M, i, j0, j1, base)
 
 
-def _raise_group_witness(rel, p, M, i, j0, j1, base):
+def _raise_group_witness(rel, bi, M, i, j0, j1, base):
     """Raise the NotConstant that a scan of the single products A_i A_j, j0 <= j < j1, raises.
 
     Digit j - j0 of M in base ``base`` is the exact count c_j (see
@@ -302,7 +294,7 @@ def _raise_group_witness(rel, p, M, i, j0, j1, base):
     Its minimum and maximum count and their first row-major positions are taken
     over that class alone, as the min/max scan of A_i A_j would find them.
     """
-    n, m = rel.shape[0], p.shape[0]
+    n, m = rel.shape[0], bi.shape[0]
     blocks = _row_blocks(n)
 
     def counts(x, j):  # digit j - j0 of x, entries of M: integers below 2**24
@@ -311,7 +303,7 @@ def _raise_group_witness(rel, p, M, i, j0, j1, base):
 
     k = m
     for j in range(j0, j1):
-        expected = p[:, i, j].astype(np.int32)
+        expected = bi[:, j].astype(np.int32)
         for b in blocks:
             r = rel[b]
             off = r[counts(M[b], j) != np.take(expected, r, mode="clip")]
@@ -340,16 +332,17 @@ def greedy_chain(support, start):
     len(support) classes are on it, or (None, witness) where a step finds no
     candidate or several.
 
-    On B_i = p[:, i, :] of an exactly counted tensor, with start = i, the chain
-    completes exactly when A_i generates the span V of A_0..A_d, once every
-    product A_i A_j, j = 0..d, is verified constant on the classes.  Then
-    A_i A_j = sum_k p[k, i, j] A_k, so multiplication by A_i maps V into V with
-    matrix B_i in the basis A_0..A_d, and A_i^h = sum_k (B_i^h e_0)_k A_k.
-    B_i is non-negative, so (B_i^h e_0)_k > 0 exactly when the support graph of
-    B_i (c -> k when p[k, i, c] > 0) has a walk of length h from class 0 to k.
+    On the slab B_i (B_i[k, j] = p^k_{ij}, counted exactly at one pair of each
+    class), with start = i, the chain completes exactly when A_i generates the
+    span V of A_0..A_d, once every product A_i A_j, j = 0..d, is verified
+    constant on the classes.  Then A_i A_j = sum_k B_i[k, j] A_k, so
+    multiplication by A_i maps V into V with matrix B_i in the basis A_0..A_d,
+    and A_i^h = sum_k (B_i^h e_0)_k A_k.  B_i is non-negative, so
+    (B_i^h e_0)_k > 0 exactly when the support graph of B_i (c -> k when
+    B_i[k, c] > 0) has a walk of length h from class 0 to k.
 
     The chain may start at [0, i] because column 0 of the support is {i}: a
-    counted tensor has p[k, i, 0] = delta_ki, since p[k, i, 0] counts the z
+    counted slab has B_i[k, 0] = delta_ki, since B_i[k, 0] counts the z
     with rel(x_k, z) = i and rel(z, y_k) = 0 at the representative pair
     (x_k, y_k) of class k.  (Should relation 0 hold an off-diagonal pair, which
     build_scheme reports last, a verified A_i A_i still gives such a z the k_i
@@ -360,7 +353,7 @@ def greedy_chain(support, start):
     A_i V in V this gives V = C[A_i], a commutative algebra (Bannai-Ito 1984,
     III.1; Brouwer-Cohen-Neumaier 1989, 2.1).  So every product A_a A_b lies
     in V, that is, it is constant on each class, with the coefficients
-    p[:, a, b] counted at the representative pairs.  The chain completes
+    B_a[:, b] counted at the representative pairs.  The chain completes
     exactly when relation i is the distance-1 relation of a metric ordering,
     c_0..c_d.
     """
@@ -381,7 +374,7 @@ def greedy_chain(support, start):
 
 
 def build_scheme(rm: RelationMatrix) -> AssociationScheme:
-    """Validate the scheme axioms and compute the intersection tensor.
+    """Validate the scheme axioms; the scheme's tensor keeps the slabs validation counted.
 
     The products A_i A_j, 1 <= i <= j <= d, are checked to be constant on
     each class, row by row in i.  Once row i has passed, every A_i A_j is
@@ -398,6 +391,14 @@ def build_scheme(rm: RelationMatrix) -> AssociationScheme:
     hamming(6,3), 34 for the 500 products of cycle(1000).  Exact for n < 2**24.
     It holds A_i, the packed class indicator W and the product, and gathers from
     rel a block of rows at a time, so it peaks near 3 n^2 float32s whatever d is.
+
+    Row i counts B_i (:func:`_count_slab`) at pairs (0, y_k), and no other slab is
+    counted: B_1 alone on a metric scheme in distance order.  Any pair of class k
+    gives the same counts on a scheme and the same NotConstant on a non-scheme (a
+    class is flagged exactly when it is not constant), so y_k is whichever z of
+    row 0 one scatter leaves; without a class in row 0 (no scheme), (x_k, y_k)
+    come from a scatter over all of rel.  The slabs are checked after the scan
+    (:class:`IntersectionTensor`), so every validation failure keeps its witness.
     """
     rel, n, d = rm.rel, rm.n, rm.d
     if n >= _FLOAT32_EXACT:
@@ -413,15 +414,22 @@ def build_scheme(rm: RelationMatrix) -> AssociationScheme:
     # row 0 of a scheme holds every class, so only otherwise are all n^2 indices counted;
     # rel.max() <= d, so count only the indices that occur, never d + 1 of them
     row0 = np.bincount(rel[0])
+    x = None
     if row0.size <= d or not row0.all():
         counts = np.bincount(rel.ravel())
         absent = np.flatnonzero(counts == 0)
         if absent.size or counts.size <= d:
             raise MissingRelation(int(absent[0]) if absent.size else counts.size)
+        flat = np.empty(d + 1, dtype=np.intp)
+        flat[rel.ravel()] = np.arange(n * n)
+        x, y = np.divmod(flat, n)
+    else:
+        y = np.empty(d + 1, dtype=np.intp)
+        y[rel[0]] = np.arange(n)
 
-    p = _tensor_from_representatives(rel, d)
-
+    slabs = {}
     for i in range(1, d + 1):
+        bi = slabs[i] = _count_slab(rel, y, i, x)
         a_i = (rel == i).astype(np.float32)
         # the base is the largest i-degree of any row, not of row 0: on a non-scheme a
         # smaller base could carry one digit into the next and alias two counts
@@ -430,13 +438,13 @@ def build_scheme(rm: RelationMatrix) -> AssociationScheme:
         while g <= d - i and base ** (g + 1) <= _PACKED_MAX:
             g += 1
         for j0 in range(i, d + 1, g):
-            _check_product_group(rel, p, a_i, i, j0, min(j0 + g, d + 1), base)
-        if greedy_chain(p[:, i, :] > 0, i)[0] is not None:
+            _check_product_group(rel, bi, a_i, i, j0, min(j0 + g, d + 1), base)
+        if greedy_chain(bi > 0, i)[0] is not None:
             break
     # last, so every other failure keeps its witness (the early stop assumed A_0 = I)
     if np.count_nonzero(rel) != n * (n - 1):
         x, y = np.argwhere((rel == 0) & ~np.eye(n, dtype=bool))[0]
         raise ZeroOffDiagonal(int(x), int(y))
 
-    return AssociationScheme(n=n, d=d, rel=rel, tensor=IntersectionTensor(d=d, p=p))
+    return AssociationScheme(n=n, d=d, rel=rel, tensor=IntersectionTensor(rel, y, row0, slabs))
 

@@ -21,10 +21,12 @@ token into a Python string.
 
 array_slabs is a second slab source beside IntersectionTensor: the slabs
 B_i of a distance-regular graph's scheme, in distance order, computed from
-its intersection array in exact integers when a stage asks for them.  It
-holds no (d+1)^3 tensor, so the analysis runs on it at d = 2500, where the
-dense p of cycle(5000) would need 117 GiB.  intersection_array gives the
-arrays of the generated metric families.
+its intersection array in exact integers when a stage asks for them.  So the
+analysis runs on it at d = 2500 without a relation matrix of 5000^2 entries.
+intersection_array gives the arrays of the generated metric families.
+dense(t) stacks every slab of a slab source into the (d+1)^3 array
+p[k, i, j] = p^k_{ij}, for the tests that compare or relabel all of it, and
+dense_slabs(p) is the slab source over such an array.
 
 Beside them sit identities no library stage reads: the 0/1 adjacency matrix
 of a relation, the spectrum-weighted inner product, the Lagrange power
@@ -286,7 +288,7 @@ def krein_slabs_loop(sd):
 
 
 def tensor_checks_loop(d, p) -> None:
-    """IntersectionTensor's checks on the int64 array p, one (d+1)^2 slab per step.
+    """IntersectionTensor's checks on every slab of the int64 array p, identity by identity.
 
     Raises the ValueError the library raises, with the same message, or returns None.
     """
@@ -379,6 +381,20 @@ def tensor_from_representatives_full(rel, d) -> np.ndarray:
     x, y = np.divmod(first, rel.shape[0])
     key = (np.arange(m)[:, None] * m + rel[x]) * m + rel[:, y].T
     return np.bincount(key.ravel(), minlength=m ** 3).reshape(m, m, m)
+
+
+def dense(t) -> np.ndarray:
+    """p[k, i, j] = p^k_{ij} of a slab source: every slab t.slab(i) stacked as p[:, i, :]."""
+    return np.stack([t.slab(i) for i in range(t.d + 1)], axis=1)
+
+
+def dense_slabs(p):
+    """The slab source over a (d+1)^3 array p[k, i, j]: d, n, the valencies
+    p^0_{ii} and slab(i) = p[:, i, :], read-only, as a stage reads a tensor."""
+    p = np.array(p, dtype=np.int64)
+    p.flags.writeable = False
+    k = p[0].diagonal()
+    return SimpleNamespace(d=p.shape[0] - 1, n=int(k.sum()), valencies=k, slab=lambda i: p[:, i, :])
 
 
 def from_edges_loop(n: int, edges) -> np.ndarray:

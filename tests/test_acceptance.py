@@ -268,7 +268,7 @@ def test_10_ordering_recovery_is_unique():
     chain = nstar_sets(s.tensor, spectral_data(s.tensor))
 
     # exhaustive check that no other relabelling of classes >= 2 works
-    mat = s.tensor.p[:, 1, :]
+    mat = s.tensor.slab(1)
     orders = []
     for perm in itertools.permutations(range(2, s.d + 1)):
         order = (0, 1) + perm

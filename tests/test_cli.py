@@ -229,10 +229,18 @@ class TestDetect:
     @pytest.mark.slow
     def test_cycle_1000(self, scheme_file, capsys):
         # d = 500: the largest d detect is run on; see CHANGES.md for its time and peak RSS
-        assert main(["detect", scheme_file("cycle", (1000,))]) == EXIT_OK
+        path = scheme_file("cycle", (1000,))
+        assert main(["detect", path]) == EXIT_OK
         out = capsys.readouterr().out
         assert "status=yes" in out
         assert "l=500" in out
+        # in a process of its own: the (d+1)^3 tensor, 959 MB here, is never counted
+        tool = Path(__file__).resolve().parents[1] / "tools" / "child_rss.py"
+        proc = subprocess.run([sys.executable, str(tool), "--runs", "1", "--", sys.executable,
+                               "-m", "schemex.cli", "detect", path], env=_cli_env(),
+                              capture_output=True, text=True, check=True)
+        got = json.loads(proc.stdout.splitlines()[-1])
+        assert got["runs"][0]["exit"] == EXIT_OK and got["rss_mb"]["max"] < 200
 
 
 class TestGraph:

@@ -31,7 +31,7 @@ from schemex.detect import (
     tridiagonal_route,
 )
 from schemex.families import FamilySpec, generate
-from schemex.scheme_core import IntersectionTensor, RelationMatrix, build_scheme
+from schemex.scheme_core import RelationMatrix, build_scheme
 from schemex.spectral import (
     EIG_GROUP_RTOL,
     INTEGRALITY_TOL,
@@ -46,6 +46,8 @@ from nxn_reference import (
     array_slabs,
     band_violation_loop,
     column_deviations_loop,
+    dense,
+    dense_slabs,
     intersection_array,
     krein_expansion,
     mstar_product,
@@ -65,7 +67,7 @@ def _seven_cycle_swapped():
 def _walk_count_first_appearance(s):
     """Reference for nstar: exact walk counts B_1^h e_0 in Python integers, h <= d."""
     d = s.d
-    B1 = [[int(v) for v in row] for row in s.tensor.p[:, 1, :]]
+    B1 = s.tensor.slab(1).tolist()
     coeff = [1] + [0] * d  # A_1^0 = A_0
     first = [None] * (d + 1)
     first[0] = 0
@@ -155,9 +157,9 @@ class TestTridiagonal:
             rests = itertools.permutations(range(1, s.d + 1)) if s.d <= 4 else [range(1, s.d + 1)]
             for rest in rests:
                 idx = np.array((0, *rest))
-                p = np.empty_like(s.tensor.p)
-                p[np.ix_(idx, idx, idx)] = s.tensor.p
-                got = tridiagonal_route(IntersectionTensor(d=s.d, p=p))
+                p = np.empty((s.d + 1,) * 3, dtype=np.int64)
+                p[np.ix_(idx, idx, idx)] = dense(s.tensor)
+                got = tridiagonal_route(dense_slabs(p))
                 found = _oracle_chain_orders(p[:, 1, :], s.d, lambda v: v > 0, lambda v: v == 0)
                 assert len(found) <= 1, (name, rest, found)
                 assert found == ([got.ordering] if got.verdict == YES else []), (name, rest)
@@ -682,7 +684,8 @@ class TestLargeDiameter:
 
 
 class TestTensorOnly:
-    """Every stage after validation runs on an IntersectionTensor with no relation matrix."""
+    """Every stage after validation reads only n, d, the valencies and slab(i): a slab
+    source over a literal tensor, with no relation matrix, gives the same results."""
 
     PENTAGON = [
         [[1, 0, 0], [0, 2, 0], [0, 0, 2]],
@@ -705,7 +708,7 @@ class TestTensorOnly:
         }
 
     def test_literal_pentagon_matches_generated(self):
-        t = IntersectionTensor(d=2, p=np.array(self.PENTAGON))
+        t = dense_slabs(self.PENTAGON)
         assert t.n == 5
         got = self._stages(t)
         want = self._stages(_scheme("cycle", (5,)).tensor)
@@ -768,7 +771,7 @@ class TestArraySlabs:
         t = _scheme("hamming", (3, 2)).tensor
         for i in range(t.d + 1):
             b = t.slab(i)
-            assert np.shares_memory(b, t.p) and not b.flags.writeable
+            assert b is t.slab(i) and not b.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 b[0, 0] = 7
         src = array_slabs(*intersection_array("hamming", 3, 2))

@@ -24,7 +24,7 @@ from schemex.graph_tools import (
 from schemex.scheme_core import _FLOAT32_EXACT
 from schemex.spectral import Spectrum
 
-from nxn_reference import adjacency, from_edges_loop, krein_expansion
+from nxn_reference import adjacency, dense, from_edges_loop, krein_expansion
 
 
 def _cycle_graph(n):
@@ -404,24 +404,24 @@ class TestSchemeFromDrg:
     def test_petersen_roundtrip(self):
         s = scheme_from_drg(_petersen_graph())
         fam = generate(FamilySpec("petersen"))
-        assert np.array_equal(s.tensor.p, fam.tensor.p)
+        assert np.array_equal(dense(s.tensor), dense(fam.tensor))
         assert detect(s).status == "yes"
 
     def test_cycle_roundtrip(self):
         s = scheme_from_drg(_cycle_graph(7))
         fam = generate(FamilySpec("cycle", (7,)))
-        assert np.array_equal(s.tensor.p, fam.tensor.p)
+        assert np.array_equal(dense(s.tensor), dense(fam.tensor))
         assert detect(s).ordering == (0, 1, 2, 3)
 
     def test_cube_roundtrip(self):
         s = scheme_from_drg(_cube_graph())
         fam = generate(FamilySpec("hamming", (3, 2)))
-        assert np.array_equal(s.tensor.p, fam.tensor.p)
+        assert np.array_equal(dense(s.tensor), dense(fam.tensor))
 
     def test_8_cube_roundtrip(self):
         s = scheme_from_drg(_from_networkx(nx.hypercube_graph(8)))
         fam = generate(FamilySpec("hamming", (8, 2)))
-        assert np.array_equal(s.tensor.p, fam.tensor.p)
+        assert np.array_equal(dense(s.tensor), dense(fam.tensor))
 
     def test_a_validating_partition_of_another_diameter_raises(self, monkeypatch):
         # no graph reaches this: a distance-regular graph has diameter d, so a validated

@@ -29,7 +29,7 @@ BY_VALUE = {RouteVerdict, FamilySpec}
 # class -> its constructor's parameters, in order
 FIELDS = {
     RelationMatrix: ("n", "d", "rel"),
-    IntersectionTensor: ("d", "p"),
+    IntersectionTensor: ("rel", "y", "valencies", "slabs"),
     AssociationScheme: ("n", "d", "rel", "tensor"),
     Spectrum: ("theta", "m", "n"),
     SpectralData: ("n", "d", "valencies", "P", "Q", "theta", "multiplicities", "tie",
@@ -60,9 +60,11 @@ def records():
 
 
 def _same(x, y):
-    """Equal arrays or values; a nested record of the same class."""
+    """Equal arrays or values, dicts of them by key; a nested record of the same class."""
     if isinstance(x, np.ndarray):
         return np.array_equal(x, y)
+    if isinstance(x, dict):
+        return x.keys() == y.keys() and all(_same(x[key], y[key]) for key in x)
     return type(y) is type(x) if type(x) in FIELDS else x == y
 
 

@@ -12,6 +12,7 @@ from schemex.spectral import krein_parameters, primitive_idempotents, spectral_d
 from nxn_reference import (
     adjacency,
     array_slabs,
+    dense,
     intersection_array,
     krein_expansion,
     krein_slabs_loop,
@@ -236,7 +237,7 @@ class TestKrein:
     def test_binary_hamming_self_dual(self):
         s = generate(FamilySpec("hamming", (3, 2)))
         q = _krein_cube(spectral_data(s.tensor))
-        assert np.abs(q - s.tensor.p).max() < 1e-8
+        assert np.abs(q - dense(s.tensor)).max() < 1e-8
 
     def test_nonnegativity_floor(self, scheme_corpus, cycle_scheme):
         # the Krein conditions q^k_{ij} >= 0 (Scott 1973), an oracle for P and m

@@ -12,11 +12,14 @@ times each stage on each scheme by itself, with the stage's inputs computed
 beforehand.  A stage's figure is its minimum time on each scheme, over every
 pass and round, averaged over the 29 schemes, in microseconds; a stage that
 does not run on a scheme (the spectral stages on tied theta) counts 0 there.
-The minimum, not an average, so that a gain of a few percent shows through
-the machine's changes of speed.
+The minimum, not an average, to damp the machine's changes of speed; even so,
+one run leaves a stage change below about 15% unresolved (README, "Cost of one
+small scheme").
 
-The stages: ``build_scheme`` whole and, within it, the ``IntersectionTensor``
-checks; ``spectral_data`` whole and, within it, ``Spectrum``; each route
+The stages: ``build_scheme`` whole and, within it, ``IntersectionTensor``:
+counting slab 1 and checking it, as ``build_scheme`` does on a metric scheme
+(on a tree with the dense tensor, counting and checking all of it);
+``spectral_data`` whole and, within it, ``Spectrum``; each route
 (``predistance`` as its table of predistance polynomials and its column
 match); the Krein slab with the ``q_poly`` chain; every M* residual of a
 scheme; and ``analyze`` whole.  The table gives both trees and the change of
@@ -61,9 +64,17 @@ def _stage_calls(s):
     rm = scheme_core.RelationMatrix(n=s.n, d=s.d, rel=s.rel)
     sp = sd.spectrum
     values = spectral.predistance_polynomials(sp) if sp is not None else None
+    if hasattr(t, "p"):  # a tree with the dense tensor
+        def tensor():
+            p = scheme_core._tensor_from_representatives(s.rel, t.d)
+            return scheme_core.IntersectionTensor(d=t.d, p=p)
+    else:
+        def tensor():
+            b = scheme_core._count_slab(t.rel, t.y, 1)
+            return scheme_core.IntersectionTensor(t.rel, t.y, t.valencies, {1: b})
     calls = {
         "build_scheme": lambda: scheme_core.build_scheme(rm),
-        "IntersectionTensor": lambda: scheme_core.IntersectionTensor(d=t.d, p=t.p),
+        "IntersectionTensor": tensor,
         "spectral_data": lambda: spectral.spectral_data(t),
         "Spectrum": lambda: spectral.Spectrum(theta=sd.theta, m=sd.multiplicities, n=sd.n),
         "tridiagonal": lambda: detect.tridiagonal_route(t),
