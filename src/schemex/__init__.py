@@ -11,7 +11,6 @@ from .graph_tools import (
 )
 from .scheme_core import (
     AssociationScheme,
-    IntersectionTensor,
     RelationMatrix,
     build_scheme,
 )
@@ -28,7 +27,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AssociationScheme", "DetectionReport", "FamilySpec", "Graph",
-    "IntersectionTensor", "RelationMatrix",
+    "RelationMatrix",
     "RouteVerdict", "SpectralData", "Spectrum",
     "analyze", "build_scheme", "corpus", "detect", "distance_data",
     "generate", "graph_spectrum", "krein_parameters", "predistance_polynomials",

@@ -24,7 +24,7 @@ import functools
 
 import numpy as np
 
-from .scheme_core import AssociationScheme, IntersectionTensor, ValueRecord, greedy_chain
+from .scheme_core import AssociationScheme, ValueRecord, greedy_chain
 from .spectral import (
     DegenerateSpectrum,
     SpectralData,
@@ -140,7 +140,7 @@ def _band_violation(mat, order, thr):
     return f"band entry ({order[a]},{order[b]}) = {R[a, b]} is not positive"
 
 
-def tridiagonal_route(t: IntersectionTensor) -> RouteVerdict:
+def tridiagonal_route(s: AssociationScheme) -> RouteVerdict:
     """Greedy relation chain from [0, 1] on p^j_{1,i} (:func:`greedy_chain`); exact
     integers, total (no preconditions).
 
@@ -148,16 +148,16 @@ def tridiagonal_route(t: IntersectionTensor) -> RouteVerdict:
     check follows it.  Below the diagonal: order[b+1] was the only unused j
     with p^j_{1,order[b]} > 0 (for b = 0, p^j_{10} = delta_{j1}).  Above it:
     k_k p^k_{1j} = k_j p^j_{1k} with every k_i >= 1, both checked exactly by
-    IntersectionTensor, copies that zero/positive pattern.  q_polynomial_route
+    AssociationScheme, copies that zero/positive pattern.  q_polynomial_route
     keeps its band check, since its float thresholds break this argument.
     """
-    order, witness = greedy_chain(t.slab(1) > 0, 1)
+    order, witness = greedy_chain(s.slab(1) > 0, 1)
     if order is None:
         return RouteVerdict("tridiagonal", NO, witness=witness)
     return RouteVerdict("tridiagonal", YES, ordering=order, l=order[-1])
 
 
-def nstar_sets(t: IntersectionTensor, sd: SpectralData) -> tuple:
+def nstar_sets(s: AssociationScheme, sd: SpectralData) -> tuple:
     """First-appearance sets of the relations in A_1^0, A_1^1, ..., A_1^d.
 
     Entry h is the frozenset of relations whose coefficient in A_1^h is
@@ -172,8 +172,8 @@ def nstar_sets(t: IntersectionTensor, sd: SpectralData) -> tuple:
     never reached, the relation-1 graph is disconnected, i.e. theta_0 is not
     separated from the rest of the spectrum: PerronNotSeparated.
     """
-    d = t.d
-    out = (t.slab(1) > 0).T.tolist()  # out[j][k]: p^k_{1j} > 0
+    d = s.d
+    out = (s.slab(1) > 0).T.tolist()  # out[j][k]: p^k_{1j} > 0
     seen = [True] + [False] * d
     levels = []  # levels[h]: the breadth-first frontier at distance h
     frontier = [0]
@@ -274,7 +274,7 @@ def _bit_reversed(count: int) -> tuple:
     return tuple(sorted(range(count), key=lambda q: f"{q:0{bits}b}"[::-1]))
 
 
-def mstar_decomposition_residual(t: IntersectionTensor, sd: SpectralData, i: int) -> float:
+def mstar_decomposition_residual(s: AssociationScheme, sd: SpectralData, i: int) -> float:
     """Max-abs residual of prod_{j!=i}(A_1 - theta_j I)/(theta_i - theta_j) - kappa_i E_0 - E_i.
 
     The product interpolates through all eigenvalues except theta_0 and
@@ -285,22 +285,22 @@ def mstar_decomposition_residual(t: IntersectionTensor, sd: SpectralData, i: int
     its coefficient vector c in the basis A_0..A_d: multiplication by A_1 is
     c -> B_1 c with B_1 = (p^k_{1j}), and kappa_i E_0 + E_i has coefficients
     kappa_i / n + Q_i(l) / n.  The A_l have disjoint supports and every class
-    is nonempty (IntersectionTensor checks k_l >= 1), so the max-abs entry of
+    is nonempty (AssociationScheme checks k_l >= 1), so the max-abs entry of
     the n x n residual equals the max-abs entry of the coefficient residual.
     """
     if sd.spectrum is None:
         raise DegenerateSpectrum("the decomposition needs mutually distinct theta")
-    if not 1 <= i <= t.d:
-        raise ValueError(f"i must be in 1..{t.d}")
+    if not 1 <= i <= s.d:
+        raise ValueError(f"i must be in 1..{s.d}")
     th = sd.theta.tolist()
-    B1 = t.slab(1).astype(float)
-    c = np.zeros(t.d + 1)
+    B1 = s.slab(1).astype(float)
+    c = np.zeros(s.d + 1)
     c[0] = 1.0  # A_0 = I
     # Apply the factors at the theta-sorted positions j != i in bit-reversed
     # (van der Corput) order, which interleaves near and far theta_j.  In index
     # order the partial product climbs to ~2e20 on cycle(100) before cancelling
     # to O(1), losing every digit.
-    js = [j for j in range(1, t.d + 1) if j != i]
+    js = [j for j in range(1, s.d + 1) if j != i]
     for pos in _bit_reversed(len(js)):
         j = js[pos]
         c = (B1.dot(c) - th[j] * c) / (th[i] - th[j])  # B1 @ c, with less dispatch
@@ -337,11 +337,11 @@ class Analysis:
         self.pq_residual = pq_residual
 
 
-def _nstar_verdict(t, sd):
+def _nstar_verdict(s, sd):
     """Yes iff some relation first appears in A_1^d, i.e. iff each of the d+1 levels
     holds one relation: first appearances are breadth-first distances, so none is skipped."""
     try:
-        sets = nstar_sets(t, sd)
+        sets = nstar_sets(s, sd)
     except PerronNotSeparated as e:
         return RouteVerdict("nstar", PRECONDITION_FAILED, witness=str(e))
     if any(len(part) != 1 for part in sets):
@@ -354,12 +354,11 @@ def _nstar_verdict(t, sd):
 
 
 def analyze(s: AssociationScheme) -> Analysis:
-    """Run every route on ``s.tensor``, enforce their pairwise agreement, keep the evidence."""
-    t = s.tensor
-    sd = spectral_data(t)
+    """Run every route on ``s``, enforce their pairwise agreement, keep the evidence."""
+    sd = spectral_data(s)
 
-    tri = tridiagonal_route(t)
-    nstar_v = _nstar_verdict(t, sd)
+    tri = tridiagonal_route(s)
+    nstar_v = _nstar_verdict(s, sd)
 
     values = predistance_polynomials(sd.spectrum) if sd.spectrum is not None else None
     excess_v = excess_route(sd)
@@ -405,12 +404,12 @@ def analyze(s: AssociationScheme) -> Analysis:
     if sd.spectrum is not None:
         kappa = sd.spectrum.kappa.tolist()  # kappa_i E_0 + E_i has entries up to |kappa_i| / n
         mstar_max = max(
-            mstar_decomposition_residual(t, sd, i) / max(1.0, abs(kappa[i]) / sd.n)
-            for i in range(1, t.d + 1)
+            mstar_decomposition_residual(s, sd, i) / max(1.0, abs(kappa[i]) / sd.n)
+            for i in range(1, s.d + 1)
         )
 
     report = DetectionReport(
-        n=t.n, d=t.d, valencies=tuple(t.valencies.tolist()),
+        n=s.n, d=s.d, valencies=tuple(s.valencies.tolist()),
         tridiagonal=tri, nstar=nstar_v, excess=excess_v, predistance=pred_v,
         q_poly=qv, consensus=consensus, preconditions_ok=preconditions_ok,
         ordering=ordering, l=l,

@@ -71,7 +71,9 @@ class FrozenRecord:
 
     A subclass lists its fields in ``__slots__`` and sets them in its own
     ``__init__`` with ``object.__setattr__``.  ``__setstate__`` does the same for
-    copy and pickle.  Records compare by identity; a :class:`ValueRecord` compares by value.
+    copy and pickle, and makes read-only every array it restores, a field's or a
+    dict field's value, since pickle and deepcopy hand back writeable ones.
+    Records compare by identity; a :class:`ValueRecord` compares by value.
     """
 
     __slots__ = ()
@@ -84,6 +86,9 @@ class FrozenRecord:
 
     def __setstate__(self, state):
         for name, value in state[1].items():
+            for a in value.values() if isinstance(value, dict) else (value,):
+                if isinstance(a, np.ndarray):
+                    a.setflags(write=False)
             object.__setattr__(self, name, value)
 
 
@@ -144,8 +149,9 @@ class RelationMatrix(FrozenRecord):
         object.__setattr__(self, "rel", rel)
 
 
-class IntersectionTensor(FrozenRecord):
-    """The intersection numbers p^k_{ij} of a validated scheme, one slab B_i at a time.
+class AssociationScheme(FrozenRecord):
+    """A validated scheme: its relation matrix and intersection numbers p^k_{ij}, one slab
+    B_i at a time.
 
     ``slab(i)`` = B_i, indexed [k, j] = p^k_{ij}, read-only, is the only way any
     stage outside this module reads them.  A slab is counted on its first read at
@@ -154,17 +160,18 @@ class IntersectionTensor(FrozenRecord):
     the count of relation i in row 0, and ``n`` = sum_i k_i the number of points.
     """
 
-    __slots__ = ("rel", "y", "valencies", "slabs", "d", "n")
+    __slots__ = ("rel", "y", "valencies", "slabs", "n", "d")
 
     def __init__(self, rel: np.ndarray, y: np.ndarray, valencies: np.ndarray, slabs: dict):
+        y.setflags(write=False)
         valencies.setflags(write=False)
         ks = valencies.tolist()
         object.__setattr__(self, "rel", rel)
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "valencies", valencies)
         object.__setattr__(self, "slabs", {})
-        object.__setattr__(self, "d", len(ks) - 1)
         object.__setattr__(self, "n", sum(ks))
+        object.__setattr__(self, "d", len(ks) - 1)
         for i, b in slabs.items():
             self._keep(i, b)
         if min(ks) < 1:
@@ -203,22 +210,6 @@ class IntersectionTensor(FrozenRecord):
         b.setflags(write=False)
         self.slabs[i] = b
         return b
-
-
-class AssociationScheme(FrozenRecord):
-    """A validated scheme: the relation matrix plus its cached intersection tensor."""
-
-    __slots__ = ("n", "d", "rel", "tensor")
-
-    def __init__(self, n: int, d: int, rel: np.ndarray, tensor: IntersectionTensor):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "rel", rel)
-        object.__setattr__(self, "tensor", tensor)
-
-    @property
-    def valencies(self) -> np.ndarray:
-        return self.tensor.valencies
 
 
 def _count_slab(rel: np.ndarray, y: np.ndarray, i: int, x=None) -> np.ndarray:
@@ -374,7 +365,7 @@ def greedy_chain(support, start):
 
 
 def build_scheme(rm: RelationMatrix) -> AssociationScheme:
-    """Validate the scheme axioms; the scheme's tensor keeps the slabs validation counted.
+    """Validate the scheme axioms; the scheme keeps the slabs validation counted.
 
     The products A_i A_j, 1 <= i <= j <= d, are checked to be constant on
     each class, row by row in i.  Once row i has passed, every A_i A_j is
@@ -398,7 +389,7 @@ def build_scheme(rm: RelationMatrix) -> AssociationScheme:
     class is flagged exactly when it is not constant), so y_k is whichever z of
     row 0 one scatter leaves; without a class in row 0 (no scheme), (x_k, y_k)
     come from a scatter over all of rel.  The slabs are checked after the scan
-    (:class:`IntersectionTensor`), so every validation failure keeps its witness.
+    (:class:`AssociationScheme`), so every validation failure keeps its witness.
     """
     rel, n, d = rm.rel, rm.n, rm.d
     if n >= _FLOAT32_EXACT:
@@ -446,5 +437,5 @@ def build_scheme(rm: RelationMatrix) -> AssociationScheme:
         x, y = np.argwhere((rel == 0) & ~np.eye(n, dtype=bool))[0]
         raise ZeroOffDiagonal(int(x), int(y))
 
-    return AssociationScheme(n=n, d=d, rel=rel, tensor=IntersectionTensor(rel, y, row0, slabs))
+    return AssociationScheme(rel, y, row0, slabs)
 

@@ -28,7 +28,7 @@ import math
 
 import numpy as np
 
-from .scheme_core import AssociationScheme, FrozenRecord, IntersectionTensor
+from .scheme_core import AssociationScheme, FrozenRecord
 
 #: two computed eigenvalues count as equal when their gap is at most this,
 #: relative to max(1, spectral radius); read only by eigen_groups
@@ -187,21 +187,21 @@ def _split_blocks(mats):
     return np.hstack(blocks)
 
 
-def spectral_data(t: IntersectionTensor) -> SpectralData:
-    """Compute P, Q, theta and the multiplicities from the intersection tensor.
+def spectral_data(s: AssociationScheme) -> SpectralData:
+    """Compute P, Q, theta and the multiplicities from the intersection numbers.
 
     Raises EigenSplitFailure if the eigenstructure cannot be separated, or the
     multiplicities or P Q = nI fail beyond tolerance.
     """
-    n, d = t.n, t.d
-    k = t.valencies.astype(float)
+    n, d = s.n, s.d
+    k = s.valencies.astype(float)
     sq = np.sqrt(k)
 
     # S_i = diag(sqrt k) B_i diag(sqrt k)^-1 is symmetric by the identity
-    # k_k p^k_{ij} = k_j p^j_{ik}, which IntersectionTensor checks exactly, so
+    # k_k p^k_{ij} = k_j p^j_{ik}, which AssociationScheme checks exactly, so
     # averaging S_i with its transpose only evens out rounding.  Each S_i is
     # built when _split_blocks reads it; a simple spectrum stops after S_1.
-    scaled = ((sq[:, None] * t.slab(i)) / sq[None, :] for i in range(1, d + 1))
+    scaled = ((sq[:, None] * s.slab(i)) / sq[None, :] for i in range(1, d + 1))
     U = sq[:, None] * _split_blocks((S + S.T) / 2.0 for S in scaled)
     if (np.abs(U[0]) < 1e-12 * np.sqrt((U * U).sum(axis=0))).any():  # U[0] vs column norms
         raise EigenSplitFailure("eigenvector with vanishing identity coordinate")
@@ -255,7 +255,7 @@ def spectral_data(t: IntersectionTensor) -> SpectralData:
     # no tie: singleton groups, so theta falls strictly from k_1 and Spectrum accepts it
     spectrum = Spectrum(theta=theta, m=m, n=n) if tie is None else None
     return SpectralData(
-        n=n, d=d, valencies=t.valencies.copy(),
+        n=n, d=d, valencies=s.valencies,
         P=P, Q=Q, theta=theta, multiplicities=m, tie=tie, spectrum=spectrum,
         pq_residual=pq_resid, multiplicity_residual=m_resid,
     )

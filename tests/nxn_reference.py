@@ -19,7 +19,7 @@ counted at representatives found by sorting all n^2 relation entries,
 Graph.from_edges one pair at a time, and the file reader that turned every
 token into a Python string.
 
-array_slabs is a second slab source beside IntersectionTensor: the slabs
+array_slabs is a second slab source beside AssociationScheme: the slabs
 B_i of a distance-regular graph's scheme, in distance order, computed from
 its intersection array in exact integers when a stage asks for them.  So the
 analysis runs on it at d = 2500 without a relation matrix of 5000^2 entries.
@@ -288,7 +288,7 @@ def krein_slabs_loop(sd):
 
 
 def tensor_checks_loop(d, p) -> None:
-    """IntersectionTensor's checks on every slab of the int64 array p, identity by identity.
+    """AssociationScheme's checks on every slab of the int64 array p, identity by identity.
 
     Raises the ValueError the library raises, with the same message, or returns None.
     """
@@ -460,7 +460,7 @@ def intersection_array(family, *params):
 def array_slabs(b, c):
     """A slab source of the scheme with intersection array {b_0..b_{D-1}; c_1..c_D}.
 
-    It has what the analysis reads of an IntersectionTensor: d, n, the
+    It has what the analysis reads of an AssociationScheme: d, n, the
     valencies and slab(i) = B_i, indexed [k, j] = p^k_{ij}, read-only.  B_1 is
     tridiagonal with row k = (c_k, a_k, b_k), a_k = b_0 - b_k - c_k, and
     A_1 A_i = b_{i-1} A_{i-1} + a_i A_i + c_{i+1} A_{i+1} gives

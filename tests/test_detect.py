@@ -67,7 +67,7 @@ def _seven_cycle_swapped():
 def _walk_count_first_appearance(s):
     """Reference for nstar: exact walk counts B_1^h e_0 in Python integers, h <= d."""
     d = s.d
-    B1 = s.tensor.slab(1).tolist()
+    B1 = s.slab(1).tolist()
     coeff = [1] + [0] * d  # A_1^0 = A_0
     first = [None] * (d + 1)
     first[0] = 0
@@ -81,17 +81,17 @@ def _walk_count_first_appearance(s):
 
 def _assert_nstar_matches_walk_counts(s, label):
     first = _walk_count_first_appearance(s)
-    sd = spectral_data(s.tensor)
+    sd = spectral_data(s)
     unreached = [j for j, f in enumerate(first) if f is None]
     if unreached:
         with pytest.raises(PerronNotSeparated) as exc:
-            nstar_sets(s.tensor, sd)
+            nstar_sets(s, sd)
         assert f"relations {unreached} never appear" in str(exc.value), label
         return
     want = tuple(
         frozenset(j for j, f in enumerate(first) if f == h) for h in range(s.d + 1)
     )
-    assert nstar_sets(s.tensor, sd) == want, label
+    assert nstar_sets(s, sd) == want, label
 
 
 # ---------------------------------------------------------------------------
@@ -120,33 +120,33 @@ def _oracle_chain_orders(mat, d, positive, zero):
 
 class TestTridiagonal:
     def test_pentagon(self):
-        v = tridiagonal_route(_scheme("cycle", (5,)).tensor)
+        v = tridiagonal_route(_scheme("cycle", (5,)))
         assert v.verdict == YES
         assert v.ordering == (0, 1, 2)
         assert v.l == 2
 
     def test_swapped_cycle_recovers_order(self):
-        v = tridiagonal_route(_seven_cycle_swapped().tensor)
+        v = tridiagonal_route(_seven_cycle_swapped())
         assert v.verdict == YES
         assert v.ordering == (0, 1, 3, 2)
 
     def test_single_class_is_trivially_yes(self):
-        v = tridiagonal_route(_scheme("complete", (4,)).tensor)
+        v = tridiagonal_route(_scheme("complete", (4,)))
         assert v.verdict == YES
         assert v.ordering == (0, 1)
 
     def test_cyclotomic_branches(self):
-        v = tridiagonal_route(_scheme("cyclotomic13").tensor)
+        v = tridiagonal_route(_scheme("cyclotomic13"))
         assert v.verdict == NO
         assert "2 candidates" in v.witness
 
     def test_disjoint_cliques_stalls(self):
-        v = tridiagonal_route(_scheme("disjoint_cliques", (3, 3)).tensor)
+        v = tridiagonal_route(_scheme("disjoint_cliques", (3, 3)))
         assert v.verdict == NO
         assert "0 candidates" in v.witness
 
     def test_antipodal_relabelling_fails(self):
-        v = tridiagonal_route(_scheme("hypercube_reordered", (0, 3, 2, 1)).tensor)
+        v = tridiagonal_route(_scheme("hypercube_reordered", (0, 3, 2, 1)))
         assert v.verdict == NO
 
     def test_matches_exhaustive_scan(self, scheme_corpus):
@@ -158,7 +158,7 @@ class TestTridiagonal:
             for rest in rests:
                 idx = np.array((0, *rest))
                 p = np.empty((s.d + 1,) * 3, dtype=np.int64)
-                p[np.ix_(idx, idx, idx)] = dense(s.tensor)
+                p[np.ix_(idx, idx, idx)] = dense(s)
                 got = tridiagonal_route(dense_slabs(p))
                 found = _oracle_chain_orders(p[:, 1, :], s.d, lambda v: v > 0, lambda v: v == 0)
                 assert len(found) <= 1, (name, rest, found)
@@ -168,29 +168,29 @@ class TestTridiagonal:
 class TestNStar:
     def test_cube_chain(self):
         s = _scheme("hamming", (3, 2))
-        sd = spectral_data(s.tensor)
-        assert nstar_sets(s.tensor, sd) == tuple(frozenset({h}) for h in range(4))
-        assert _nstar_verdict(s.tensor, sd).ordering == (0, 1, 2, 3)
+        sd = spectral_data(s)
+        assert nstar_sets(s, sd) == tuple(frozenset({h}) for h in range(4))
+        assert _nstar_verdict(s, sd).ordering == (0, 1, 2, 3)
 
     def test_cyclotomic_collapses_early(self):
         s = _scheme("cyclotomic13")
-        sd = spectral_data(s.tensor)
-        chain = nstar_sets(s.tensor, sd)
+        sd = spectral_data(s)
+        chain = nstar_sets(s, sd)
         assert chain == (
             frozenset({0}), frozenset({1}), frozenset({2, 3}), frozenset()
         )
-        assert _nstar_verdict(s.tensor, sd).verdict == NO
+        assert _nstar_verdict(s, sd).verdict == NO
         assert frozenset().union(*chain[:3]) == frozenset({0, 1, 2, 3})
 
     def test_swapped_cycle(self):
         s = _seven_cycle_swapped()
-        chain = nstar_sets(s.tensor, spectral_data(s.tensor))
+        chain = nstar_sets(s, spectral_data(s))
         assert chain == tuple(frozenset({j}) for j in (0, 1, 3, 2))
 
     def test_disconnected_first_relation(self):
         s = _scheme("disjoint_cliques", (3, 3))
         with pytest.raises(PerronNotSeparated) as exc:
-            nstar_sets(s.tensor, spectral_data(s.tensor))
+            nstar_sets(s, spectral_data(s))
         assert "[2]" in str(exc.value)  # the cross-clique relation is unreachable
 
     def test_matches_walk_counts_on_corpus(self, scheme_corpus):
@@ -209,7 +209,7 @@ class TestNStar:
 class TestExcess:
     def test_cube(self):
         s = _scheme("hamming", (3, 2))
-        v = excess_route(spectral_data(s.tensor))
+        v = excess_route(spectral_data(s))
         assert v.verdict == YES
         assert v.l == 3
         assert v.max_residual < 1e-9
@@ -217,23 +217,23 @@ class TestExcess:
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_complete(self, n):
         s = _scheme("complete", (n,))
-        v = excess_route(spectral_data(s.tensor))
+        v = excess_route(spectral_data(s))
         assert (v.verdict, v.l) == (YES, 1)
 
     def test_petersen(self):
         s = _scheme("petersen")
-        v = excess_route(spectral_data(s.tensor))
+        v = excess_route(spectral_data(s))
         assert (v.verdict, v.l) == (YES, 2)
 
     def test_cyclotomic_no(self):
         s = _scheme("cyclotomic13")
-        v = excess_route(spectral_data(s.tensor))
+        v = excess_route(spectral_data(s))
         assert v.verdict == NO
         assert v.witness is not None
 
     def test_tied_spectrum_precondition(self):
         s = _scheme("hypercube_reordered", (0, 3, 2, 1))
-        v = excess_route(spectral_data(s.tensor))
+        v = excess_route(spectral_data(s))
         assert v.verdict == PRECONDITION_FAILED
 
     def test_sloppy_tolerance_hits_many_columns(self, monkeypatch):
@@ -241,9 +241,9 @@ class TestExcess:
         monkeypatch.setattr(importlib.import_module("schemex.detect"), "ROUTE_MATCH_RTOL", 10.0)
         s = _scheme("complete", (2,))
         with pytest.raises(MultipleL):
-            excess_route(spectral_data(s.tensor))
+            excess_route(spectral_data(s))
         # both column-matching routes name every passing column
-        sd = spectral_data(_scheme("cycle", (5,)).tensor)
+        sd = spectral_data(_scheme("cycle", (5,)))
         with pytest.raises(MultipleL) as exc:
             excess_route(sd)
         assert str(exc.value) == "columns [0, 1, 2] all satisfy kappa_i = -Q_i(l)"
@@ -254,18 +254,18 @@ class TestExcess:
 
 class TestPredistanceRoute:
     def test_petersen(self):
-        sd = spectral_data(_scheme("petersen").tensor)
+        sd = spectral_data(_scheme("petersen"))
         v = predistance_route(sd, predistance_polynomials(sd.spectrum))
         assert (v.verdict, v.l) == (YES, 2)
         assert v.max_residual < 1e-9
 
     def test_cube(self):
-        sd = spectral_data(_scheme("hamming", (3, 2)).tensor)
+        sd = spectral_data(_scheme("hamming", (3, 2)))
         v = predistance_route(sd, predistance_polynomials(sd.spectrum))
         assert (v.verdict, v.l) == (YES, 3)
 
     def test_cyclotomic_no(self):
-        sd = spectral_data(_scheme("cyclotomic13").tensor)
+        sd = spectral_data(_scheme("cyclotomic13"))
         v = predistance_route(sd, predistance_polynomials(sd.spectrum))
         assert v.verdict == NO
 
@@ -273,46 +273,46 @@ class TestPredistanceRoute:
 class TestMStar:
     def test_k2_is_exact(self):
         s = _scheme("complete", (2,))
-        assert mstar_decomposition_residual(s.tensor, spectral_data(s.tensor), 1) == 0.0
+        assert mstar_decomposition_residual(s, spectral_data(s), 1) == 0.0
 
     def test_small_residual_everywhere(self, scheme_corpus):
         for name, s, expected in scheme_corpus:
-            sd = spectral_data(s.tensor)
+            sd = spectral_data(s)
             if expected == "precondition-failed":
                 continue
             for i in range(1, s.d + 1):
-                r = mstar_decomposition_residual(s.tensor, sd, i)
+                r = mstar_decomposition_residual(s, sd, i)
                 assert r < 1e-8, (name, i, r)
 
     def test_cyclotomic_included(self):
         # the identity holds without the chain property
         s = _scheme("cyclotomic13")
-        sd = spectral_data(s.tensor)
+        sd = spectral_data(s)
         assert max(
-            mstar_decomposition_residual(s.tensor, sd, i) for i in (1, 2, 3)
+            mstar_decomposition_residual(s, sd, i) for i in (1, 2, 3)
         ) < 1e-10
 
     def test_matches_nxn_product(self, scheme_corpus):
         for name, s, _ in scheme_corpus:
-            sd = spectral_data(s.tensor)
+            sd = spectral_data(s)
             if sd.tie is not None:
                 continue
             for i in range(1, s.d + 1):
-                got = mstar_decomposition_residual(s.tensor, sd, i)
+                got = mstar_decomposition_residual(s, sd, i)
                 assert abs(got - mstar_product(s, sd, i)) <= 1e-12, (name, i)
 
     def test_tied_spectrum_raises(self):
         s = _scheme("hypercube_reordered", (0, 3, 2, 1))
         with pytest.raises(DegenerateSpectrum):
-            mstar_decomposition_residual(s.tensor, spectral_data(s.tensor), 1)
+            mstar_decomposition_residual(s, spectral_data(s), 1)
 
     def test_index_range(self):
         s = _scheme("cycle", (5,))
-        sd = spectral_data(s.tensor)
+        sd = spectral_data(s)
         with pytest.raises(ValueError):
-            mstar_decomposition_residual(s.tensor, sd, 0)
+            mstar_decomposition_residual(s, sd, 0)
         with pytest.raises(ValueError):
-            mstar_decomposition_residual(s.tensor, sd, 3)
+            mstar_decomposition_residual(s, sd, 3)
 
     def test_mstar_max_is_relative_to_kappa(self):
         # the cyclotomic scheme of Z_101 with 25 classes: x - y in the c-th coset of
@@ -330,7 +330,7 @@ class TestMStar:
         assert a.report.status == NO and a.spectral.spectrum is not None
         kappa = a.spectral.spectrum.kappa
         assert np.abs(kappa).max() > 1e11
-        raw = [mstar_decomposition_residual(s.tensor, a.spectral, i) for i in range(1, 26)]
+        raw = [mstar_decomposition_residual(s, a.spectral, i) for i in range(1, 26)]
         assert max(raw) > 1e-6
         assert a.mstar_max == max(r / max(1.0, abs(k) / p) for r, k in zip(raw, kappa[1:]))
         assert a.mstar_max < 1e-10
@@ -341,14 +341,14 @@ class TestMStar:
             a = corpus_analyses[name]
             if a.spectral.spectrum is not None:
                 assert (np.abs(a.spectral.spectrum.kappa) <= s.n).all(), name
-                assert a.mstar_max == max(mstar_decomposition_residual(s.tensor, a.spectral, i)
+                assert a.mstar_max == max(mstar_decomposition_residual(s, a.spectral, i)
                                           for i in range(1, s.d + 1)), name
 
 
 class TestQPolynomial:
     def _krein(self, s):
         """The reference q1 of the n x n expansion, with the point count."""
-        return krein_expansion(s, spectral_data(s.tensor))[:, 1, :], s.n
+        return krein_expansion(s, spectral_data(s))[:, 1, :], s.n
 
     def test_cube_self_dual(self):
         v = q_polynomial_route(*self._krein(_scheme("hamming", (3, 2))))
@@ -549,7 +549,7 @@ class TestAnalyze:
         assert msg == f"{route} found l = 2 but the chain ends at xi_d = 3"
 
     def test_route_verdict_to_dict(self):
-        v = tridiagonal_route(_scheme("cycle", (5,)).tensor)
+        v = tridiagonal_route(_scheme("cycle", (5,)))
         d = v.to_dict()
         assert d["verdict"] == YES
         assert d["ordering"] == [0, 1, 2]
@@ -678,9 +678,9 @@ class TestLargeDiameter:
 
     def test_mstar_product_stays_accurate(self):
         s = _scheme("cycle", (60,))
-        sd = spectral_data(s.tensor)
+        sd = spectral_data(s)
         for i in range(1, s.d + 1):
-            assert mstar_decomposition_residual(s.tensor, sd, i) < 1e-10, i
+            assert mstar_decomposition_residual(s, sd, i) < 1e-10, i
 
 
 class TestTensorOnly:
@@ -711,7 +711,7 @@ class TestTensorOnly:
         t = dense_slabs(self.PENTAGON)
         assert t.n == 5
         got = self._stages(t)
-        want = self._stages(_scheme("cycle", (5,)).tensor)
+        want = self._stages(_scheme("cycle", (5,)))
         for key, value in want.items():
             if isinstance(value, np.ndarray):
                 assert np.array_equal(got[key], value), key
@@ -749,8 +749,8 @@ def _check_margins(name, stages, matched=1000, between=1000):
 
 
 class TestArraySlabs:
-    """The stages read the tensor only through t.n, t.d, t.valencies and t.slab(i), so the
-    slabs of an intersection array, computed on demand, stand in for the dense p."""
+    """The stages read a scheme only through s.n, s.d, s.valencies and s.slab(i), so the
+    slabs of an intersection array, computed on demand, stand in for the scheme."""
 
     def test_matches_the_generated_tensors(self, corpus_analyses):
         specs = [("hamming", (6, 3)), ("hamming", (10, 2)), ("johnson", (12, 4)), ("cycle", (100,))]
@@ -760,7 +760,7 @@ class TestArraySlabs:
                 specs.append((family, tuple(int(v) for v in params.split(",") if v)))
         assert len(specs) == 4 + 26
         for family, params in specs:
-            t = _scheme(family, params).tensor
+            t = _scheme(family, params)
             src = array_slabs(*intersection_array(family, *params))
             assert (src.d, src.n) == (t.d, t.n), (family, params)
             assert np.array_equal(src.valencies, t.valencies), (family, params)
@@ -768,7 +768,7 @@ class TestArraySlabs:
                 assert np.array_equal(src.slab(i), t.slab(i)), (family, params, i)
 
     def test_slab_is_a_read_only_view(self):
-        t = _scheme("hamming", (3, 2)).tensor
+        t = _scheme("hamming", (3, 2))
         for i in range(t.d + 1):
             b = t.slab(i)
             assert b is t.slab(i) and not b.flags.writeable
@@ -783,14 +783,14 @@ class TestArraySlabs:
 
     def test_analysis_matches_the_generated_scheme(self, margin_analyses):
         want = margin_analyses["cycle(100)"]
-        got = analyze(SimpleNamespace(tensor=array_slabs(*intersection_array("cycle", 100))))
+        got = analyze(array_slabs(*intersection_array("cycle", 100)))
         assert got.report.routes() == want.report.routes()
         assert got.mstar_max == want.mstar_max
         assert np.array_equal(got.spectral.P, want.spectral.P)
         assert np.array_equal(got.spectral.Q, want.spectral.Q)
 
     def test_analyze_on_cycle_400(self):
-        a = analyze(SimpleNamespace(tensor=array_slabs(*intersection_array("cycle", 400))))
+        a = analyze(array_slabs(*intersection_array("cycle", 400)))
         assert a.report.status == YES
         assert a.report.l == 200
         assert a.mstar_max <= 1e-8

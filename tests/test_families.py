@@ -172,4 +172,4 @@ class TestCorpus:
         ]:
             a, b = generate(spec), generate(spec)
             assert np.array_equal(a.rel, b.rel)
-            assert np.array_equal(dense(a.tensor), dense(b.tensor))
+            assert np.array_equal(dense(a), dense(b))

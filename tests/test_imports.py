@@ -1,7 +1,7 @@
 """Every module of the package uses each name it imports, or re-exports it in ``__all__``,
 every public name a module defines is read in the package, exported, or traced, no
-module imports another's underscore names, only scheme_core reads the dense tensor p, no
-module generates code at import or holds an ``assert`` statement, and README's Layout names
+module imports another's underscore names, no module reads an attribute p and only
+scheme_core reads a scheme's kept slabs, no module generates code at import or holds an ``assert`` statement, and README's Layout names
 every module."""
 
 from __future__ import annotations
@@ -106,9 +106,10 @@ def test_no_module_imports_a_private_name_of_another():
     assert not private, private
 
 
-def test_only_scheme_core_reads_the_dense_tensor():
-    # every other stage reads the intersection tensor through IntersectionTensor.slab(i),
-    # so a slab source without a (d+1)^3 array can stand in for it; no module has one
+def test_only_scheme_core_reads_the_slabs():
+    # every other stage reads the intersection numbers through AssociationScheme.slab(i),
+    # so any slab source with d, n, valencies and slab(i) can stand in for the scheme;
+    # no module holds them as a dense (d+1)^3 array p
     readers = [(path.name, node.lineno) for path in sorted(PACKAGE.glob("*.py"))
                for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
                if isinstance(node, ast.Attribute) and (node.attr == "p" or (

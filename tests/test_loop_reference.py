@@ -48,7 +48,7 @@ def inputs():
             perm = [0, 1, *(2 + rng.permutation(s.d - 1))] if s.d > 1 else [0, 1]
             out.append((f"{name}@{seed}", reorder_relations(s, perm)))
     out += [(f"{fam}{par}", generate(FamilySpec(fam, par))) for fam, par in LADDER]
-    return [(name, s, spectral_data(s.tensor)) for name, s in out]
+    return [(name, s, spectral_data(s)) for name, s in out]
 
 
 def test_the_inputs_reach_refinement(inputs):
@@ -58,7 +58,7 @@ def test_the_inputs_reach_refinement(inputs):
 
 def test_spectral_data_matches_the_row_loop(inputs):
     for name, s, sd in inputs:
-        ref = spectral_data_loop(s.tensor)
+        ref = spectral_data_loop(s)
         for field in ("P", "Q", "theta", "multiplicities"):
             assert getattr(sd, field).tobytes() == getattr(ref, field).tobytes(), (name, field)
         assert sd.tie == ref.tie, name
@@ -76,7 +76,7 @@ def test_krein_q1_matches_slab_1_of_the_loop(inputs):
 
 def test_walks_on_lists_match_the_flatnonzero_loops(inputs):
     for name, s, sd in inputs:
-        p, d = dense(s.tensor), s.d
+        p, d = dense(s), s.d
         for i in range(1, d + 1):
             chain, _witness = greedy_chain(p[:, i, :] > 0, i)
             assert (chain is not None) == generates_algebra_loop(p, i), (name, i)
@@ -85,13 +85,13 @@ def test_walks_on_lists_match_the_flatnonzero_loops(inputs):
         q1 = krein_parameters(sd) > BASE_TOL * max(1.0, s.n)
         assert greedy_chain(q1, 1) == greedy_chain_loop(q1, d), name
         try:
-            ref = nstar_sets_loop(s.tensor, sd)
+            ref = nstar_sets_loop(s, sd)
         except PerronNotSeparated as e:
             with pytest.raises(PerronNotSeparated) as got:
-                nstar_sets(s.tensor, sd)
+                nstar_sets(s, sd)
             assert str(got.value) == str(e), name
         else:
-            assert nstar_sets(s.tensor, sd) == ref, name
+            assert nstar_sets(s, sd) == ref, name
 
 
 def test_kappa_matches_the_scalar_loop(inputs):

@@ -25,7 +25,7 @@ from nxn_reference import (
 
 
 def _spectrum_of(s):
-    return spectral_data(s.tensor).spectrum
+    return spectral_data(s).spectrum
 
 
 def _spectrum(family, params=()):
@@ -208,7 +208,7 @@ class TestKappa:
         schemes += [(f"cycle({n})", cycle_scheme(n)) for n in (44, 100, 200)]
         checked = 0
         for name, s in schemes:
-            sp = spectral_data(s.tensor).spectrum
+            sp = spectral_data(s).spectrum
             if sp is None:  # tied theta: no kappa
                 continue
             ref = np.array([1.0] + [kappa_scalar(sp.theta, i) for i in range(1, sp.d + 1)])

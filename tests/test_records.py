@@ -1,5 +1,5 @@
 """The record classes: constructor parameters, which refuse assignment, how they compare and hash,
-and that copy and pickle rebuild them."""
+and that copy and pickle rebuild them, the frozen ones with read-only arrays."""
 
 from __future__ import annotations
 
@@ -19,18 +19,16 @@ from schemex.graph_tools import (
     distance_data,
     spectral_excess_report,
 )
-from schemex.scheme_core import AssociationScheme, IntersectionTensor, RelationMatrix
+from schemex.scheme_core import AssociationScheme, RelationMatrix
 from schemex.spectral import SpectralData, Spectrum
 
-FROZEN = {RelationMatrix, IntersectionTensor, AssociationScheme, Spectrum, RouteVerdict, Graph,
-          FamilySpec}
+FROZEN = {RelationMatrix, AssociationScheme, Spectrum, RouteVerdict, Graph, FamilySpec}
 BY_VALUE = {RouteVerdict, FamilySpec}
 
 # class -> its constructor's parameters, in order
 FIELDS = {
     RelationMatrix: ("n", "d", "rel"),
-    IntersectionTensor: ("rel", "y", "valencies", "slabs"),
-    AssociationScheme: ("n", "d", "rel", "tensor"),
+    AssociationScheme: ("rel", "y", "valencies", "slabs"),
     Spectrum: ("theta", "m", "n"),
     SpectralData: ("n", "d", "valencies", "P", "Q", "theta", "multiplicities", "tie",
                    "spectrum", "pq_residual", "multiplicity_residual"),
@@ -53,7 +51,7 @@ def records():
     s = generate(FamilySpec("cycle", (5,)))
     a = analyze(s)
     g = Graph.from_edges(5, [(i, (i + 1) % 5) for i in range(5)])
-    found = [RelationMatrix(n=s.n, d=s.d, rel=s.rel), s.tensor, s, a.spectral.spectrum,
+    found = [RelationMatrix(n=s.n, d=s.d, rel=s.rel), s, a.spectral.spectrum,
              a.spectral, a.report.tridiagonal, a.report, a, g, distance_data(g),
              spectral_excess_report(g), FamilySpec("cycle", (5,))]
     return {type(r): r for r in found}
@@ -96,6 +94,29 @@ def test_record_contract(records, cls):
     restored = pickle.loads(pickle.dumps(obj))
     assert type(restored) is cls
     assert all(_same(getattr(obj, name), getattr(restored, name)) for name in FIELDS[cls])
+
+
+def _arrays(obj):
+    """(field, array) for every array a record holds: a field's value or a dict field's values."""
+    for name in type(obj).__slots__:
+        value = getattr(obj, name)
+        for a in value.values() if isinstance(value, dict) else (value,):
+            if isinstance(a, np.ndarray):
+                yield name, a
+
+
+@pytest.mark.parametrize("cls", sorted(FROZEN, key=lambda cls: cls.__name__),
+                         ids=lambda cls: cls.__name__)
+def test_frozen_records_stay_read_only_through_deepcopy_and_pickle(records, cls):
+    # pickle and deepcopy hand back writeable arrays; a restored scheme whose slab could be
+    # written would let analyze read a stale B_1, and a Spectrum a stale kappa
+    obj = records[cls]
+    held = [name for name, _ in _arrays(obj)]
+    assert bool(held) is (cls not in BY_VALUE), held
+    for twin in (obj, copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
+        writeable = [name for name, a in _arrays(twin) if a.flags.writeable]
+        assert not writeable, writeable
+        assert [name for name, _ in _arrays(twin)] == held
 
 
 def test_value_records_are_one_dict_key():

@@ -12,8 +12,8 @@ from schemex.detect import analyze
 from schemex.families import FamilySpec, generate
 from schemex.graph_tools import Graph, distance_data
 from schemex.scheme_core import (
+    AssociationScheme,
     DiagonalNotZero,
-    IntersectionTensor,
     MissingRelation,
     NotConstant,
     NotSymmetric,
@@ -82,8 +82,8 @@ class TestBuildScheme:
         assert s.n == 5 and s.d == 2
         assert list(s.valencies) == [1, 2, 2]
         # adjacent vertices of a pentagon share no neighbour; distance-2 pairs share one
-        assert s.tensor.slab(1)[1, 1] == 0
-        assert s.tensor.slab(1)[2, 1] == 1
+        assert s.slab(1)[1, 1] == 0
+        assert s.slab(1)[2, 1] == 1
 
     def test_diagonal_not_zero(self):
         rel = _cycle_rel(5)
@@ -206,7 +206,7 @@ def test_validation_witnesses_match_integer_reference():
         tensor, witness = _reference_validation(rel, d)
         rm = RelationMatrix(n=n, d=d, rel=rel)
         if witness is None:
-            assert np.array_equal(dense(build_scheme(rm).tensor), tensor)
+            assert np.array_equal(dense(build_scheme(rm)), tensor)
             continue
         failing_pairs.add(witness[:2])
         with pytest.raises(NotConstant) as info:
@@ -274,13 +274,13 @@ def test_validation_stops_once_a_relation_generates(monkeypatch, family, params,
     rebuilt = build_scheme(RelationMatrix(n=s.n, d=s.d, rel=np.asarray(s.rel)))
     assert sum(len(js) for js in groups) == checks
     assert len(groups) == PRODUCT_GEMMS[family]
-    assert np.array_equal(dense(rebuilt.tensor), dense(s.tensor))
+    assert np.array_equal(dense(rebuilt), dense(s))
 
 
 def _packed_outcome(rel, d):
     """build_scheme's tensor, every slab stacked, or its NotConstant witness (i, j, k, lo, hi)."""
     try:
-        return dense(build_scheme(RelationMatrix(n=rel.shape[0], d=d, rel=rel)).tensor)
+        return dense(build_scheme(RelationMatrix(n=rel.shape[0], d=d, rel=rel)))
     except NotConstant as e:
         return e.i, e.j, e.k, e.witness_lo, e.witness_hi
 
@@ -408,14 +408,14 @@ def _cycle_band(d):
 def test_cycle400_builds_with_its_band(cycle_scheme):
     s = cycle_scheme(400)
     assert s.d == 200
-    assert np.array_equal(s.tensor.slab(1), _cycle_band(200))
+    assert np.array_equal(s.slab(1), _cycle_band(200))
 
 
 @pytest.mark.slow
 def test_cycle1000_builds_with_its_band():
     s = generate(FamilySpec("cycle", (1000,)))
     assert s.d == 500
-    assert np.array_equal(s.tensor.slab(1), _cycle_band(500))
+    assert np.array_equal(s.slab(1), _cycle_band(500))
 
 
 def test_corpus_tensors_match_integer_reference(scheme_corpus):
@@ -424,7 +424,7 @@ def test_corpus_tensors_match_integer_reference(scheme_corpus):
         tensor, witness = _reference_validation(rel, s.d)
         assert witness is None, name
         rebuilt = build_scheme(RelationMatrix(n=s.n, d=s.d, rel=rel))
-        assert np.array_equal(dense(rebuilt.tensor), tensor), name
+        assert np.array_equal(dense(rebuilt), tensor), name
 
 
 def _benchmark_matrices():
@@ -448,7 +448,7 @@ def test_representatives_from_row_zero_match_the_full_scan(scheme_corpus):
         rm = RelationMatrix(n=rel.shape[0], d=d, rel=rel)
         rel = rm.rel
         try:
-            t = build_scheme(rm).tensor
+            t = build_scheme(rm)
         except SchemeValidationError:
             continue
         schemes += 1
@@ -493,7 +493,7 @@ def test_representatives_when_row_zero_lacks_a_class(monkeypatch):
 
 def _build_outcome(rel, d):
     try:
-        return dense(build_scheme(RelationMatrix(n=rel.shape[0], d=d, rel=rel)).tensor)
+        return dense(build_scheme(RelationMatrix(n=rel.shape[0], d=d, rel=rel)))
     except SchemeValidationError as e:
         return f"{type(e).__name__}: {e}"
 
@@ -515,7 +515,7 @@ def test_product_expansion_identity(family, params):
     # A_i A_j = sum_k p^k_{ij} A_k, checked entrywise in integers
     s = generate(FamilySpec(family, params))
     A = [adjacency(s, i).astype(np.int64) for i in range(s.d + 1)]
-    p = dense(s.tensor)
+    p = dense(s)
     for i in range(s.d + 1):
         for j in range(s.d + 1):
             lhs = A[i] @ A[j]
@@ -524,16 +524,17 @@ def test_product_expansion_identity(family, params):
 
 
 def _checked(p):
-    """An IntersectionTensor handed every slab p[:, i, :] of p and the valencies p^0_{ii}, as
-    build_scheme hands it the slabs validation counted: its constructor checks them."""
+    """An AssociationScheme handed every slab p[:, i, :] of p and the valencies p^0_{ii}, as
+    build_scheme hands it the slabs validation counted: its constructor checks them.  It has
+    no relation matrix to count a slab from, and no pairs (0, y_k)."""
     slabs = {i: p[:, i, :].copy() for i in range(p.shape[0])}
-    return IntersectionTensor(None, None, p[0].diagonal().copy(), slabs)
+    return AssociationScheme(None, np.empty(0, dtype=np.intp), p[0].diagonal().copy(), slabs)
 
 
 def test_tensor_rejects_unsymmetrizable_counts():
     # keeps p^k_{ij} = p^k_{ji}, p^0 = diag(k) and sum_k p^k_{ij} k_k = k_i k_j,
     # but k_1 p^1_{12} = 4 while k_2 p^2_{11} = 2
-    p = dense(generate(FamilySpec("cycle", (5,))).tensor)
+    p = dense(generate(FamilySpec("cycle", (5,))))
     p[1, 1, 2] += 1
     p[1, 2, 1] += 1
     p[2, 1, 2] -= 1
@@ -544,12 +545,12 @@ def test_tensor_rejects_unsymmetrizable_counts():
 
 def test_tensor_n_is_the_valency_sum_as_an_int(scheme_corpus):
     for name, s, _ in scheme_corpus:
-        assert type(s.tensor.n) is int and s.tensor.n == int(s.valencies.sum()) == s.n, name
+        assert type(s.n) is int and s.n == int(s.valencies.sum()), name
 
 
 def test_slab_index_must_name_a_class():
     # a negative i no longer wraps to a slab from the end, as an index into a dense p did
-    t = generate(FamilySpec("cycle", (5,))).tensor
+    t = generate(FamilySpec("cycle", (5,)))
     for i in (-1, 3):
         with pytest.raises(IndexError, match=f"slab {i} is out of range 0..2"):
             t.slab(i)
@@ -559,14 +560,14 @@ def test_slab_index_must_name_a_class():
 def test_tensor_rejects_asymmetric_lower_indices():
     # B_1 of the pentagon plus [[0, 0, 0], [0, 1, -1], [0, -1, 1]] keeps every identity of
     # slab 1 alone, but p^2_{12} = 2 while B_2 keeps p^2_{21} = 1
-    p = dense(generate(FamilySpec("cycle", (5,))).tensor)
+    p = dense(generate(FamilySpec("cycle", (5,))))
     p[1:, 1, 1:] += np.array([[1, -1], [-1, 1]])
     with pytest.raises(ValueError, match=r"p\^k_\{ij\} != p\^k_\{ji\}"):
         _checked(p)
 
 
 def test_tensor_rejects_negative_entry():
-    p = dense(generate(FamilySpec("cycle", (5,))).tensor)
+    p = dense(generate(FamilySpec("cycle", (5,))))
     p[2, 1, 1] = -1
     with pytest.raises(ValueError, match="intersection numbers must be non-negative"):
         _checked(p)
@@ -574,7 +575,7 @@ def test_tensor_rejects_negative_entry():
 
 def test_tensor_rejects_off_diagonal_p0():
     # symmetric in the lower indices, but p^0_{12} = p^0_{21} = 1
-    p = dense(generate(FamilySpec("cycle", (5,))).tensor)
+    p = dense(generate(FamilySpec("cycle", (5,))))
     p[0, 1, 2] = p[0, 2, 1] = 1
     with pytest.raises(ValueError, match=r"p\^0_\{ij\} must equal delta_\{ij\} k_i"):
         _checked(p)
@@ -640,7 +641,7 @@ def _bannai_ito(i):
 ])
 def test_blocked_checks_report_the_slab_loop_witness(cycle_scheme, n, breaks, want):
     # the slabs are checked one by one as they are kept, in index order here
-    p = dense(cycle_scheme(n).tensor)
+    p = dense(cycle_scheme(n))
     d = p.shape[0] - 1
     for kind, i in breaks:
         (_break_row_sums if kind == "sums" else _break_bannai_ito)(p, i)
@@ -653,12 +654,12 @@ def test_blocked_checks_report_the_slab_loop_witness(cycle_scheme, n, breaks, wa
 
 def test_tensor_checks_allocate_no_cube(cycle_scheme):
     # each check reads one slab, or one column of two, at a time
-    t = cycle_scheme(400).tensor
+    t = cycle_scheme(400)
     slabs = {i: scheme_core._count_slab(t.rel, t.y, i) for i in range(t.d + 1)}
     one_cube = (t.d + 1) ** 3 * np.dtype(np.int64).itemsize
     tracemalloc.start()
     try:
-        IntersectionTensor(t.rel, t.y, t.valencies, slabs)
+        AssociationScheme(t.rel, t.y, t.valencies, slabs)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -685,13 +686,13 @@ def test_analyze_counts_only_the_slabs_it_reads(family, params, counted):
     # non-metric cyclotomic13 runs all three rows
     s = generate(FamilySpec(family, params))
     analyze(s)
-    assert sorted(s.tensor.slabs) == counted
+    assert sorted(s.slabs) == counted
 
 
 def test_tensor_rejects_non_identity_relation_zero():
     # both keep the identities above, but p^k_{0j} = delta_{kj} fails:
     # twice Petersen has k_0 = 2, and the padded class 3 has valency 0
-    pet = dense(generate(FamilySpec("petersen")).tensor)
+    pet = dense(generate(FamilySpec("petersen")))
     padded = np.zeros((4, 4, 4), dtype=np.int64)
     padded[:3, :3, :3] = pet
     for p in (2 * pet, padded):
@@ -731,9 +732,9 @@ def test_missing_relation_ignores_an_absurd_class_count():
 @pytest.mark.parametrize("family,params", SMALL)
 def test_tensor_invariants(family, params):
     s = generate(FamilySpec(family, params))
-    p = dense(s.tensor)
+    p = dense(s)
     k = s.valencies
-    assert int(k.sum()) == s.n == s.tensor.n
+    assert int(k.sum()) == s.n
     assert np.array_equal(p, p.transpose(0, 2, 1))
     assert np.array_equal(p[0], np.diag(k))
     assert np.array_equal(np.einsum("kij,k->ij", p, k), np.outer(k, k))
@@ -747,7 +748,7 @@ class TestReorder:
         s = generate(FamilySpec("cycle", (7,)))
         t = reorder_relations(s, (0, 1, 2, 3))
         assert np.array_equal(t.rel, s.rel)
-        assert np.array_equal(dense(t.tensor), dense(s.tensor))
+        assert np.array_equal(dense(t), dense(s))
 
     def test_rejects_non_permutation(self):
         s = generate(FamilySpec("cycle", (7,)))
@@ -760,7 +761,7 @@ class TestReorder:
         assert np.array_equal(t.rel == 1, s.rel == 2)
         assert np.array_equal(t.rel == 2, s.rel == 1)
         # p-numbers transported: p'^{perm k}_{perm i, perm j} = p^k_{ij}
-        assert t.tensor.slab(2)[3, 2] == s.tensor.slab(1)[3, 1]
+        assert t.slab(2)[3, 2] == s.slab(1)[3, 1]
 
     @pytest.mark.parametrize("family,params", SMALL)
     def test_rebuild_after_reorder_never_fails(self, family, params):
@@ -770,7 +771,7 @@ class TestReorder:
             perm = [0] + list(1 + rng.permutation(s.d))
             t = reorder_relations(s, perm)
             # counted again at the relabelled representatives: p'[perm k, perm i, perm j] = p[k, i, j]
-            assert np.array_equal(dense(t.tensor)[np.ix_(perm, perm, perm)], dense(s.tensor))
+            assert np.array_equal(dense(t)[np.ix_(perm, perm, perm)], dense(s))
 
 
 def test_tensor_constructor_rejects_garbage():

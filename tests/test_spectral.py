@@ -22,7 +22,7 @@ SQ5 = 5 ** 0.5
 
 
 def _sd(family, params=()):
-    return spectral_data(generate(FamilySpec(family, params)).tensor)
+    return spectral_data(generate(FamilySpec(family, params)))
 
 
 def _krein_cube(sd):
@@ -59,7 +59,7 @@ class TestEigenmatrices:
 
     def test_valency_row_is_row_zero(self, scheme_corpus):
         for name, s, _ in scheme_corpus:
-            sd = spectral_data(s.tensor)
+            sd = spectral_data(s)
             assert np.allclose(sd.P[0], s.valencies), name
             assert abs(sd.multiplicities[0] - 1) < 1e-9, name
 
@@ -158,7 +158,7 @@ class TestSpectralDataGuards:
 
 def test_pq_identity_and_integrality(scheme_corpus):
     for name, s, _ in scheme_corpus:
-        sd = spectral_data(s.tensor)
+        sd = spectral_data(s)
         n = s.n
         assert np.abs(sd.P @ sd.Q - n * np.eye(s.d + 1)).max() <= 1e-8 * n, name
         rounded = np.round(sd.multiplicities)
@@ -170,8 +170,8 @@ def test_q_from_multiplicities_is_n_times_the_inverse_of_p(scheme_corpus):
     # Q_i(l) = m_i P_l(i) / k_l; a solve of P Q = n I is a second way to the same Q
     ladder = [("hamming", (6, 3)), ("johnson", (12, 4)), ("cycle", (44,)), ("cycle", (100,)),
               ("cycle", (200,)), ("hamming", (10, 2))]
-    tensors = [(name, s.tensor) for name, s, _ in scheme_corpus]
-    tensors += [(f"{fam}{par}", generate(FamilySpec(fam, par)).tensor) for fam, par in ladder]
+    tensors = [(name, s) for name, s, _ in scheme_corpus]
+    tensors += [(f"{fam}{par}", generate(FamilySpec(fam, par))) for fam, par in ladder]
     tensors.append(("cycle(2000)", array_slabs(*intersection_array("cycle", 2000))))
     for name, t in tensors:
         sd = spectral_data(t)
@@ -182,24 +182,24 @@ def test_q_from_multiplicities_is_n_times_the_inverse_of_p(scheme_corpus):
 class TestIdempotents:
     def test_k2_exact(self):
         s = generate(FamilySpec("complete", (2,)))
-        E = primitive_idempotents(s, spectral_data(s.tensor))
+        E = primitive_idempotents(s, spectral_data(s))
         assert np.allclose(E[0], [[0.5, 0.5], [0.5, 0.5]], atol=1e-12)
         assert np.allclose(E[1], [[0.5, -0.5], [-0.5, 0.5]], atol=1e-12)
 
     def test_petersen_ranks(self):
         s = generate(FamilySpec("petersen"))
-        E = primitive_idempotents(s, spectral_data(s.tensor))
+        E = primitive_idempotents(s, spectral_data(s))
         ranks = [np.linalg.matrix_rank(Ek, tol=1e-8) for Ek in E]
         assert ranks == [1, 5, 4]
 
     def test_pentagon_traces(self):
         s = generate(FamilySpec("cycle", (5,)))
-        E = primitive_idempotents(s, spectral_data(s.tensor))
+        E = primitive_idempotents(s, spectral_data(s))
         assert np.allclose([np.trace(Ek) for Ek in E], [1, 2, 2], atol=1e-9)
 
     def test_projection_algebra(self, scheme_corpus):
         for name, s, _ in scheme_corpus:
-            sd = spectral_data(s.tensor)
+            sd = spectral_data(s)
             E = primitive_idempotents(s, sd)
             n, d = s.n, s.d
             assert np.allclose(E[0], np.full((n, n), 1.0 / n), atol=1e-9), name
@@ -212,7 +212,7 @@ class TestIdempotents:
     def test_reconstruction(self, scheme_corpus):
         # A_i = sum_j P_i(j) E_j
         for name, s, _ in scheme_corpus:
-            sd = spectral_data(s.tensor)
+            sd = spectral_data(s)
             E = primitive_idempotents(s, sd)
             for i in range(s.d + 1):
                 got = sum(sd.P[j, i] * E[j] for j in range(s.d + 1))
@@ -222,12 +222,12 @@ class TestIdempotents:
 class TestKrein:
     def test_k3_value(self):
         s = generate(FamilySpec("complete", (3,)))
-        q = _krein_cube(spectral_data(s.tensor))
+        q = _krein_cube(spectral_data(s))
         assert abs(q[1, 1, 1] - 1.0) < 1e-10
 
     def test_q0_diagonal_is_multiplicities(self, scheme_corpus):
         for name, s, _ in scheme_corpus:
-            sd = spectral_data(s.tensor)
+            sd = spectral_data(s)
             q = _krein_cube(sd)
             for i in range(s.d + 1):
                 for j in range(s.d + 1):
@@ -236,26 +236,26 @@ class TestKrein:
 
     def test_binary_hamming_self_dual(self):
         s = generate(FamilySpec("hamming", (3, 2)))
-        q = _krein_cube(spectral_data(s.tensor))
-        assert np.abs(q - dense(s.tensor)).max() < 1e-8
+        q = _krein_cube(spectral_data(s))
+        assert np.abs(q - dense(s)).max() < 1e-8
 
     def test_nonnegativity_floor(self, scheme_corpus, cycle_scheme):
         # the Krein conditions q^k_{ij} >= 0 (Scott 1973), an oracle for P and m
         schemes = [(name, s) for name, s, _ in scheme_corpus] + [("cycle(200)", cycle_scheme(200))]
         for name, s in schemes:
-            assert _krein_cube(spectral_data(s.tensor)).min() >= -1e-8 * s.n, name
+            assert _krein_cube(spectral_data(s)).min() >= -1e-8 * s.n, name
 
     def test_row_sums(self, scheme_corpus):
         # sum_j q^k_{ij} = m_i, the dual of the valency row-sum identity
         for name, s, _ in scheme_corpus:
-            sd = spectral_data(s.tensor)
+            sd = spectral_data(s)
             m = sd.multiplicities
             got = _krein_cube(sd).sum(axis=2)
             assert np.abs(got - m[None, :]).max() < 1e-7, name
 
     def test_closed_form_matches_nxn_expansion(self, scheme_corpus):
         for name, s, _ in scheme_corpus:
-            sd = spectral_data(s.tensor)
+            sd = spectral_data(s)
             ref = krein_expansion(s, sd)
             q = _krein_cube(sd)
             assert np.abs(q - ref).max() <= 1e-10 * max(1.0, np.abs(ref).max()), name
@@ -265,7 +265,7 @@ class TestKrein:
     def test_kept_fields_match_the_cube(self, scheme_corpus, cycle_scheme):
         schemes = [(name, s) for name, s, _ in scheme_corpus] + [("cycle(200)", cycle_scheme(200))]
         for name, s in schemes:
-            sd = spectral_data(s.tensor)
+            sd = spectral_data(s)
             q = _krein_cube(sd)
             q1 = krein_parameters(sd)
             assert np.array_equal(q1, q[:, 1, :]), name
@@ -274,7 +274,7 @@ class TestKrein:
 
 
 def test_spectral_data_builds_no_cubic_array(cycle_scheme):
-    t = cycle_scheme(100).tensor
+    t = cycle_scheme(100)
     one_cube = (t.d + 1) ** 3 * np.dtype(np.float64).itemsize
     tracemalloc.start()
     try:
@@ -287,7 +287,7 @@ def test_spectral_data_builds_no_cubic_array(cycle_scheme):
 
 def test_krein_parameters_hold_no_cubic_array(cycle_scheme):
     # only the slab q^k_{1j} is computed, from a few (d+1)^2 temporaries
-    sd = spectral_data(cycle_scheme(200).tensor)
+    sd = spectral_data(cycle_scheme(200))
     one_slab = (sd.d + 1) ** 2 * np.dtype(np.float64).itemsize
     tracemalloc.start()
     try:

@@ -27,6 +27,8 @@ def test_one_round_times_every_stage_of_both_trees(monkeypatch, capsys):
     for side in ("parent", "change"):
         assert list(got["us"][side]) == [name for name, _ in stage_costs.STAGES]
         assert all(us > 0 for us in got["us"][side].values()), side
+        # one round has one corpus mean a stage, so no spread
+        assert got["spread_us"][side] == dict.fromkeys(got["us"][side], 0.0), side
 
 
 def test_rounds_alternate_and_keep_each_schemes_minimum(monkeypatch, tmp_path):
@@ -38,6 +40,8 @@ def test_rounds_alternate_and_keep_each_schemes_minimum(monkeypatch, tmp_path):
         return {"M*": [t, 1e-6 if len(calls) == 3 else t]}
 
     monkeypatch.setattr(stage_costs, "run_tree", run_tree)
-    costs = stage_costs.stage_costs(tmp_path / "parent", tmp_path / "change", 3, 5)
+    costs, spread = stage_costs.stage_costs(tmp_path / "parent", tmp_path / "change", 3, 5)
     assert calls == ["parent", "change", "change", "parent", "parent", "change"]
     assert costs == {"parent": {"M*": pytest.approx(1.0)}, "change": {"M*": pytest.approx(1.5)}}
+    # the rounds' corpus means: parent 1, 4, 5 us; change 2, (3 + 1) / 2, 6 us
+    assert spread == {"parent": {"M*": pytest.approx(4.0)}, "change": {"M*": pytest.approx(4.0)}}

@@ -48,7 +48,7 @@ def test_eigen_groups_partition_at_the_threshold(start, gaps):
 def test_collision_iff_tied_group(scheme_corpus):
     seen = set()
     for name, s, _ in scheme_corpus:
-        sd = spectral_data(s.tensor)
+        sd = spectral_data(s)
         simple = all(b - a == 1 for a, b in eigen_groups(np.sort(sd.theta)))
         assert (sd.tie is None) == simple, name
         assert (sd.spectrum is not None) == simple, name
@@ -62,10 +62,10 @@ def test_collision_iff_tied_group(scheme_corpus):
 
 def test_distinct_theta_rows_are_in_the_full_key_order(scheme_corpus, cycle_scheme):
     # spectral_data sorts distinct theta by -theta alone; the full key must agree
-    tensors = [(name, s.tensor) for name, s, _ in scheme_corpus]
-    tensors += [(f"{family}{params}", generate(FamilySpec(family, params)).tensor)
+    tensors = [(name, s) for name, s, _ in scheme_corpus]
+    tensors += [(f"{family}{params}", generate(FamilySpec(family, params)))
                 for family, params in (("hamming", (6, 3)), ("johnson", (12, 4)))]
-    tensors += [(f"cycle({n})", cycle_scheme(n).tensor) for n in (44, 100, 200)]
+    tensors += [(f"cycle({n})", cycle_scheme(n)) for n in (44, 100, 200)]
     tensors.append(("cycle(400) array", array_slabs(*intersection_array("cycle", 400))))
     distinct = 0
     for name, t in tensors:
@@ -84,7 +84,7 @@ def test_tied_corpus_schemes_keep_their_eigenmatrices(scheme_corpus):
             [[1, 1, 3, 3], [1, 1, -1, -1], [1, -1, 3, -3], [1, -1, -1, 1]],
             [[1, 3, 1, 3], [1, 3, -1, -3], [1, -1, 1, -1], [1, -1, -1, 1]]),
     }
-    tied = {name: spectral_data(s.tensor) for name, s, _ in scheme_corpus}
+    tied = {name: spectral_data(s) for name, s, _ in scheme_corpus}
     tied = {name: sd for name, sd in tied.items() if sd.tie is not None}
     assert set(tied) == set(want)
     for name, (P, Q) in want.items():
@@ -205,5 +205,4 @@ def test_schemes_and_tensors_are_built_only_by_build_scheme():
         return lambda node: isinstance(node, ast.Call) and _name(node.func) == cls
 
     # every scheme in src/, generated, read or from a graph, passes the axiom checks
-    for cls in ("AssociationScheme", "IntersectionTensor"):
-        assert _uses_in_src(builds(cls)) == [("scheme_core", "build_scheme")], cls
+    assert _uses_in_src(builds("AssociationScheme")) == [("scheme_core", "build_scheme")]

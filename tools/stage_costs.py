@@ -14,17 +14,18 @@ pass and round, averaged over the 29 schemes, in microseconds; a stage that
 does not run on a scheme (the spectral stages on tied theta) counts 0 there.
 The minimum, not an average, to damp the machine's changes of speed; even so,
 one run leaves a stage change below about 15% unresolved (README, "Cost of one
-small scheme").
+small scheme").  So beside each figure stands its spread: each round's mean
+over the corpus of that round's minimums, max - min over the rounds.
 
-The stages: ``build_scheme`` whole and, within it, ``IntersectionTensor``:
-counting slab 1 and checking it, as ``build_scheme`` does on a metric scheme
-(on a tree with the dense tensor, counting and checking all of it);
+The stages: ``build_scheme`` whole and, within it, ``slab 1``: counting slab 1
+and checking it, as ``build_scheme`` does on a metric scheme;
 ``spectral_data`` whole and, within it, ``Spectrum``; each route
 (``predistance`` as its table of predistance polynomials and its column
 match); the Krein slab with the ``q_poly`` chain; every M* residual of a
-scheme; and ``analyze`` whole.  The table gives both trees and the change of
-each stage; the last line is JSON with every figure.  Standard library only
-(schemex and numpy are imported in the child interpreters).
+scheme; and ``analyze`` whole.  The table gives both trees with their spreads
+and the change of each stage; the last line is JSON with every figure and
+spread.  Standard library only (schemex and numpy are imported in the child
+interpreters).
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ ROUNDS, PASSES = 4, 100
 
 # (label, indent): indented stages are part of the stage above them
 STAGES = (
-    ("build_scheme", 0), ("IntersectionTensor", 1), ("spectral_data", 0), ("Spectrum", 1),
+    ("build_scheme", 0), ("slab 1", 1), ("spectral_data", 0), ("Spectrum", 1),
     ("tridiagonal", 0), ("nstar", 0), ("excess", 0), ("predistance table", 0),
     ("predistance match", 0), ("Krein + q_poly", 0), ("M*", 0), ("analyze", 0),
 )
@@ -59,22 +60,19 @@ def _stage_calls(s):
     # schemex.detect the module, not the function that the package exports under that name
     detect, scheme_core, spectral = (importlib.import_module(f"schemex.{name}")
                                      for name in ("detect", "scheme_core", "spectral"))
-    t = s.tensor
+    t = getattr(s, "tensor", s)  # an older tree keeps the slabs in the scheme's field "tensor"
     sd = spectral.spectral_data(t)
     rm = scheme_core.RelationMatrix(n=s.n, d=s.d, rel=s.rel)
     sp = sd.spectrum
     values = spectral.predistance_polynomials(sp) if sp is not None else None
-    if hasattr(t, "p"):  # a tree with the dense tensor
-        def tensor():
-            p = scheme_core._tensor_from_representatives(s.rel, t.d)
-            return scheme_core.IntersectionTensor(d=t.d, p=p)
-    else:
-        def tensor():
-            b = scheme_core._count_slab(t.rel, t.y, 1)
-            return scheme_core.IntersectionTensor(t.rel, t.y, t.valencies, {1: b})
+
+    def slab1():
+        b = scheme_core._count_slab(t.rel, t.y, 1)
+        return type(t)(t.rel, t.y, t.valencies, {1: b})
+
     calls = {
         "build_scheme": lambda: scheme_core.build_scheme(rm),
-        "IntersectionTensor": tensor,
+        "slab 1": slab1,
         "spectral_data": lambda: spectral.spectral_data(t),
         "Spectrum": lambda: spectral.Spectrum(theta=sd.theta, m=sd.multiplicities, n=sd.n),
         "tridiagonal": lambda: detect.tridiagonal_route(t),
@@ -124,9 +122,14 @@ def run_tree(tree: Path, passes: int) -> dict:
     return got["stages"]
 
 
-def stage_costs(base: Path, change: Path, rounds: int, passes: int) -> dict:
-    """{side: {stage: mean over the corpus of the per-scheme minimum, in microseconds}}."""
-    best = {}
+def _mean_us(times: list) -> float:
+    return 1e6 * sum(times) / len(times)
+
+
+def stage_costs(base: Path, change: Path, rounds: int, passes: int) -> tuple:
+    """({side: {stage: mean over the corpus of the per-scheme minimum}},
+    {side: {stage: max - min over the rounds of the round's corpus mean}}), in microseconds."""
+    best, means = {}, {}
     for r in range(1, rounds + 1):
         order = [("parent", base), ("change", change)]
         for side, tree in order if r % 2 else order[::-1]:
@@ -134,16 +137,21 @@ def stage_costs(base: Path, change: Path, rounds: int, passes: int) -> dict:
             prev = best.setdefault(side, got)
             for name, times in got.items():
                 prev[name] = [min(a, b) for a, b in zip(prev[name], times)]
-    return {side: {name: 1e6 * sum(times) / len(times) for name, times in stages.items()}
-            for side, stages in best.items()}
+                means.setdefault(side, {}).setdefault(name, []).append(_mean_us(times))
+    costs = {side: {name: _mean_us(times) for name, times in stages.items()}
+             for side, stages in best.items()}
+    spread = {side: {name: max(m) - min(m) for name, m in stages.items()}
+              for side, stages in means.items()}
+    return costs, spread
 
 
-def table(costs: dict) -> str:
-    lines = [f"{'stage':<22}{'parent us':>12}{'change us':>12}{'change':>9}"]
+def table(costs: dict, spread: dict) -> str:
+    lines = [f"{'stage':<22}{'parent us':>12}{'+-':>7}{'change us':>12}{'+-':>7}{'change':>9}"]
     for name, indent in STAGES:
         b, c = costs["parent"][name], costs["change"][name]
         rel = f"{(c - b) / b:+.1%}" if b else ""
-        lines.append(f"{'  ' * indent + name:<22}{b:12.1f}{c:12.1f}{rel:>9}")
+        lines.append(f"{'  ' * indent + name:<22}{b:12.1f}{spread['parent'][name]:7.1f}"
+                     f"{c:12.1f}{spread['change'][name]:7.1f}{rel:>9}")
     return "\n".join(lines)
 
 
@@ -154,11 +162,11 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     change = args.change.resolve()
     with parent_checkout(args.base, change) as base:
-        costs = stage_costs(base, change, ROUNDS, PASSES)
+        costs, spread = stage_costs(base, change, ROUNDS, PASSES)
     print(f"min over {ROUNDS} rounds of {PASSES} passes, mean over the corpus "
-          f"schemes, microseconds a scheme")
-    print(table(costs))
-    print(json.dumps({"rounds": ROUNDS, "passes": PASSES, "us": costs}))
+          f"schemes, microseconds a scheme; +- is the spread of the rounds' means")
+    print(table(costs, spread))
+    print(json.dumps({"rounds": ROUNDS, "passes": PASSES, "us": costs, "spread_us": spread}))
     return 0
 
 
