@@ -206,18 +206,9 @@ def cmd_gen(args) -> int:
 def cmd_graph(args) -> int:
     rep = spectral_excess_report(_read_edge_file(args.path))
     sp = rep.spectrum
-    spec_str = " ".join(f"{t:.6g}^{int(m)}" for t, m in zip(sp.theta, sp.m))
-    print(f"n={rep.n} k={rep.degree}")
-    print(f"spectrum: {spec_str}")
-    print(f"d={rep.d} D={rep.diameter}")
-    print(f"excess={rep.excess_mean:g} p_d(theta0)={rep.pd_theta0:.6f}")
-    print(f"excess_mean_arith={rep.excess_mean:.6f} excess_mean_harm={rep.excess_harmonic_mean:.6f}")
-    print(f"drg={'true' if rep.drg else 'false'}")
-    if rep.witness:
-        print(f"witness: {rep.witness}")
     if args.json:
         _write_json(args.json, {
-            "n": rep.n, "k": rep.degree, "d": rep.d, "diameter": rep.diameter,
+            "n": sp.n, "k": rep.degree, "d": sp.d, "diameter": rep.diameter,
             "theta": sp.theta.tolist(), "multiplicities": sp.m.tolist(),
             "pd_theta0": rep.pd_theta0,
             "excess": rep.excess.tolist(),
@@ -225,6 +216,15 @@ def cmd_graph(args) -> int:
             "excess_harmonic_mean": rep.excess_harmonic_mean,
             "drg": rep.drg, "witness": rep.witness,
         })
+    spec_str = " ".join(f"{t:.6g}^{int(m)}" for t, m in zip(sp.theta, sp.m))
+    print(f"n={sp.n} k={rep.degree}")
+    print(f"spectrum: {spec_str}")
+    print(f"d={sp.d} D={rep.diameter}")
+    print(f"excess={rep.excess_mean:g} p_d(theta0)={rep.pd_theta0:.6f}")
+    print(f"excess_mean_arith={rep.excess_mean:.6f} excess_mean_harm={rep.excess_harmonic_mean:.6f}")
+    print(f"drg={'true' if rep.drg else 'false'}")
+    if rep.witness:
+        print(f"witness: {rep.witness}")
     return EXIT_OK if rep.drg else EXIT_NO
 
 

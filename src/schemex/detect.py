@@ -262,7 +262,7 @@ def predistance_route(sd: SpectralData, values: np.ndarray | None) -> RouteVerdi
     if sd.tie is not None:
         return _tied("predistance", sd.tie)
     return _column_verdict(
-        "predistance", values[sd.d], sd.P,
+        "predistance", values[-1], sd.P,
         many="of P all match p_d on the spectrum", none="p_d matches no column of P",
     )
 
@@ -304,7 +304,7 @@ def mstar_decomposition_residual(s: AssociationScheme, sd: SpectralData, i: int)
     for pos in _bit_reversed(len(js)):
         j = js[pos]
         c = (B1.dot(c) - th[j] * c) / (th[i] - th[j])  # B1 @ c, with less dispatch
-    return float(np.abs(c - sd.spectrum.kappa[i] / sd.n - sd.Q[:, i] / sd.n).max())
+    return float(np.abs(c - sd.spectrum.kappa[i] / s.n - sd.Q[:, i] / s.n).max())
 
 
 def q_polynomial_route(q1: np.ndarray, n: int) -> RouteVerdict:
@@ -364,8 +364,8 @@ def analyze(s: AssociationScheme) -> Analysis:
     excess_v = excess_route(sd)
     pred_v = predistance_route(sd, values)
 
-    q1 = krein_parameters(sd)
-    qv = q_polynomial_route(q1, sd.n)
+    q1 = krein_parameters(s, sd)
+    qv = q_polynomial_route(q1, s.n)
 
     principal = [tri, nstar_v, excess_v, pred_v]
     ran = [v for v in principal if v.verdict != PRECONDITION_FAILED]
@@ -404,7 +404,7 @@ def analyze(s: AssociationScheme) -> Analysis:
     if sd.spectrum is not None:
         kappa = sd.spectrum.kappa.tolist()  # kappa_i E_0 + E_i has entries up to |kappa_i| / n
         mstar_max = max(
-            mstar_decomposition_residual(s, sd, i) / max(1.0, abs(kappa[i]) / sd.n)
+            mstar_decomposition_residual(s, sd, i) / max(1.0, abs(kappa[i]) / s.n)
             for i in range(1, s.d + 1)
         )
 

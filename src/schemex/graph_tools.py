@@ -45,6 +45,15 @@ class SpectrumSanityFailure(RuntimeError):
     on a distance-regular graph; no known graph does either."""
 
 
+def _vertex(x):
+    """int(x) when x is an integer value or a string that int() reads, else None."""
+    try:
+        i = int(x)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return i if isinstance(x, str) or i == x else None
+
+
 class Graph(FrozenRecord):
     """Simple undirected graph as its read-only bool adjacency matrix."""
 
@@ -58,18 +67,22 @@ class Graph(FrozenRecord):
     def from_edges(cls, n: int, edges) -> "Graph":
         """The graph on 0..n-1 with the given (u, v) pairs as its edges.
 
-        The first offending pair in input order raises ValueError, and for
-        that pair a vertex out of range comes before a loop, and a loop before
-        a repeat of an earlier edge in either orientation.
+        A vertex is an integer value (2, 2.0, True, a numpy integer) or a string
+        int() reads.  The first offending pair in input order raises ValueError;
+        within it a vertex that is not an integer comes first, then one out of
+        range, a loop, and a repeat of an earlier edge in either orientation.
         """
         if n < 1:
             raise ValueError("graph needs at least one vertex")
         adj = np.zeros((n, n), dtype=bool)
         pairs = edges if isinstance(edges, np.ndarray) else list(edges)
         raw = np.asarray(pairs)
-        if raw.dtype.kind not in "iu":  # floats, strings, ints past int64: int() of each
-            raw = np.frompyfunc(int, 1, 1)(np.asarray(pairs, dtype=object))
+        if raw.dtype.kind not in "iu":  # floats, strings, ints past int64: one at a time
+            with np.errstate(invalid="ignore"):  # int(nan) flags an invalid value as it raises
+                raw = np.frompyfunc(_vertex, 1, 1)(np.asarray(pairs, dtype=object))
         raw = raw.reshape(len(raw), 2)
+        nonint = np.equal(raw, None).any(axis=1)
+        raw = np.where(nonint[:, None], -1, raw)  # out of range below; nonint picks the message
         out = ((raw < 0) | (raw >= n)).any(axis=1)
         u, v = np.where(out[:, None], 0, raw).astype(np.int64).T
         loop = u == v
@@ -78,6 +91,9 @@ class Graph(FrozenRecord):
         bad = out | loop | (first[which] != np.arange(len(raw)))
         if bad.any():
             t = int(np.argmax(bad))
+            if nonint[t]:
+                a, b = pairs[t]
+                raise ValueError(f"edge ({a},{b}) has a vertex that is not an integer")
             a, b = int(raw[t, 0]), int(raw[t, 1])
             if out[t]:
                 raise ValueError(f"edge ({a},{b}) out of range 0..{n - 1}")
@@ -198,19 +214,16 @@ def _drg_scheme(g: Graph, dd: DistanceData) -> AssociationScheme:
 
 
 class SpectralExcessReport:
-    __slots__ = ("n", "degree", "diameter", "d", "pd_theta0", "excess", "excess_mean",
+    __slots__ = ("degree", "diameter", "pd_theta0", "excess", "excess_mean",
                  "excess_harmonic_mean", "drg", "witness", "spectrum")
 
     def __init__(
-        self, n: int, degree: int, diameter: int,
-        d: int,  # number of distinct eigenvalues minus one
-        pd_theta0: float, excess: np.ndarray, excess_mean: float, excess_harmonic_mean: float,
-        drg: bool, witness: str | None, spectrum: Spectrum,
+        self, degree: int, diameter: int, pd_theta0: float, excess: np.ndarray,
+        excess_mean: float, excess_harmonic_mean: float, drg: bool, witness: str | None,
+        spectrum: Spectrum,  # holds n, and d: the number of distinct eigenvalues minus one
     ):
-        self.n = n
         self.degree = degree
         self.diameter = diameter
-        self.d = d
         self.pd_theta0 = pd_theta0
         self.excess = excess
         self.excess_mean = excess_mean
@@ -232,7 +245,6 @@ def spectral_excess_report(g: Graph) -> SpectralExcessReport:
         raise TooFewVertices(f"n = {g.n}: a distance partition needs at least 2 vertices")
     dd = distance_data(g)
     sp = graph_spectrum(g)
-    d = sp.d
     pd0 = spectral_excess(sp)
     exc = dd.excess.astype(float)
     mean = float(exc.mean())
@@ -243,12 +255,12 @@ def spectral_excess_report(g: Graph) -> SpectralExcessReport:
         witness = str(e)
     else:  # g is distance-regular, so it has diameter + 1 distinct eigenvalues
         witness = None
-        if dd.diameter != d:
+        if dd.diameter != sp.d:
             raise SpectrumSanityFailure(
                 f"the distance partition validates, so diameter {dd.diameter} needs "
-                f"{dd.diameter + 1} distinct eigenvalues, but {d + 1} were found")
+                f"{dd.diameter + 1} distinct eigenvalues, but {sp.d + 1} were found")
     return SpectralExcessReport(
-        n=g.n, degree=g.degrees[0], diameter=dd.diameter, d=d, pd_theta0=pd0,
+        degree=g.degrees[0], diameter=dd.diameter, pd_theta0=pd0,
         excess=dd.excess, excess_mean=mean, excess_harmonic_mean=harm,
         drg=witness is None, witness=witness, spectrum=sp,
     )

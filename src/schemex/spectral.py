@@ -107,27 +107,26 @@ class Spectrum(FrozenRecord):
 
 
 class SpectralData:
-    """First/second eigenmatrix pair and friends.
+    """First/second eigenmatrix pair and friends; every array is read-only.
 
     Row ordering convention: row 0 is the valency row (P_i(0) = k_i); the
     remaining rows are sorted by strictly decreasing theta_j = P_1(j), ties
-    broken by ascending multiplicity and then lexicographically.
+    broken by ascending multiplicity and then lexicographically.  On distinct
+    theta, ``theta`` and ``multiplicities`` are the Spectrum's own arrays.
     """
 
-    __slots__ = ("n", "d", "valencies", "P", "Q", "theta", "multiplicities", "tie", "spectrum",
-                 "pq_residual", "multiplicity_residual")
+    __slots__ = ("P", "Q", "theta", "multiplicities", "tie", "spectrum", "pq_residual",
+                 "multiplicity_residual")
 
     def __init__(
-        self, n: int, d: int, valencies: np.ndarray, P: np.ndarray, Q: np.ndarray,
-        theta: np.ndarray, multiplicities: np.ndarray,
+        self, P: np.ndarray, Q: np.ndarray, theta: np.ndarray, multiplicities: np.ndarray,
         tie: tuple | None,  # descending sorted positions of the highest tied theta pair
         spectrum: Spectrum | None,  # theta and multiplicities; None when theta are tied
         pq_residual: float,  # max |P Q - n I|
         multiplicity_residual: float,  # max |m - round(m)|
     ):
-        self.n = n
-        self.d = d
-        self.valencies = valencies
+        for a in (P, Q, theta, multiplicities):
+            a.setflags(write=False)
         self.P = P
         self.Q = Q
         self.theta = theta
@@ -249,13 +248,12 @@ def spectral_data(s: AssociationScheme) -> SpectralData:
     if pq_resid > 1e-7 * n:
         raise EigenSplitFailure(f"P Q = nI fails (residual {pq_resid:.3e})")
 
-    theta = P[:, 1].copy()
     # P's rows hold the same d+1 theta, so the groups of their ascending order stand
     tie = (d + 1 - tied[-1], d + 2 - tied[-1]) if tied else None
     # no tie: singleton groups, so theta falls strictly from k_1 and Spectrum accepts it
-    spectrum = Spectrum(theta=theta, m=m, n=n) if tie is None else None
+    spectrum = Spectrum(theta=P[:, 1], m=m, n=n) if tie is None else None
+    theta, m = (P[:, 1].copy(), m) if spectrum is None else (spectrum.theta, spectrum.m)
     return SpectralData(
-        n=n, d=d, valencies=s.valencies,
         P=P, Q=Q, theta=theta, multiplicities=m, tie=tie, spectrum=spectrum,
         pq_residual=pq_resid, multiplicity_residual=m_resid,
     )
@@ -266,7 +264,7 @@ def primitive_idempotents(s: AssociationScheme, sd: SpectralData) -> tuple:
     return tuple(sd.Q[s.rel, j] / s.n for j in range(s.d + 1))
 
 
-def krein_parameters(sd: SpectralData) -> np.ndarray:
+def krein_parameters(s: AssociationScheme, sd: SpectralData) -> np.ndarray:
     """The dual intersection numbers q1[k, j] = q^k_{1j}, read-only: the one slab q_poly reads.
 
     q^k_{ij} = (m_i m_j / n) sum_l P_l(i) P_l(j) P_l(k) / k_l^2
@@ -276,9 +274,9 @@ def krein_parameters(sd: SpectralData) -> np.ndarray:
     on a validated scheme every q^k_{ij} >= 0 is a theorem (the Krein
     conditions, Scott 1973), so their minimum would only measure rounding.
     """
-    W = sd.P / sd.valencies  # W[i, l] = P_l(i) / k_l
+    W = sd.P / s.valencies  # W[i, l] = P_l(i) / k_l
     m = sd.multiplicities
-    q1 = (((W[1] * W) @ sd.P.T) * (m[1] * m / sd.n)[:, None]).T
+    q1 = (((W[1] * W) @ sd.P.T) * (m[1] * m / s.n)[:, None]).T
     q1.flags.writeable = False
     return q1
 

@@ -59,7 +59,7 @@ from schemex.spectral import (
 
 def krein_expansion(s, sd, *, residual_tol: float = 1e-8) -> np.ndarray:
     """q[k, i, j] = n * (coefficient of E_k in E_i o E_j), by trace inner products."""
-    d, n = sd.d, sd.n
+    d, n = s.d, s.n
     E = primitive_idempotents(s, sd)
     stack = np.stack(E)
     denom = np.array([(Ek * Ek).sum() for Ek in E])  # tr(E_k E_k), about m_k
@@ -254,7 +254,6 @@ def spectral_data_loop(t) -> SpectralData:
     tie = (d + 1 - tied[-1], d + 2 - tied[-1]) if tied else None
     spectrum = Spectrum(theta=theta.copy(), m=m.copy(), n=n) if tie is None else None
     return SpectralData(
-        n=n, d=d, valencies=t.valencies.copy(),
         P=P, Q=Q, theta=theta, multiplicities=m, tie=tie, spectrum=spectrum,
         pq_residual=pq_resid, multiplicity_residual=m_resid,
     )
@@ -277,12 +276,12 @@ def full_key_row_order(P, m) -> list:
     return sorted(range(len(keys)), key=keys.__getitem__)
 
 
-def krein_slabs_loop(sd):
+def krein_slabs_loop(s, sd):
     """The slabs q[:, i, :] of the dual intersection numbers, indexed [k, j], one per step."""
-    d, n = sd.d, sd.n
+    d, n = s.d, s.n
     P = sd.P
     m = sd.multiplicities
-    W = P / sd.valencies
+    W = P / s.valencies
     for i in range(d + 1):
         yield (((W[i] * W) @ P.T) * (m[i] * m / n)[:, None]).T
 
@@ -397,13 +396,29 @@ def dense_slabs(p):
     return SimpleNamespace(d=p.shape[0] - 1, n=int(k.sum()), valencies=k, slab=lambda i: p[:, i, :])
 
 
+def _int_label(x):
+    """The integer vertex x names, or None: a string is read by int(), anything else must
+    equal its int()."""
+    if isinstance(x, str):
+        try:
+            return int(x)
+        except ValueError:
+            return None
+    try:
+        return int(x) if int(x) == x else None
+    except (TypeError, ValueError, OverflowError):
+        return None
+
+
 def from_edges_loop(n: int, edges) -> np.ndarray:
     """Graph.from_edges one pair at a time: the read-only bool adjacency matrix, or its ValueError."""
     if n < 1:
         raise ValueError("graph needs at least one vertex")
     adj = np.zeros((n, n), dtype=bool)
-    for u, v in edges:
-        u, v = int(u), int(v)
+    for a, b in edges:
+        u, v = _int_label(a), _int_label(b)
+        if u is None or v is None:
+            raise ValueError(f"edge ({a},{b}) has a vertex that is not an integer")
         if not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"edge ({u},{v}) out of range 0..{n - 1}")
         if u == v:

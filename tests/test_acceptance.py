@@ -195,7 +195,7 @@ def test_07_spectral_sanity_everywhere():
             bad.append(f"{name}: multiplicity residual")
         if int(np.round(sd.multiplicities).sum()) != s.n:
             bad.append(f"{name}: multiplicities do not sum to n")
-        krein_min = np.stack(list(krein_slabs_loop(sd)), axis=1).min()
+        krein_min = np.stack(list(krein_slabs_loop(s, sd)), axis=1).min()
         if krein_min < -1e-8 * s.n:
             bad.append(f"{name}: Krein minimum {krein_min:.2e}")
     _report(7, "eigenmatrix inversion, multiplicities, Krein floor",

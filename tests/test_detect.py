@@ -583,7 +583,7 @@ def _assert_route_margins(name, sd, values, ls, matched=1000):
     ROUTE_MATCH_RTOL, every other column 1000 times outside; ls maps route to l."""
     checks = {
         "excess": (sd.spectrum.kappa[1:], -sd.Q[:, 1:].T),
-        "predistance": (values[sd.d], sd.P),
+        "predistance": (values[-1], sd.P),
     }
     for route, (vals, targets) in checks.items():
         _, raws, scaleds = _match_columns(vals, targets)
@@ -703,7 +703,7 @@ class TestTensorOnly:
             "nstar": nstar_sets(t, sd),
             "excess": excess_route(sd),
             "predistance": predistance_route(sd, values),
-            "krein_q1": krein_parameters(sd),
+            "krein_q1": krein_parameters(t, sd),
             "mstar": [mstar_decomposition_residual(t, sd, i) for i in (1, 2)],
         }
 
@@ -736,7 +736,7 @@ def _stages_without_mstar(t):
     assert {v.verdict for v in routes.values()} == {YES}
     assert routes["nstar"].ordering == tri.ordering
     assert {v.l for v in routes.values()} == {tri.ordering[-1]}
-    q_poly = q_polynomial_route(krein_parameters(sd), sd.n)
+    q_poly = q_polynomial_route(krein_parameters(t, sd), t.n)
     return SimpleNamespace(spectral=sd, values=values, routes=routes, q_poly=q_poly)
 
 

@@ -128,6 +128,16 @@ class TestFromEdgesAgainstLoop:
         (3, [(-1, 0)], "edge (-1,0) out of range 0..2"),
         (3, [(0, 10 ** 30)], f"edge (0,{10 ** 30}) out of range 0..2"),
         (3, [(1, 1), (0, 7)], "loop at vertex 1"),
+        (3, [(0, 1.5)], "edge (0,1.5) has a vertex that is not an integer"),
+        (3, [(0, 1), (float("inf"), 1)], "edge (inf,1) has a vertex that is not an integer"),
+        (3, [(0, -float("inf"))], "edge (0,-inf) has a vertex that is not an integer"),
+        (3, [(0, float("nan"))], "edge (0,nan) has a vertex that is not an integer"),
+        (3, [(0, None)], "edge (0,None) has a vertex that is not an integer"),
+        (3, [(0, "1.5")], "edge (0,1.5) has a vertex that is not an integer"),
+        (3, [(7, 1.5)], "edge (7,1.5) has a vertex that is not an integer"),  # before the range
+        (3, [(0, 1.5), (5, 5)], "edge (0,1.5) has a vertex that is not an integer"),
+        (3, [(5, 5), (0, 1.5)], "edge (5,5) out of range 0..2"),  # pairs in input order
+        (3, [(0, 1), (2.0, "1"), (True, 0.5)], "edge (True,0.5) has a vertex that is not an integer"),
     ])
     def test_first_offender_and_message(self, n, edges, message):
         assert _edges_outcome(from_edges_loop, n, edges) == message
@@ -343,7 +353,7 @@ class TestSpectralExcess:
         rep = spectral_excess_report(_petersen_graph())
         assert rep.drg is True
         assert rep.witness is None
-        assert (rep.diameter, rep.d) == (2, 2)
+        assert (rep.diameter, rep.spectrum.d) == (2, 2)
         assert rep.pd_theta0 == pytest.approx(6.0, abs=1e-9)
         assert rep.excess_mean == pytest.approx(6.0)
         assert rep.excess_harmonic_mean == pytest.approx(6.0)
@@ -383,7 +393,7 @@ class TestSpectralExcessClosedForm:
         # gives only its rounding here (5.8e-35 for a true 7.0e-50 on rr(4, 60))
         rep = spectral_excess_report(_from_networkx(nx.random_regular_graph(k, n, seed=seed)))
         sp = rep.spectrum
-        assert rep.d > 5 * rep.diameter
+        assert sp.d > 5 * rep.diameter
         assert rep.pd_theta0 == pytest.approx(sp.n / (sp.kappa ** 2 / sp.m).sum(), rel=1e-12, abs=0)
 
     def test_never_calls_the_recurrence(self, monkeypatch):

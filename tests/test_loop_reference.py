@@ -68,10 +68,10 @@ def test_spectral_data_matches_the_row_loop(inputs):
 
 
 def test_krein_q1_matches_slab_1_of_the_loop(inputs):
-    for name, _s, sd in inputs:
-        slabs = krein_slabs_loop(sd)
+    for name, s, sd in inputs:
+        slabs = krein_slabs_loop(s, sd)
         next(slabs)
-        assert krein_parameters(sd).tobytes() == next(slabs).tobytes(), name
+        assert krein_parameters(s, sd).tobytes() == next(slabs).tobytes(), name
 
 
 def test_walks_on_lists_match_the_flatnonzero_loops(inputs):
@@ -82,7 +82,7 @@ def test_walks_on_lists_match_the_flatnonzero_loops(inputs):
             assert (chain is not None) == generates_algebra_loop(p, i), (name, i)
         support = p[:, 1, :] > 0
         assert greedy_chain(support, 1) == greedy_chain_loop(support, d), name
-        q1 = krein_parameters(sd) > BASE_TOL * max(1.0, s.n)
+        q1 = krein_parameters(s, sd) > BASE_TOL * max(1.0, s.n)
         assert greedy_chain(q1, 1) == greedy_chain_loop(q1, d), name
         try:
             ref = nstar_sets_loop(s, sd)
@@ -97,9 +97,9 @@ def test_walks_on_lists_match_the_flatnonzero_loops(inputs):
 def test_kappa_matches_the_scalar_loop(inputs):
     # kappa comes from sums of log gaps, so it differs from the product loop in rounding
     checked = 0
-    for name, _s, sd in inputs:
+    for name, s, sd in inputs:
         if sd.spectrum is not None:
-            ref = np.array([1.0] + [kappa_scalar(sd.theta, i) for i in range(1, sd.d + 1)])
+            ref = np.array([1.0] + [kappa_scalar(sd.theta, i) for i in range(1, s.d + 1)])
             assert (np.abs(sd.spectrum.kappa - ref) <= 1e-12 * np.abs(ref)).all(), name
             checked += 1
     assert checked == 89

@@ -30,8 +30,8 @@ FIELDS = {
     RelationMatrix: ("n", "d", "rel"),
     AssociationScheme: ("rel", "y", "valencies", "slabs"),
     Spectrum: ("theta", "m", "n"),
-    SpectralData: ("n", "d", "valencies", "P", "Q", "theta", "multiplicities", "tie",
-                   "spectrum", "pq_residual", "multiplicity_residual"),
+    SpectralData: ("P", "Q", "theta", "multiplicities", "tie", "spectrum", "pq_residual",
+                   "multiplicity_residual"),
     RouteVerdict: ("route", "verdict", "ordering", "l", "max_residual", "witness"),
     DetectionReport: ("n", "d", "valencies", "tridiagonal", "nstar", "excess", "predistance",
                       "q_poly", "consensus", "preconditions_ok", "ordering", "l"),
@@ -39,8 +39,8 @@ FIELDS = {
                "pq_residual"),
     Graph: ("n", "adj"),
     DistanceData: ("dist", "diameter", "gamma_counts", "eccentricity", "excess"),
-    SpectralExcessReport: ("n", "degree", "diameter", "d", "pd_theta0", "excess",
-                           "excess_mean", "excess_harmonic_mean", "drg", "witness", "spectrum"),
+    SpectralExcessReport: ("degree", "diameter", "pd_theta0", "excess", "excess_mean",
+                           "excess_harmonic_mean", "drg", "witness", "spectrum"),
     FamilySpec: ("family", "params"),
 }
 

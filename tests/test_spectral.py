@@ -25,9 +25,9 @@ def _sd(family, params=()):
     return spectral_data(generate(FamilySpec(family, params)))
 
 
-def _krein_cube(sd):
+def _krein_cube(s, sd):
     """q[k, i, j], stacked from the reference slabs q[:, i, :]."""
-    return np.stack(list(krein_slabs_loop(sd)), axis=1)
+    return np.stack(list(krein_slabs_loop(s, sd)), axis=1)
 
 
 class TestEigenmatrices:
@@ -222,13 +222,13 @@ class TestIdempotents:
 class TestKrein:
     def test_k3_value(self):
         s = generate(FamilySpec("complete", (3,)))
-        q = _krein_cube(spectral_data(s))
+        q = _krein_cube(s, spectral_data(s))
         assert abs(q[1, 1, 1] - 1.0) < 1e-10
 
     def test_q0_diagonal_is_multiplicities(self, scheme_corpus):
         for name, s, _ in scheme_corpus:
             sd = spectral_data(s)
-            q = _krein_cube(sd)
+            q = _krein_cube(s, sd)
             for i in range(s.d + 1):
                 for j in range(s.d + 1):
                     want = sd.multiplicities[i] if i == j else 0.0
@@ -236,28 +236,28 @@ class TestKrein:
 
     def test_binary_hamming_self_dual(self):
         s = generate(FamilySpec("hamming", (3, 2)))
-        q = _krein_cube(spectral_data(s))
+        q = _krein_cube(s, spectral_data(s))
         assert np.abs(q - dense(s)).max() < 1e-8
 
     def test_nonnegativity_floor(self, scheme_corpus, cycle_scheme):
         # the Krein conditions q^k_{ij} >= 0 (Scott 1973), an oracle for P and m
         schemes = [(name, s) for name, s, _ in scheme_corpus] + [("cycle(200)", cycle_scheme(200))]
         for name, s in schemes:
-            assert _krein_cube(spectral_data(s)).min() >= -1e-8 * s.n, name
+            assert _krein_cube(s, spectral_data(s)).min() >= -1e-8 * s.n, name
 
     def test_row_sums(self, scheme_corpus):
         # sum_j q^k_{ij} = m_i, the dual of the valency row-sum identity
         for name, s, _ in scheme_corpus:
             sd = spectral_data(s)
             m = sd.multiplicities
-            got = _krein_cube(sd).sum(axis=2)
+            got = _krein_cube(s, sd).sum(axis=2)
             assert np.abs(got - m[None, :]).max() < 1e-7, name
 
     def test_closed_form_matches_nxn_expansion(self, scheme_corpus):
         for name, s, _ in scheme_corpus:
             sd = spectral_data(s)
             ref = krein_expansion(s, sd)
-            q = _krein_cube(sd)
+            q = _krein_cube(s, sd)
             assert np.abs(q - ref).max() <= 1e-10 * max(1.0, np.abs(ref).max()), name
             # krein_parameters does not check q^k_{ij} = q^k_{ji}; it holds by construction
             assert np.abs(q - q.transpose(0, 2, 1)).max() <= 1e-12 * max(1.0, np.abs(q).max()), name
@@ -266,8 +266,8 @@ class TestKrein:
         schemes = [(name, s) for name, s, _ in scheme_corpus] + [("cycle(200)", cycle_scheme(200))]
         for name, s in schemes:
             sd = spectral_data(s)
-            q = _krein_cube(sd)
-            q1 = krein_parameters(sd)
+            q = _krein_cube(s, sd)
+            q1 = krein_parameters(s, sd)
             assert np.array_equal(q1, q[:, 1, :]), name
             assert not q1.flags.writeable, name
             assert np.abs(q - q.transpose(0, 2, 1)).max() <= 1e-12 * max(1.0, np.abs(q).max()), name
@@ -285,13 +285,25 @@ def test_spectral_data_builds_no_cubic_array(cycle_scheme):
     assert peak < one_cube, f"spectral_data peaked at {peak} bytes, (d+1)^3 float64 is {one_cube}"
 
 
+def test_spectral_data_refuses_writes(scheme_corpus):
+    # theta and m are held once, so a write could reach M* and nstar but not the Spectrum's kappa
+    sds = [spectral_data(s) for _, s, _ in scheme_corpus]
+    distinct = next(sd for sd in sds if sd.tie is None)
+    tied = next(sd for sd in sds if sd.tie is not None)
+    for sd in (distinct, tied):
+        for name in ("theta", "multiplicities", "P", "Q"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(sd, name)[-1] = 0.0
+
+
 def test_krein_parameters_hold_no_cubic_array(cycle_scheme):
     # only the slab q^k_{1j} is computed, from a few (d+1)^2 temporaries
-    sd = spectral_data(cycle_scheme(200))
-    one_slab = (sd.d + 1) ** 2 * np.dtype(np.float64).itemsize
+    s = cycle_scheme(200)
+    sd = spectral_data(s)
+    one_slab = (s.d + 1) ** 2 * np.dtype(np.float64).itemsize
     tracemalloc.start()
     try:
-        krein_parameters(sd)
+        krein_parameters(s, sd)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -52,10 +52,12 @@ def test_collision_iff_tied_group(scheme_corpus):
         simple = all(b - a == 1 for a, b in eigen_groups(np.sort(sd.theta)))
         assert (sd.tie is None) == simple, name
         assert (sd.spectrum is not None) == simple, name
-        if simple:  # a copy: the Spectrum does not alias the eigenmatrix data
-            assert np.array_equal(sd.spectrum.theta, sd.theta)
-            assert np.array_equal(sd.spectrum.m, sd.multiplicities)
-            assert not np.shares_memory(sd.spectrum.theta, sd.theta)
+        if simple:  # held once: the Spectrum's own arrays
+            assert sd.theta is sd.spectrum.theta and sd.multiplicities is sd.spectrum.m, name
+        else:  # arrays of their own, read off P
+            assert np.array_equal(sd.theta, sd.P[:, 1]) and not np.shares_memory(sd.theta, sd.P)
+        held = (sd.P, sd.Q, sd.theta, sd.multiplicities)
+        assert not any(a.flags.writeable for a in held), name
         seen.add(simple)
     assert seen == {True, False}
 

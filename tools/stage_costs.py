@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import importlib
+import inspect
 import json
 import subprocess
 import sys
@@ -60,28 +61,30 @@ def _stage_calls(s):
     # schemex.detect the module, not the function that the package exports under that name
     detect, scheme_core, spectral = (importlib.import_module(f"schemex.{name}")
                                      for name in ("detect", "scheme_core", "spectral"))
-    t = getattr(s, "tensor", s)  # an older tree keeps the slabs in the scheme's field "tensor"
-    sd = spectral.spectral_data(t)
+    sd = spectral.spectral_data(s)
     rm = scheme_core.RelationMatrix(n=s.n, d=s.d, rel=s.rel)
     sp = sd.spectrum
     values = spectral.predistance_polynomials(sp) if sp is not None else None
+    two = len(inspect.signature(spectral.krein_parameters).parameters) == 2
+    krein_args = (s, sd) if two else (sd,)  # an older tree's krein_parameters takes sd alone
 
     def slab1():
-        b = scheme_core._count_slab(t.rel, t.y, 1)
-        return type(t)(t.rel, t.y, t.valencies, {1: b})
+        b = scheme_core._count_slab(s.rel, s.y, 1)
+        return type(s)(s.rel, s.y, s.valencies, {1: b})
 
     calls = {
         "build_scheme": lambda: scheme_core.build_scheme(rm),
         "slab 1": slab1,
-        "spectral_data": lambda: spectral.spectral_data(t),
-        "Spectrum": lambda: spectral.Spectrum(theta=sd.theta, m=sd.multiplicities, n=sd.n),
-        "tridiagonal": lambda: detect.tridiagonal_route(t),
-        "nstar": lambda: detect._nstar_verdict(t, sd),
+        "spectral_data": lambda: spectral.spectral_data(s),
+        "Spectrum": lambda: spectral.Spectrum(theta=sd.theta, m=sd.multiplicities, n=s.n),
+        "tridiagonal": lambda: detect.tridiagonal_route(s),
+        "nstar": lambda: detect._nstar_verdict(s, sd),
         "excess": lambda: detect.excess_route(sd),
         "predistance table": lambda: spectral.predistance_polynomials(sp),
         "predistance match": lambda: detect.predistance_route(sd, values),
-        "Krein + q_poly": lambda: detect.q_polynomial_route(spectral.krein_parameters(sd), sd.n),
-        "M*": lambda: [detect.mstar_decomposition_residual(t, sd, i) for i in range(1, t.d + 1)],
+        "Krein + q_poly": lambda: detect.q_polynomial_route(
+            spectral.krein_parameters(*krein_args), s.n),
+        "M*": lambda: [detect.mstar_decomposition_residual(s, sd, i) for i in range(1, s.d + 1)],
         "analyze": lambda: detect.analyze(s),
     }
     if sp is None:  # tied theta: no Spectrum, predistance table or M*
