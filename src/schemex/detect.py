@@ -24,7 +24,7 @@ import functools
 
 import numpy as np
 
-from .scheme_core import AssociationScheme, ValueRecord, greedy_chain
+from .scheme_core import AssociationScheme, FrozenRecord, ValueRecord, greedy_chain
 from .spectral import (
     DegenerateSpectrum,
     SpectralData,
@@ -80,7 +80,7 @@ class RouteVerdict(ValueRecord):
         return out
 
 
-class DetectionReport:
+class DetectionReport(FrozenRecord):
     __slots__ = ("n", "d", "valencies", "tridiagonal", "nstar", "excess", "predistance",
                  "q_poly", "consensus", "preconditions_ok", "ordering", "l")
 
@@ -89,18 +89,18 @@ class DetectionReport:
         excess: RouteVerdict, predistance: RouteVerdict, q_poly: RouteVerdict, consensus: str,
         preconditions_ok: bool, ordering: tuple | None, l: int | None,
     ):
-        self.n = n
-        self.d = d
-        self.valencies = valencies
-        self.tridiagonal = tridiagonal
-        self.nstar = nstar
-        self.excess = excess
-        self.predistance = predistance
-        self.q_poly = q_poly
-        self.consensus = consensus
-        self.preconditions_ok = preconditions_ok
-        self.ordering = ordering
-        self.l = l
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "valencies", valencies)
+        object.__setattr__(self, "tridiagonal", tridiagonal)
+        object.__setattr__(self, "nstar", nstar)
+        object.__setattr__(self, "excess", excess)
+        object.__setattr__(self, "predistance", predistance)
+        object.__setattr__(self, "q_poly", q_poly)
+        object.__setattr__(self, "consensus", consensus)
+        object.__setattr__(self, "preconditions_ok", preconditions_ok)
+        object.__setattr__(self, "ordering", ordering)
+        object.__setattr__(self, "l", l)
 
     @property
     def status(self) -> str:
@@ -319,7 +319,7 @@ def q_polynomial_route(q1: np.ndarray, n: int) -> RouteVerdict:
     return RouteVerdict("q_poly", YES, ordering=order, l=order[-1])
 
 
-class Analysis:
+class Analysis(FrozenRecord):
     """Everything detect computed along the way, for reporting.  ``mstar_max`` is the largest
     M* residual_i / max(1, |kappa_i| / n), relative to what it checks; None on tied theta."""
 
@@ -329,12 +329,15 @@ class Analysis:
     def __init__(self, report: DetectionReport, spectral: SpectralData, krein_q1: np.ndarray,
                  predistance_values: np.ndarray | None, mstar_max: float | None,
                  pq_residual: float):
-        self.report = report
-        self.spectral = spectral
-        self.krein_q1 = krein_q1
-        self.predistance_values = predistance_values
-        self.mstar_max = mstar_max
-        self.pq_residual = pq_residual
+        krein_q1.setflags(write=False)
+        if predistance_values is not None:
+            predistance_values.setflags(write=False)
+        object.__setattr__(self, "report", report)
+        object.__setattr__(self, "spectral", spectral)
+        object.__setattr__(self, "krein_q1", krein_q1)
+        object.__setattr__(self, "predistance_values", predistance_values)
+        object.__setattr__(self, "mstar_max", mstar_max)
+        object.__setattr__(self, "pq_residual", pq_residual)
 
 
 def _nstar_verdict(s, sd):

@@ -55,11 +55,20 @@ def _vertex(x):
 
 
 class Graph(FrozenRecord):
-    """Simple undirected graph as its read-only bool adjacency matrix."""
+    """Simple undirected graph as its n x n bool adjacency: symmetric, loop-free, read-only."""
 
     __slots__ = ("n", "adj")
 
     def __init__(self, n: int, adj: np.ndarray):
+        if not isinstance(adj, np.ndarray) or adj.dtype != bool or adj.shape != (n, n):
+            got = getattr(adj, "dtype", type(adj).__name__)
+            raise ValueError(f"adjacency must be a {n}x{n} bool matrix, not {got} {np.shape(adj)}")
+        if adj.diagonal().any():
+            raise ValueError(f"loop at vertex {adj.diagonal().argmax()}")
+        if (adj != adj.T).any():
+            u, v = np.argwhere(adj != adj.T)[0].tolist()
+            raise ValueError(f"adjacency is not symmetric: adj[{u},{v}] != adj[{v},{u}]")
+        adj.setflags(write=False)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "adj", adj)
 
@@ -101,7 +110,6 @@ class Graph(FrozenRecord):
                 raise ValueError(f"loop at vertex {a}")
             raise ValueError(f"duplicate edge ({a},{b})")
         adj[u, v] = adj[v, u] = True
-        adj.flags.writeable = False
         return cls(n=n, adj=adj)
 
     @property
@@ -109,7 +117,7 @@ class Graph(FrozenRecord):
         return tuple(self.adj.sum(axis=1).tolist())
 
 
-class DistanceData:
+class DistanceData(FrozenRecord):
     """All-pairs distance data.
 
     excess[x] counts the vertices at maximal distance from x (its
@@ -123,11 +131,13 @@ class DistanceData:
     def __init__(self, dist: np.ndarray, diameter: int,
                  gamma_counts: np.ndarray,  # gamma_counts[x, i] = |Gamma_i(x)|
                  eccentricity: np.ndarray, excess: np.ndarray):
-        self.dist = dist
-        self.diameter = diameter
-        self.gamma_counts = gamma_counts
-        self.eccentricity = eccentricity
-        self.excess = excess
+        for a in (dist, gamma_counts, eccentricity, excess):
+            a.setflags(write=False)
+        object.__setattr__(self, "dist", dist)
+        object.__setattr__(self, "diameter", diameter)
+        object.__setattr__(self, "gamma_counts", gamma_counts)
+        object.__setattr__(self, "eccentricity", eccentricity)
+        object.__setattr__(self, "excess", excess)
 
 
 def _seidel_distances(a: np.ndarray) -> np.ndarray:
@@ -213,7 +223,7 @@ def _drg_scheme(g: Graph, dd: DistanceData) -> AssociationScheme:
         raise NotDistanceRegular(str(e)) from e
 
 
-class SpectralExcessReport:
+class SpectralExcessReport(FrozenRecord):
     __slots__ = ("degree", "diameter", "pd_theta0", "excess", "excess_mean",
                  "excess_harmonic_mean", "drg", "witness", "spectrum")
 
@@ -222,15 +232,16 @@ class SpectralExcessReport:
         excess_mean: float, excess_harmonic_mean: float, drg: bool, witness: str | None,
         spectrum: Spectrum,  # holds n, and d: the number of distinct eigenvalues minus one
     ):
-        self.degree = degree
-        self.diameter = diameter
-        self.pd_theta0 = pd_theta0
-        self.excess = excess
-        self.excess_mean = excess_mean
-        self.excess_harmonic_mean = excess_harmonic_mean
-        self.drg = drg
-        self.witness = witness
-        self.spectrum = spectrum
+        excess.setflags(write=False)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "diameter", diameter)
+        object.__setattr__(self, "pd_theta0", pd_theta0)
+        object.__setattr__(self, "excess", excess)
+        object.__setattr__(self, "excess_mean", excess_mean)
+        object.__setattr__(self, "excess_harmonic_mean", excess_harmonic_mean)
+        object.__setattr__(self, "drg", drg)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "spectrum", spectrum)
 
 
 def spectral_excess_report(g: Graph) -> SpectralExcessReport:

@@ -69,11 +69,11 @@ BLOCK_ENTRIES = 2 ** 14
 class FrozenRecord:
     """Base of the records that refuse attribute assignment once built.
 
-    A subclass lists its fields in ``__slots__`` and sets them in its own
-    ``__init__`` with ``object.__setattr__``.  ``__setstate__`` does the same for
-    copy and pickle, and makes read-only every array it restores, a field's or a
-    dict field's value, since pickle and deepcopy hand back writeable ones.
-    Records compare by identity; a :class:`ValueRecord` compares by value.
+    A subclass lists its fields in ``__slots__`` and sets them in its own ``__init__``
+    with ``object.__setattr__``, after making read-only every array it is given.
+    ``__setstate__`` does the same for copy and pickle, and makes read-only every array
+    it restores, a field's or a dict field's value, since pickle and deepcopy hand back
+    writeable ones.  Records compare by identity; a :class:`ValueRecord` compares by value.
     """
 
     __slots__ = ()

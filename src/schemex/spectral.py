@@ -106,7 +106,7 @@ class Spectrum(FrozenRecord):
         return self.theta.size - 1
 
 
-class SpectralData:
+class SpectralData(FrozenRecord):
     """First/second eigenmatrix pair and friends; every array is read-only.
 
     Row ordering convention: row 0 is the valency row (P_i(0) = k_i); the
@@ -127,14 +127,14 @@ class SpectralData:
     ):
         for a in (P, Q, theta, multiplicities):
             a.setflags(write=False)
-        self.P = P
-        self.Q = Q
-        self.theta = theta
-        self.multiplicities = multiplicities
-        self.tie = tie
-        self.spectrum = spectrum
-        self.pq_residual = pq_residual
-        self.multiplicity_residual = multiplicity_residual
+        object.__setattr__(self, "P", P)
+        object.__setattr__(self, "Q", Q)
+        object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "multiplicities", multiplicities)
+        object.__setattr__(self, "tie", tie)
+        object.__setattr__(self, "spectrum", spectrum)
+        object.__setattr__(self, "pq_residual", pq_residual)
+        object.__setattr__(self, "multiplicity_residual", multiplicity_residual)
 
 
 def eigen_groups(w: np.ndarray) -> list:

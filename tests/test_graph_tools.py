@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 import tracemalloc
 
 import networkx as nx
@@ -65,6 +66,19 @@ class TestGraph:
             Graph.from_edges(2, [(0, 1), (1, 0)])
         with pytest.raises(ValueError):
             Graph.from_edges(2, [(0, 2)])
+
+    @pytest.mark.parametrize("adj, message", [
+        (np.zeros((2, 2), dtype=bool), "adjacency must be a 3x3 bool matrix, not bool (2, 2)"),
+        (np.roll(np.eye(3, dtype=bool), 1, axis=1),  # a directed 3-cycle
+         "adjacency is not symmetric: adj[0,1] != adj[1,0]"),
+        (np.ones((3, 3), dtype=bool), "loop at vertex 0"),
+        (np.zeros((3, 3)), "adjacency must be a 3x3 bool matrix, not float64 (3, 3)"),
+    ], ids=["shape", "asymmetric", "loops", "float"])
+    def test_constructor_checks_the_adjacency(self, adj, message):
+        # each of these used to reach the stages and fail there with an unrelated error
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Graph(3, adj)
+        assert adj.flags.writeable  # a refused matrix is left as it was
 
 
 def _edges_outcome(build, n, edges):

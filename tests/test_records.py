@@ -1,5 +1,5 @@
-"""The record classes: constructor parameters, which refuse assignment, how they compare and hash,
-and that copy and pickle rebuild them, the frozen ones with read-only arrays."""
+"""The record classes: constructor parameters, the refusal to assign or delete a field, how they
+compare and hash, and that copy and pickle rebuild them with read-only arrays."""
 
 from __future__ import annotations
 
@@ -22,7 +22,6 @@ from schemex.graph_tools import (
 from schemex.scheme_core import AssociationScheme, RelationMatrix
 from schemex.spectral import SpectralData, Spectrum
 
-FROZEN = {RelationMatrix, AssociationScheme, Spectrum, RouteVerdict, Graph, FamilySpec}
 BY_VALUE = {RouteVerdict, FamilySpec}
 
 # class -> its constructor's parameters, in order
@@ -45,16 +44,24 @@ FIELDS = {
 }
 
 
-@pytest.fixture(scope="module")
+# the SpectralData of tied theta holds theta and the multiplicities itself, not in a Spectrum
+TIED = "SpectralData-tied-theta"
+
+
+@pytest.fixture
 def records():
-    """One instance of each record class, from cycle(5) and the 5-cycle graph."""
+    """{class name: one instance} of each record class, from cycle(5) and the 5-cycle graph,
+    and under TIED the SpectralData of disjoint_cliques(3,3).  Built for each test: a shallow
+    copy's ``__setstate__`` freezes the arrays it shares with the original."""
     s = generate(FamilySpec("cycle", (5,)))
     a = analyze(s)
-    g = Graph.from_edges(5, [(i, (i + 1) % 5) for i in range(5)])
+    g = Graph(5, s.rel == 1)  # a writeable matrix, passed in directly
     found = [RelationMatrix(n=s.n, d=s.d, rel=s.rel), s, a.spectral.spectrum,
              a.spectral, a.report.tridiagonal, a.report, a, g, distance_data(g),
              spectral_excess_report(g), FamilySpec("cycle", (5,))]
-    return {type(r): r for r in found}
+    tied = analyze(generate(FamilySpec("disjoint_cliques", (3, 3)))).spectral
+    assert tied.tie is not None and tied.spectrum is None
+    return {type(r).__name__: r for r in found} | {TIED: tied}
 
 
 def _same(x, y):
@@ -68,19 +75,16 @@ def _same(x, y):
 
 @pytest.mark.parametrize("cls", list(FIELDS), ids=lambda cls: cls.__name__)
 def test_record_contract(records, cls):
-    obj = records[cls]
+    obj = records[cls.__name__]
     assert type(obj) is cls
     assert not hasattr(obj, "__dict__"), "every record keeps its fields in __slots__"
     assert tuple(inspect.signature(cls).parameters) == FIELDS[cls]
     for name in FIELDS[cls]:
         value = getattr(obj, name)
-        if cls in FROZEN:
-            with pytest.raises(AttributeError):
-                setattr(obj, name, value)
-            with pytest.raises(AttributeError):
-                delattr(obj, name)
-        else:
+        with pytest.raises(AttributeError):
             setattr(obj, name, value)
+        with pytest.raises(AttributeError):
+            delattr(obj, name)
         assert getattr(obj, name) is value
 
     twin = copy.copy(obj)
@@ -105,14 +109,14 @@ def _arrays(obj):
                 yield name, a
 
 
-@pytest.mark.parametrize("cls", sorted(FROZEN, key=lambda cls: cls.__name__),
-                         ids=lambda cls: cls.__name__)
-def test_frozen_records_stay_read_only_through_deepcopy_and_pickle(records, cls):
-    # pickle and deepcopy hand back writeable arrays; a restored scheme whose slab could be
-    # written would let analyze read a stale B_1, and a Spectrum a stale kappa
-    obj = records[cls]
+@pytest.mark.parametrize("key", sorted([*(cls.__name__ for cls in FIELDS), TIED]))
+def test_frozen_records_stay_read_only_through_deepcopy_and_pickle(records, key):
+    # the constructor freezes every array it is given, but pickle and deepcopy hand back
+    # writeable ones; a restored scheme whose slab could be written would let analyze read
+    # a stale B_1, and a Spectrum a stale kappa
+    obj = records[key]
     held = [name for name, _ in _arrays(obj)]
-    assert bool(held) is (cls not in BY_VALUE), held
+    assert bool(held) is (type(obj) not in BY_VALUE | {DetectionReport}), held
     for twin in (obj, copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
         writeable = [name for name, a in _arrays(twin) if a.flags.writeable]
         assert not writeable, writeable

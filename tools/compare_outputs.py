@@ -2,9 +2,10 @@
 
     python3 tools/compare_outputs.py BASE [--change DIR]
 
-BASE is a git revision, whose ``src`` is exported with ``git archive`` into
-a temporary directory, or the path of a tree that holds ``src/schemex``.  The
-change is the tree given by ``--change`` (default: the current directory).
+BASE is a git revision, checked out for the run by
+``bench_pairs.parent_checkout`` (a ``git worktree``, removed afterwards) as
+tools/stage_costs.py does, or the path of a tree that holds ``src/schemex``.
+The change is the tree given by ``--change`` (default: the current directory).
 
 The inputs are made once, by BASE's own generators: the 29 corpus schemes;
 hamming(6,3), johnson(12,4) and cycle(44), cycle(100) and cycle(200); the
@@ -34,9 +35,10 @@ import os
 import re
 import subprocess
 import sys
-import tarfile
 import tempfile
 from pathlib import Path
+
+from bench_pairs import parent_checkout
 
 JSON_OUT = "out.json"
 
@@ -235,19 +237,12 @@ def outputs(base: Path, change: Path) -> tuple:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("base", help="git revision or tree directory of the reference")
+    ap.add_argument("base", help="git revision or checkout directory of the reference")
     ap.add_argument("--change", type=Path, default=Path("."))
     args = ap.parse_args(argv)
     change = args.change.resolve()
-    with tempfile.TemporaryDirectory(prefix="compare-base-") as tmp:
-        base = Path(args.base)
-        if not base.is_dir():
-            tar = subprocess.run(["git", "-C", str(change), "archive", "--format=tar", args.base, "src"],
-                                 check=True, capture_output=True).stdout
-            with tarfile.open(fileobj=io.BytesIO(tar)) as tf:
-                tf.extractall(tmp, filter="data")
-            base = Path(tmp)
-        count, diffs = outputs(base.resolve(), change)
+    with parent_checkout(args.base, change) as base:
+        count, diffs = outputs(base, change)
     for line in diffs:
         print(line)
     print(f"{len(diffs)} differences over {count} cases")

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import argparse
 import importlib
-import inspect
 import json
 import subprocess
 import sys
@@ -65,8 +64,6 @@ def _stage_calls(s):
     rm = scheme_core.RelationMatrix(n=s.n, d=s.d, rel=s.rel)
     sp = sd.spectrum
     values = spectral.predistance_polynomials(sp) if sp is not None else None
-    two = len(inspect.signature(spectral.krein_parameters).parameters) == 2
-    krein_args = (s, sd) if two else (sd,)  # an older tree's krein_parameters takes sd alone
 
     def slab1():
         b = scheme_core._count_slab(s.rel, s.y, 1)
@@ -83,7 +80,7 @@ def _stage_calls(s):
         "predistance table": lambda: spectral.predistance_polynomials(sp),
         "predistance match": lambda: detect.predistance_route(sd, values),
         "Krein + q_poly": lambda: detect.q_polynomial_route(
-            spectral.krein_parameters(*krein_args), s.n),
+            spectral.krein_parameters(s, sd), s.n),
         "M*": lambda: [detect.mstar_decomposition_residual(s, sd, i) for i in range(1, s.d + 1)],
         "analyze": lambda: detect.analyze(s),
     }
