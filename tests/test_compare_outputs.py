@@ -3,9 +3,13 @@ message and two JSON values changed, and its naming of differing JSON key paths.
 
 from __future__ import annotations
 
+import contextlib
+import io
 import shutil
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "tools"))
@@ -18,27 +22,45 @@ def test_the_working_tree_matches_itself(capsys):
     assert capsys.readouterr().out == "0 differences over 154 cases\n"
 
 
-def test_a_changed_message_and_json_values_are_each_named(tmp_path, capsys):
-    # one copied tree carries both edits, so one run of the tool checks both
-    shutil.copytree(ROOT / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
+@pytest.fixture(scope="module")
+def mutated_run(tmp_path_factory):
+    """The tool's exit code and output lines on one copied tree that carries both edits, so
+    one run of the tool serves both mutation tests."""
+    tree = tmp_path_factory.mktemp("mutated")
+    shutil.copytree(ROOT / "src", tree / "src", ignore=shutil.ignore_patterns("__pycache__"))
     edits = {"families.py": [("unknown family", "unknown Family")],
              "cli.py": [('"pd_theta0": rep.pd_theta0,', '"pd_theta0": -rep.pd_theta0,'),
                         ('"excess": rep.excess.tolist(),', '"excess": (rep.excess + 1).tolist(),')]}
     for module, pairs in edits.items():
-        path = tmp_path / "src" / "schemex" / module
+        path = tree / "src" / "schemex" / module
         text = path.read_text(encoding="utf-8")
         for old, new in pairs:
             assert text.count(old) == 1
             text = text.replace(old, new)
         path.write_text(text, encoding="utf-8")
-    assert compare_outputs.main([str(tmp_path), "--change", str(ROOT)]) == 1
-    *diffs, message, count = capsys.readouterr().out.splitlines()
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = compare_outputs.main([str(tree), "--change", str(ROOT)])
+    return code, out.getvalue().splitlines()
+
+
+def test_one_changed_message_is_one_difference(mutated_run):
+    code, lines = mutated_run
+    assert code == 1
+    *_, message, count = lines
+    assert message.startswith("gen nosuch: stderr differs, line 1: base \"ERROR: unknown Family ")
+    assert "change \"ERROR: unknown family " in message
+    assert count == "4 differences over 154 cases"
+
+
+def test_a_changed_json_value_is_named_by_its_key_paths(mutated_run):
+    code, lines = mutated_run
+    assert code == 1
+    *diffs, _, count = lines
     assert diffs == [
         f"{name}: graph --json: json differs at excess[0] and {n - 1} more under excess, pd_theta0"
         for name, n in [("hamming(8, 2) relation 1", 256), ("johnson(12, 4) relation 1", 495),
                         ("rook(20x25)", 500)]]
-    assert message.startswith("gen nosuch: stderr differs, line 1: base \"ERROR: unknown Family ")
-    assert "change \"ERROR: unknown family " in message
     assert count == "4 differences over 154 cases"
 
 
