@@ -110,9 +110,9 @@ class SpectralData(FrozenRecord):
     """First/second eigenmatrix pair and friends; every array is read-only.
 
     Row ordering convention: row 0 is the valency row (P_i(0) = k_i); the
-    remaining rows are sorted by strictly decreasing theta_j = P_1(j), ties
-    broken by ascending multiplicity and then lexicographically.  On distinct
-    theta, ``theta`` and ``multiplicities`` are the Spectrum's own arrays.
+    rest follow S_1's eigenvalue clusters by falling theta_j = P_1(j), tied
+    rows by ascending multiplicity, then the row rounded to 9 places.  On
+    distinct theta, ``theta`` and ``multiplicities`` are the Spectrum's own arrays.
     """
 
     __slots__ = ("P", "Q", "theta", "multiplicities", "tie", "spectrum", "pq_residual",
@@ -154,16 +154,17 @@ def _split_blocks(mats):
 
     The first matrix is diagonalized whole; only its degenerate eigenspaces
     are refined by the next matrices, and ``mats`` is left as soon as every
-    block is 1-dimensional.  Returns the (d+1) x (d+1) matrix whose columns
-    are the common unit eigenvectors, or raises if the family does not
-    separate all eigenspaces.
+    block is 1-dimensional.  Returns V, whose columns are the common unit
+    eigenvectors in ascending order of the first matrix's eigenvalues, and
+    those eigenvalues' eigen_groups ranges over V's columns; raises if the
+    family does not separate all eigenspaces.
     """
     mats = iter(mats)
     w, V = np.linalg.eigh(next(mats))
-    groups = eigen_groups(w)
-    if len(groups) == V.shape[1]:
-        return V
-    blocks = [V[:, a:b] for a, b in groups]
+    clusters = eigen_groups(w)
+    if len(clusters) == V.shape[1]:
+        return V, clusters
+    blocks = [V[:, a:b] for a, b in clusters]
     for S in mats:
         refined = []
         for V in blocks:
@@ -183,14 +184,15 @@ def _split_blocks(mats):
             f"eigenspaces of dimensions {stuck} could not be split by the "
             f"intersection matrices; identical P-rows should be impossible"
         )
-    return np.hstack(blocks)
+    return np.hstack(blocks), clusters  # each block stays inside its cluster's columns
 
 
 def spectral_data(s: AssociationScheme) -> SpectralData:
     """Compute P, Q, theta and the multiplicities from the intersection numbers.
 
-    Raises EigenSplitFailure if the eigenstructure cannot be separated, or the
-    multiplicities or P Q = nI fail beyond tolerance.
+    Raises EigenSplitFailure if the eigenstructure cannot be separated, the
+    multiplicities or P Q = nI fail beyond tolerance, or distinct theta read
+    off the rows do not fall in the order of S_1's eigenvalues.
     """
     n, d = s.n, s.d
     k = s.valencies.astype(float)
@@ -201,37 +203,32 @@ def spectral_data(s: AssociationScheme) -> SpectralData:
     # averaging S_i with its transpose only evens out rounding.  Each S_i is
     # built when _split_blocks reads it; a simple spectrum stops after S_1.
     scaled = ((sq[:, None] * s.slab(i)) / sq[None, :] for i in range(1, d + 1))
-    U = sq[:, None] * _split_blocks((S + S.T) / 2.0 for S in scaled)
+    V, clusters = _split_blocks((S + S.T) / 2.0 for S in scaled)
+    U = sq[:, None] * V
     if (np.abs(U[0]) < 1e-12 * np.sqrt((U * U).sum(axis=0))).any():  # U[0] vs column norms
         raise EigenSplitFailure("eigenvector with vanishing identity coordinate")
-    rows = (U / U[0]).T
+    # a C-order copy, so the row sums below add in the order they always have
+    rows = (U / U[0]).T.copy()
 
     # one row must be the (exactly known) valency row; pin it to index 0
     dists = np.abs(rows - k).max(axis=1)
     j0 = int(dists.argmin())
     if dists[j0] > 1e-6 * max(1.0, k.max()):
         raise EigenSplitFailure("no computed row matches the valency row")
-    # a C-order copy, so the row sums below add in the order they always have
-    rest = rows.take([j for j in range(d + 1) if j != j0], axis=0)
-    mults = n / (rest * rest / k).sum(axis=1)
+    mults = n / (rows * rows / k).sum(axis=1)
 
-    # one grouping of all d+1 theta, the valency row's k_1 among them, gives the tie and the
-    # sort key on tied theta (a cluster keyed by its smallest member); else -theta decides
-    thetas = np.concatenate(([k[1]], rest[:, 1]))
-    order = thetas.argsort()
-    groups = eigen_groups(thetas[order])
-    tied = [b for a, b in groups if b - a > 1]
-    if tied:
-        snapped = np.empty_like(thetas)
-        for a, b in groups:
-            snapped[order[a:b]] = thetas[order[a]]
-        # sort by (-snapped, multiplicity, the row rounded to 9 places), stably;
-        # lexsort reads its last key first
-        keyed = np.lexsort((*np.round(rest, 9).T[::-1], mults, -snapped[1:]))
-    else:
-        keyed = (-rest[:, 1]).argsort()
-    P = np.concatenate((k[None], rest[keyed]))
-    m = np.concatenate(((1.0,), mults[keyed]))  # m_0 = n / sum k = 1 exactly
+    # S_1's clusters by falling theta; a tied cluster's other rows go by (multiplicity, the
+    # row rounded to 9 places), stably, and the highest tied cluster gives the tie
+    order, tie = [], None
+    for a, b in reversed(clusters):
+        members = [j for j in range(a, b) if j != j0]
+        if b - a > 1:
+            tie = tie or (d + 1 - b, d + 2 - b)
+            keys = list(zip(mults[a:b].tolist(), np.round(rows[a:b], 9).tolist()))
+            members.sort(key=lambda j: keys[j - a])
+        order += members
+    P = np.concatenate((k[None], rows[order]))
+    m = np.concatenate(((1.0,), mults[order]))  # m_0 = n / sum k = 1 exactly
     ml = m.tolist()
     m_resid = max(abs(x - round(x)) for x in ml)
     if m_resid > INTEGRALITY_TOL or min(map(round, ml)) < 1 or sum(map(round, ml)) != n:
@@ -248,10 +245,10 @@ def spectral_data(s: AssociationScheme) -> SpectralData:
     if pq_resid > 1e-7 * n:
         raise EigenSplitFailure(f"P Q = nI fails (residual {pq_resid:.3e})")
 
-    # P's rows hold the same d+1 theta, so the groups of their ascending order stand
-    tie = (d + 1 - tied[-1], d + 2 - tied[-1]) if tied else None
-    # no tie: singleton groups, so theta falls strictly from k_1 and Spectrum accepts it
-    spectrum = Spectrum(theta=P[:, 1], m=m, n=n) if tie is None else None
+    try:  # no tie: theta_j = P_1(j) must fall strictly, as S_1's eigenvalues do
+        spectrum = Spectrum(theta=P[:, 1], m=m, n=n) if tie is None else None
+    except DegenerateSpectrum as e:
+        raise EigenSplitFailure(f"rows out of the eigenvalue order: {e}") from e
     theta, m = (P[:, 1].copy(), m) if spectrum is None else (spectrum.theta, spectrum.m)
     return SpectralData(
         P=P, Q=Q, theta=theta, multiplicities=m, tie=tie, spectrum=spectrum,

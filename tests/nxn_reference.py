@@ -265,7 +265,8 @@ def full_key_row_order(P, m) -> list:
     The key is (-theta snapped to the smallest member of its eigen_groups cluster,
     the multiplicity, the row rounded to 9 places), compared as a tuple and sorted
     stably, with the valency row's theta P[0, 1] grouped with the others.  On
-    distinct theta only -theta decides, which is how spectral_data orders them.
+    distinct theta only -theta decides.  spectral_data reaches the same order from
+    the eigen_groups clusters of S_1's eigenvalues, keying only a tied cluster's rows.
     """
     thetas = P[:, 1]
     order = np.argsort(thetas)

@@ -19,7 +19,7 @@ import compare_outputs  # noqa: E402
 
 def test_the_working_tree_matches_itself(capsys):
     assert compare_outputs.main([str(ROOT), "--change", str(ROOT)]) == 0
-    assert capsys.readouterr().out == "0 differences over 154 cases\n"
+    assert capsys.readouterr().out == "0 differences over 163 cases\n"
 
 
 @pytest.fixture(scope="module")
@@ -50,7 +50,7 @@ def test_one_changed_message_is_one_difference(mutated_run):
     *_, message, count = lines
     assert message.startswith("gen nosuch: stderr differs, line 1: base \"ERROR: unknown Family ")
     assert "change \"ERROR: unknown family " in message
-    assert count == "4 differences over 154 cases"
+    assert count == "4 differences over 163 cases"
 
 
 def test_a_changed_json_value_is_named_by_its_key_paths(mutated_run):
@@ -61,7 +61,7 @@ def test_a_changed_json_value_is_named_by_its_key_paths(mutated_run):
         f"{name}: graph --json: json differs at excess[0] and {n - 1} more under excess, pd_theta0"
         for name, n in [("hamming(8, 2) relation 1", 256), ("johnson(12, 4) relation 1", 495),
                         ("rook(20x25)", 500)]]
-    assert count == "4 differences over 154 cases"
+    assert count == "4 differences over 163 cases"
 
 
 def test_differing_paths():

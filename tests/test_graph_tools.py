@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import itertools
+import math
 import re
 import tracemalloc
 
@@ -396,6 +398,19 @@ class TestSpectralExcess:
         assert rep.drg is True
         assert rep.pd_theta0 == pytest.approx(1.0, abs=1e-9)
         assert np.all(rep.excess == 1)
+
+    def test_small_circulants_agree_with_networkx(self):
+        # every connected circulant C_n(S), S a nonempty subset of 1..n/2, for 3 <= n <= 12
+        graphs = [nx.circulant_graph(n, S) for n in range(3, 13)
+                  for r in range(1, n // 2 + 1)
+                  for S in itertools.combinations(range(1, n // 2 + 1), r)
+                  if math.gcd(n, *S) == 1]
+        drg = 0
+        for g in graphs:
+            rep = spectral_excess_report(Graph.from_edges(len(g), g.edges()))
+            assert rep.drg == nx.is_distance_regular(g), sorted(g.edges())
+            drg += rep.drg
+        assert (len(graphs), drg) == (156, 43)
 
 
 class TestSpectralExcessClosedForm:

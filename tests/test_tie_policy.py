@@ -63,18 +63,25 @@ def test_collision_iff_tied_group(scheme_corpus):
 
 
 def test_distinct_theta_rows_are_in_the_full_key_order(scheme_corpus, cycle_scheme):
-    # spectral_data sorts distinct theta by -theta alone; the full key must agree
+    # spectral_data orders the rows by S_1's eigenvalue clusters and keys only a tied cluster's
+    # rows; the full key must agree, and one grouping of P's theta must find the same tie
     tensors = [(name, s) for name, s, _ in scheme_corpus]
     tensors += [(f"{family}{params}", generate(FamilySpec(family, params)))
-                for family, params in (("hamming", (6, 3)), ("johnson", (12, 4)))]
+                for family, params in (("hamming", (6, 3)), ("johnson", (12, 4)),
+                                       ("hypercube_reordered", (0, 2, 1, 3)),
+                                       ("disjoint_cliques", (4, 3)),
+                                       ("disjoint_cliques", (2, 5)))]
     tensors += [(f"cycle({n})", cycle_scheme(n)) for n in (44, 100, 200)]
     tensors.append(("cycle(400) array", array_slabs(*intersection_array("cycle", 400))))
     distinct = 0
     for name, t in tensors:
         sd = spectral_data(t)
         assert full_key_row_order(sd.P, sd.multiplicities) == list(range(t.d)), name
+        # the tie as the sort of all d+1 theta found it: the highest tied group's top pair
+        tied = [b for a, b in eigen_groups(np.sort(sd.P[:, 1])) if b - a > 1]
+        assert sd.tie == ((t.d + 1 - tied[-1], t.d + 2 - tied[-1]) if tied else None), name
         distinct += sd.tie is None
-    assert distinct == len(tensors) - 2
+    assert distinct == len(tensors) - 5
 
 
 def test_tied_corpus_schemes_keep_their_eigenmatrices(scheme_corpus):
@@ -116,9 +123,9 @@ def test_analyze_decides_the_spectrum_once(monkeypatch, cycle_scheme):
 
     a = analyze(s)
     assert a.report.status == "yes" and s.d == 50
-    # eigen_groups: split S_1, then one grouping of theta for the sort key and the tie;
+    # eigen_groups: split S_1, whose clusters also give the row order and the tie;
     # kappa is a field that only Spectrum.__init__ sets, so it too is computed once
-    assert counts == {"Spectrum": 1, "eigen_groups": 2,
+    assert counts == {"Spectrum": 1, "eigen_groups": 1,
                       "mstar_decomposition_residual": 50, "krein_parameters": 1}
     assert "kappa" in Spectrum.__slots__ and not a.spectral.spectrum.kappa.flags.writeable
 

@@ -8,9 +8,11 @@ tools/stage_costs.py does, or the path of a tree that holds ``src/schemex``.
 The change is the tree given by ``--change`` (default: the current directory).
 
 The inputs are made once, by BASE's own generators: the 29 corpus schemes;
-hamming(6,3), johnson(12,4) and cycle(44), cycle(100) and cycle(200); the
-relation-1 graphs of hamming(8,2) and johnson(12,4), and the rook's graph
-K20 x K25; and malformed scheme and edge files.  Then one child process per
+hamming(6,3), johnson(12,4) and cycle(44), cycle(100) and cycle(200), and
+three schemes with tied theta, hypercube_reordered(0,2,1,3),
+disjoint_cliques(4,3) and disjoint_cliques(2,5); the relation-1 graphs of
+hamming(8,2) and johnson(12,4), and the rook's graph K20 x K25; and
+malformed scheme and edge files.  Then one child process per
 tree runs every case through ``schemex.cli.main`` in that directory:
 ``validate``, ``detect`` and ``detect --json`` on each scheme file,
 ``graph --json`` on each edge file, and ``gen`` on every family and on bad
@@ -54,8 +56,10 @@ GEN_ERRORS = [
     ["gen", "cycle"],  # too few parameters
     ["gen", "cycle", "5", "-o", "nodir/out.scheme"],  # unwritable output
 ]
+# the last three have tied theta: their rows are ordered by the full key
 LADDER = [("hamming", (6, 3)), ("johnson", (12, 4)), ("cycle", (44,)), ("cycle", (100,)),
-          ("cycle", (200,))]
+          ("cycle", (200,)), ("hypercube_reordered", (0, 2, 1, 3)), ("disjoint_cliques", (4, 3)),
+          ("disjoint_cliques", (2, 5))]
 BAD_SCHEMES = {
     "empty.scheme": "",
     "token.scheme": "2 1\n0 x\n1 0\n",
